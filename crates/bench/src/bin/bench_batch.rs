@@ -45,28 +45,9 @@
 //! per workload so future PRs have a perf trajectory. Results land in
 //! `BENCH_batch.json` in the current directory.
 //!
-//! Usage: `cargo run --release --bin bench_batch [-- --quick] [--huge] [--gate BASELINE.json]`
+//! Usage: `cargo run --release --bin bench_batch [-- --quick] [--gate BASELINE.json]`
 //! (`--quick` drops `n = 10⁷`, whose sequential fixed-time runs take ~10 s
 //! each).
-//!
-//! `--huge` adds two `n = 10⁸` rows — `epidemic_par_fill` and
-//! `weak_estimator_par_fill` — comparing the batched engine's classic
-//! serial batch fill against the fixed-partition parallel fill
-//! (`PP_THREADS`-style, here set programmatically to 4 workers). Both
-//! columns are the batched engine (a per-agent run at this size would
-//! take hours), so the row's "speedup" is the fill-parallelization
-//! factor alone. The rows are opt-in because one trial executes
-//! `⌈8 n ln n⌉ ≈ 1.5·10¹¹` interactions, and they are honest about
-//! hardware: on a single-core machine the scoped workers clamp to inline
-//! execution, so the expected ratio is ≈ 1 and the row exercises the
-//! discipline (partition, per-subrange streams, merge), not the fan-out.
-//! The epidemic row is a deliberate degenerate case — one reactive row,
-//! so the fill stays serial by eligibility and `parallel_fills` is 0;
-//! it pins the knob's overhead on ineligible protocols at zero. The
-//! weak-estimator row engages the parallel discipline once every agent
-//! is past its geometric first interaction (check its `parallel_fills`
-//! counter). Neither row is in the committed baseline, so `--gate`
-//! ignores them until a baseline recorded with `--huge` lands.
 //!
 //! `--gate BASELINE.json` turns the run into a **regression gate**: every
 //! measured row whose `(protocol, n, workload)` appears in the baseline
@@ -296,51 +277,6 @@ fn bench_interned<P: Protocol + Clone>(
     });
 }
 
-/// Serial-fill vs parallel-fill batched throughput at one huge size (the
-/// dense regime the fixed-partition fill targets). The "sequential"
-/// column is the classic serial batch fill and the "batched" column the
-/// parallel-fill discipline at 4 workers, so the speedup is the
-/// fill-parallelization factor with the rest of the engine cancelled.
-/// One trial per column: at `n = 10⁸` a fixed-time run is ~1.5·10¹¹
-/// interactions and the batch law makes per-trial variance negligible.
-fn bench_parallel_fill<P: Workload + Default>(name: &'static str, n: u64, rows: &mut Vec<Row>) {
-    let sim_time = 8.0 * (n as f64).ln();
-    let metrics = Metrics::new();
-    let measure = |fill_threads: Option<u64>| -> Measurement {
-        let start = Instant::now();
-        let mut sim = BatchedCountSim::new(P::default(), P::config(n), 0xB0BC);
-        if let Some(k) = fill_threads {
-            sim.set_fill_threads(k);
-            // Only the engine under test records, as in every other row.
-            sim.set_metrics(metrics.clone());
-        }
-        sim.run_for_time(sim_time);
-        Measurement {
-            trials: 1,
-            interactions: sim.interactions(),
-            seconds: start.elapsed().as_secs_f64(),
-        }
-    };
-    let seq = measure(None);
-    let bat = measure(Some(4));
-    eprintln!(
-        "{name:>22} n = {n:>9}  fixed_time: serial fill {:>12.0} int/s ({:.3}s) | parallel fill {:>13.0} int/s ({:.3}s) | ratio {:.2}x",
-        seq.rate(),
-        seq.seconds,
-        bat.rate(),
-        bat.seconds,
-        bat.rate() / seq.rate()
-    );
-    rows.push(Row {
-        protocol: name,
-        n,
-        workload: "fixed_time",
-        seq,
-        bat,
-        counters: metrics.nonzero_counters(),
-    });
-}
-
 /// Maximum tolerated drop in machine-normalized batched throughput
 /// (the batched/sequential speedup) vs the baseline (30%).
 const GATE_TOLERANCE: f64 = 0.30;
@@ -446,13 +382,11 @@ fn gate_failures(baseline: &[BaselineRow], rows: &[Row]) -> Vec<String> {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let mut quick = false;
-    let mut huge = false;
     let mut gate: Option<String> = None;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => quick = true,
-            "--huge" => huge = true,
             "--gate" => {
                 i += 1;
                 let value = args.get(i).unwrap_or_else(|| {
@@ -465,7 +399,7 @@ fn main() {
                 gate = Some(value.clone());
             }
             other => {
-                panic!("unknown argument {other}; supported: --quick --huge --gate BASELINE.json")
+                panic!("unknown argument {other}; supported: --quick --gate BASELINE.json")
             }
         }
         i += 1;
@@ -495,10 +429,6 @@ fn main() {
     } else {
         &[(2_000, 5), (50_000, 3)]
     };
-    if huge {
-        bench_parallel_fill::<InfectionEpidemic>("epidemic_par_fill", 100_000_000, &mut rows);
-        bench_parallel_fill::<WeakEstimator>("weak_estimator_par_fill", 100_000_000, &mut rows);
-    }
     for &(n, trials) in interned_sizes {
         bench_interned(
             "logsize_estimation",

@@ -390,24 +390,6 @@ pub fn estimate_log_size(n: usize, seed: u64, max_time: Option<f64>) -> Estimate
     estimate_with(LogSizeEstimation::paper(), n, seed, max_time)
 }
 
-/// [`estimate_log_size`] — the count engine is the default now, so this
-/// is the same run; retained for callers written against the pre-GC
-/// surface, where the count engine was the opt-in.
-pub fn estimate_log_size_counted(n: usize, seed: u64, max_time: Option<f64>) -> EstimateOutcome {
-    estimate_counted(LogSizeEstimation::paper(), n, seed, max_time)
-}
-
-/// [`estimate_log_size_counted`] with explicit protocol constants (same
-/// engine as [`estimate_with`], kept for the pre-GC callers).
-pub fn estimate_counted(
-    protocol: LogSizeEstimation,
-    n: usize,
-    seed: u64,
-    max_time: Option<f64>,
-) -> EstimateOutcome {
-    estimate_in_mode(protocol, n, seed, max_time, EngineMode::Auto.into())
-}
-
 /// [`estimate_log_size`] with explicit protocol constants (count engine,
 /// like every default run).
 pub fn estimate_with(

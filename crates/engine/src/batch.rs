@@ -109,10 +109,7 @@ use rand::Rng;
 use crate::count_sim::{
     AdapterStats, CountConfiguration, CountProtocol, CountSeededInit, CountSim, Outcomes,
 };
-use crate::parallel::{self, par_map_indexed, partition_by_mass, PAR_SUBRANGES};
-use crate::rng::{
-    derive_seed, geometric, hypergeometric, multinomial_conditional, rng_from_seed, SimRng,
-};
+use crate::rng::{geometric, hypergeometric, multinomial_conditional, rng_from_seed, SimRng};
 use crate::scheduler::parallel_time;
 use crate::sim::RunOutcome;
 use crate::slot_index::{fnv_hash, SlotIndex, SlotIndexStats};
@@ -208,17 +205,6 @@ enum PairLaw {
 /// productive interaction.
 const NULL_SKIP_FACTOR: f64 = 6.0;
 
-/// Minimum `reactive_rows × batch_length` for a parallel-enabled batch to
-/// actually fan out — the support×batch-length threshold below which the
-/// per-batch scoped-thread overhead exceeds the fill work and the engine
-/// falls back to the serial *execution* of the same parallel draw
-/// discipline (same subranges, same per-subrange streams, same bytes —
-/// only the thread spawns are skipped). This is how the adaptive facade
-/// accounts for fan-out overhead: the gate is a pure function of the
-/// batch's configuration, never of the thread count, so the trajectory
-/// stays byte-identical at any `PP_THREADS ≥ 1`.
-const PAR_FILL_MIN_WORK: u64 = 256;
-
 /// Batched simulator over a configuration vector.
 ///
 /// Realizes exactly the same stochastic process as [`CountSim`] (uniform
@@ -265,15 +251,6 @@ pub struct BatchedCountSim<P: CountProtocol> {
     touched: Vec<u64>,
     row_reactive: Vec<bool>,
     col_reactive: Vec<bool>,
-    /// Parallel-fill knob: `None` (default) runs the classic serial batch
-    /// fill, byte-identical to every release before the knob existed;
-    /// `Some(k)` switches eligible batches to the deterministic
-    /// subrange-fill discipline with up to `k` worker threads. The
-    /// trajectory depends only on `is_some()` — never on `k` — see
-    /// [`BatchedCountSim::set_fill_threads`]. Derivable/ambient state
-    /// (like the slot index): not serialized into snapshots; restore
-    /// paths re-resolve it from the environment.
-    fill_threads: Option<u64>,
     /// Observability: attached counter registry, if any. Recording is
     /// observation-only — no branch reads a counter back and no hook
     /// touches the RNG — so attached and detached runs are byte-identical.
@@ -330,7 +307,6 @@ impl<P: CountProtocol> BatchedCountSim<P> {
             touched: vec![0; k],
             row_reactive: Vec::new(),
             col_reactive: Vec::new(),
-            fill_threads: None,
             metrics: None,
         }
     }
@@ -420,7 +396,6 @@ impl<P: CountProtocol> BatchedCountSim<P> {
             touched: vec![0; k],
             row_reactive: Vec::new(),
             col_reactive: Vec::new(),
-            fill_threads: None,
             metrics: None,
         }
     }
@@ -508,29 +483,6 @@ impl<P: CountProtocol> BatchedCountSim<P> {
     /// and detached runs stay byte-identical.
     pub fn set_metrics(&mut self, metrics: Metrics) {
         self.metrics = Some(metrics);
-    }
-
-    /// Sets the parallel-fill thread count: `0` restores the classic
-    /// serial batch fill (the default), `k ≥ 1` switches eligible batches
-    /// to the deterministic subrange-fill discipline with up to `k`
-    /// scoped worker threads (further clamped by
-    /// [`crate::parallel::set_fill_thread_cap`] and the machine).
-    ///
-    /// The discipline splits each eligible batch's reactive receiver rows
-    /// into fixed contiguous subranges, allocates each subrange's senders
-    /// with serial main-stream hypergeometric draws, and fills the
-    /// subranges on per-subrange RNG streams
-    /// (`derive_seed(batch_seed, subrange)`), merging deltas in subrange
-    /// order. The trajectory therefore depends only on whether the
-    /// discipline is *enabled*, never on `k`: `threads = 1` and
-    /// `threads = 8` are byte-identical (`tests/parallel_determinism.rs`),
-    /// while enabled-vs-disabled realizes the same stochastic process
-    /// through a different (equally exact) draw sequence. Batches with
-    /// sampled-law pairs or fewer than two reactive rows keep the serial
-    /// fill regardless — an eligibility test on the configuration, not
-    /// the thread count.
-    pub fn set_fill_threads(&mut self, threads: u64) {
-        self.fill_threads = (threads >= 1).then_some(threads);
     }
 
     /// Observability: cumulative stats from the engine's own state → id
@@ -736,7 +688,6 @@ impl<P: CountProtocol> BatchedCountSim<P> {
         row_reactive.resize(k0, false);
         col_reactive.clear();
         col_reactive.resize(k0, false);
-        let mut sampled_pairs = false;
         for a in 0..k0 {
             if recv[a] == 0 {
                 continue;
@@ -749,42 +700,19 @@ impl<P: CountProtocol> BatchedCountSim<P> {
                 if !self.law_is_null(li, a, b) {
                     row_reactive[a] = true;
                     col_reactive[b] = true;
-                    if li == LAW_SAMPLED {
-                        sampled_pairs = true;
-                    }
                 }
             }
         }
 
-        // Fill dispatch. A batch is *eligible* for the subrange-fill
-        // discipline when the knob is on, no present pair needs
-        // per-interaction sampling (sampled laws intern states mid-fill
-        // and must stay on the serial path), and at least two reactive
-        // rows exist to split. Eligibility is a pure function of the
-        // batch's configuration — never of the thread count — so the
-        // trajectory is identical at any enabled thread count.
-        let reactive_rows = (0..k0).filter(|&a| recv[a] > 0 && row_reactive[a]).count();
         let mut send_total = t;
-        if self.fill_threads.is_some() && !sampled_pairs && reactive_rows >= 2 {
-            self.fill_parallel(
-                t,
-                &recv,
-                &mut send,
-                &mut send_total,
-                &mut touched,
-                &row_reactive,
-                &col_reactive,
-            );
-        } else {
-            self.fill_serial(
-                &recv,
-                &mut send,
-                &mut send_total,
-                &mut touched,
-                &row_reactive,
-                &col_reactive,
-            );
-        }
+        self.fill_serial(
+            &recv,
+            &mut send,
+            &mut send_total,
+            &mut touched,
+            &row_reactive,
+            &col_reactive,
+        );
 
         let mut executed = t;
         if with_collision {
@@ -877,185 +805,6 @@ impl<P: CountProtocol> BatchedCountSim<P> {
                 touched[a] += need;
                 *send_total -= need;
             }
-        }
-    }
-
-    /// The deterministic subrange-fill discipline (see
-    /// [`BatchedCountSim::set_fill_threads`] and [`crate::parallel`]).
-    ///
-    /// Two levels replace the serial row chain:
-    ///
-    /// 1. **Subrange allocation (serial, main RNG stream).** The reactive
-    ///    rows are partitioned into at most [`PAR_SUBRANGES`] contiguous
-    ///    subranges balanced by receiver mass, and each subrange's total
-    ///    receiver mass is allocated over the reactive sender columns
-    ///    (plus the pooled non-reactive remainder) with iterated
-    ///    conditional hypergeometric draws — the group marginals of the
-    ///    uniform matching's contingency table, valid by the nested
-    ///    decomposition of the multivariate hypergeometric law.
-    /// 2. **Subrange fill (parallel, per-subrange streams).** Conditioned
-    ///    on its allocation, each subrange realizes its own row-by-row
-    ///    contingency — the same chain as the serial fill, restricted to
-    ///    the subrange's pools — on an RNG stream seeded
-    ///    `derive_seed(batch_seed, subrange_index)`, applying laws into a
-    ///    subrange-local delta vector. Law tables are read-only here:
-    ///    every present pair's law was computed during classification and
-    ///    sampled-law batches never take this path, so no interning (and
-    ///    no `&mut self`) is needed.
-    ///
-    /// Deltas merge in subrange order; thread count affects wall clock
-    /// only. Below [`PAR_FILL_MIN_WORK`] the same discipline runs inline
-    /// (identical draws, no spawns).
-    #[allow(clippy::too_many_arguments)]
-    fn fill_parallel(
-        &mut self,
-        t: u64,
-        recv: &[u64],
-        send: &mut [u64],
-        send_total: &mut u64,
-        touched: &mut Vec<u64>,
-        row_reactive: &[bool],
-        col_reactive: &[bool],
-    ) {
-        let k0 = recv.len();
-        let states_len = self.states.len();
-        grow_to(touched, states_len);
-        let started = self.metrics.as_ref().map(|_| std::time::Instant::now());
-
-        // Reactive rows and columns in ascending slot order (the draw
-        // order of every stream below).
-        let rows: Vec<(usize, u64)> = (0..k0)
-            .filter(|&a| recv[a] > 0 && row_reactive[a])
-            .map(|a| (a, recv[a]))
-            .collect();
-        let cols: Vec<usize> = (0..k0)
-            .filter(|&b| send[b] > 0 && col_reactive[b])
-            .collect();
-        let masses: Vec<u64> = rows.iter().map(|&(_, ra)| ra).collect();
-        let groups = partition_by_mass(&masses, PAR_SUBRANGES);
-
-        // One main-stream draw seeds every subrange stream.
-        let batch_seed: u64 = self.rng.gen();
-
-        // Level 1: subrange sender allocations. Allocated senders leave
-        // `send` immediately — each subrange consumes its allocation
-        // exactly, so the merge below never touches `send` again; the
-        // non-reactive share stays pooled (those partners keep their
-        // states and remain in `send` for the wholesale merge).
-        let mut allocs: Vec<(Vec<u64>, u64)> = Vec::with_capacity(groups.len());
-        for range in &groups {
-            let r_g: u64 = masses[range.clone()].iter().sum();
-            let mut remaining_total = *send_total;
-            let mut need = r_g;
-            let mut alloc = vec![0u64; cols.len()];
-            for (ci, &b) in cols.iter().enumerate() {
-                if need == 0 {
-                    break;
-                }
-                let sb = send[b];
-                if sb == 0 {
-                    continue;
-                }
-                let x = if remaining_total == sb {
-                    need
-                } else {
-                    hypergeometric(remaining_total, sb, need, &mut self.rng)
-                };
-                alloc[ci] = x;
-                send[b] -= x;
-                remaining_total -= sb;
-                need -= x;
-            }
-            allocs.push((alloc, need));
-            *send_total -= r_g;
-        }
-
-        // Level 2: fill the subranges (inline when the batch is too small
-        // to amortize thread spawns — same draws either way).
-        let spawn_threads = if (rows.len() as u64) * t >= PAR_FILL_MIN_WORK {
-            self.fill_threads.unwrap_or(1)
-        } else {
-            1
-        };
-        let (table, laws, cap) = (&self.table, &self.laws, self.cap);
-        let deltas: Vec<Vec<u64>> = par_map_indexed(groups.len(), spawn_threads, |g| {
-            let mut rng_g = rng_from_seed(derive_seed(batch_seed, g as u64));
-            let (alloc, rest) = &allocs[g];
-            let mut lb = alloc.clone();
-            let mut rest_rem = *rest;
-            let mut total_rem: u64 = lb.iter().sum::<u64>() + rest_rem;
-            let mut delta = vec![0u64; states_len];
-            for &(a, ra) in &rows[groups[g].clone()] {
-                let mut need = ra;
-                let mut pool = total_rem;
-                for (ci, &b) in cols.iter().enumerate() {
-                    if need == 0 {
-                        break;
-                    }
-                    let sb = lb[ci];
-                    if sb == 0 {
-                        continue;
-                    }
-                    let m = if pool == sb {
-                        need
-                    } else {
-                        hypergeometric(pool, sb, need, &mut rng_g)
-                    };
-                    pool -= sb;
-                    if m == 0 {
-                        continue;
-                    }
-                    let li = table[a * cap + b];
-                    debug_assert_ne!(li, UNCOMPUTED, "present pair law must be precomputed");
-                    match &laws[li as usize] {
-                        PairLaw::Det(c, d) => {
-                            delta[*c as usize] += m;
-                            delta[*d as usize] += m;
-                        }
-                        PairLaw::Random { outs, probs, .. } => {
-                            let split = multinomial_conditional(m, probs, &mut rng_g);
-                            for (&(c, d), x) in outs.iter().zip(split) {
-                                delta[c as usize] += x;
-                                delta[d as usize] += x;
-                            }
-                        }
-                        PairLaw::Sampled => {
-                            unreachable!("sampled-law batches never take the parallel fill")
-                        }
-                    }
-                    lb[ci] -= m;
-                    total_rem -= m;
-                    need -= m;
-                }
-                if need > 0 {
-                    // Partners from the subrange's non-reactive share:
-                    // receiver unchanged, partners stay pooled in `send`.
-                    delta[a] += need;
-                    rest_rem -= need;
-                    total_rem -= need;
-                }
-            }
-            debug_assert_eq!(total_rem, 0, "subrange must consume its allocation");
-            debug_assert_eq!(rest_rem, 0, "subrange must consume its non-reactive share");
-            delta
-        });
-
-        // Merge in subrange order, then the non-reactive rows (no RNG).
-        for delta in deltas {
-            for (acc, d) in touched.iter_mut().zip(delta) {
-                *acc += d;
-            }
-        }
-        for a in 0..k0 {
-            if recv[a] > 0 && !row_reactive[a] {
-                touched[a] += recv[a];
-            }
-        }
-
-        if let (Some(m), Some(started)) = (&self.metrics, started) {
-            m.incr(Counter::ParallelFills);
-            m.add(Counter::FillSubranges, groups.len() as u64);
-            m.record(Hist::FillNanos, started.elapsed().as_nanos() as u64);
         }
     }
 
@@ -1614,13 +1363,6 @@ pub struct ConfigSim<P: CountProtocol> {
     gc: bool,
     /// Number of interner-GC passes performed so far.
     collections: u32,
-    /// Parallel-fill setting carried across engine switches (`None` =
-    /// serial fill; see [`ConfigSim::set_fill_threads`]). Resolved at
-    /// construction from the ambient per-thread override or `PP_THREADS`
-    /// ([`crate::parallel::resolve_fill_threads`]); like the slot index
-    /// it is derivable state, so snapshots never carry it and restores
-    /// re-resolve it.
-    fill_threads: Option<u64>,
     /// Observability: attached counter registry, if any (see
     /// [`ConfigSim::set_metrics`]).
     metrics: Option<Metrics>,
@@ -1679,18 +1421,12 @@ impl<P: CountProtocol> ConfigSim<P> {
             Engine::Sequential(s) => s.protocol().table_len().is_some(),
             Engine::Batched(b) => b.protocol().table_len().is_some(),
         };
-        let fill_threads = parallel::resolve_fill_threads();
-        let mut engine = engine;
-        if let (Engine::Batched(b), Some(k)) = (&mut engine, fill_threads) {
-            b.set_fill_threads(k);
-        }
         Self {
             engine: Some(engine),
             adaptive,
             switches: 0,
             gc: table_backed && gc_enabled_from_env(),
             collections: 0,
-            fill_threads,
             metrics: None,
             flushed_adapter: AdapterStats::default(),
             flushed_index: SlotIndexStats::default(),
@@ -1786,10 +1522,6 @@ impl<P: CountProtocol> ConfigSim<P> {
             switches,
             gc,
             collections,
-            // Fill threads are derivable/ambient state (like the slot
-            // index), re-resolved on restore: resuming under the same
-            // PP_THREADS enabled/disabled setting continues byte-for-byte.
-            fill_threads: parallel::resolve_fill_threads(),
             metrics: None,
             flushed_adapter: AdapterStats::default(),
             flushed_index: SlotIndexStats::default(),
@@ -1799,23 +1531,18 @@ impl<P: CountProtocol> ConfigSim<P> {
     /// Rebuilds a facade around a restored batched engine (see
     /// [`ConfigSim::from_restored_sequential`]).
     pub(crate) fn from_restored_batched(
-        mut sim: BatchedCountSim<P>,
+        sim: BatchedCountSim<P>,
         adaptive: bool,
         gc: bool,
         switches: u32,
         collections: u32,
     ) -> Self {
-        let fill_threads = parallel::resolve_fill_threads();
-        if let Some(k) = fill_threads {
-            sim.set_fill_threads(k);
-        }
         Self {
             engine: Some(Engine::Batched(sim)),
             adaptive,
             switches,
             gc,
             collections,
-            fill_threads,
             metrics: None,
             flushed_adapter: AdapterStats::default(),
             flushed_index: SlotIndexStats::default(),
@@ -1841,20 +1568,6 @@ impl<P: CountProtocol> ConfigSim<P> {
             b.set_metrics(metrics.clone());
         }
         self.metrics = Some(metrics);
-    }
-
-    /// Sets the parallel-fill thread count, overriding whatever the
-    /// ambient override / `PP_THREADS` resolved at construction: `0`
-    /// restores the classic serial fill, `k ≥ 1` enables the
-    /// deterministic subrange-fill discipline with up to `k` worker
-    /// threads (see [`BatchedCountSim::set_fill_threads`] for the exact
-    /// byte-identity contract). The setting is carried across adaptive
-    /// engine switches, like the attached telemetry registry.
-    pub fn set_fill_threads(&mut self, threads: u64) {
-        self.fill_threads = (threads >= 1).then_some(threads);
-        if let Engine::Batched(b) = self.eng_mut() {
-            b.set_fill_threads(threads);
-        }
     }
 
     /// Flushes the cumulative adapter (pair cache + interner index) and
@@ -2136,9 +1849,6 @@ impl<P: CountProtocol> ConfigSim<P> {
                 let mut b = BatchedCountSim::from_parts(protocol, config, rng, interactions);
                 if let Some(m) = &self.metrics {
                     b.set_metrics(m.clone());
-                }
-                if let Some(k) = self.fill_threads {
-                    b.set_fill_threads(k);
                 }
                 Engine::Batched(b)
             }

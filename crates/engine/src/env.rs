@@ -76,30 +76,6 @@ pub fn trace_path() -> Option<std::path::PathBuf> {
     pp_telemetry::trace_path_from_env()
 }
 
-/// Reads the `PP_THREADS` fill-thread knob: `Some(k)` (`k ≥ 1`) enables
-/// the batched engine's deterministic parallel batch fill with up to `k`
-/// worker threads; unset, `off`/`0`/`false`, or an unparsable value means
-/// `None` — the classic serial fill, byte-identical to every release
-/// before the knob existed.
-///
-/// Enabling the knob switches the batched engine to the parallel-fill
-/// draw discipline (per-subrange RNG streams), which realizes the same
-/// stochastic process but a *different trajectory* than the serial fill
-/// for the same seed. The trajectory depends only on whether the
-/// discipline is enabled — never on `k` — so `PP_THREADS=1` and
-/// `PP_THREADS=8` are byte-identical (`tests/parallel_determinism.rs`).
-/// A checkpointed run must therefore be resumed under the same
-/// enabled/disabled setting to continue byte-for-byte.
-pub fn fill_threads() -> Option<u64> {
-    match std::env::var("PP_THREADS") {
-        Err(_) => None,
-        Ok(v) => match v.as_str() {
-            "" | "off" | "0" | "false" => None,
-            other => other.parse().ok().filter(|&k| k >= 1),
-        },
-    }
-}
-
 /// Reads the `PP_JOBS_DIR` job-store-root knob: `Some(path)` when set to
 /// a non-empty value, with the standard `off`/`0`/`false` literals (and
 /// the empty string) meaning "use the caller's default". The sweep

@@ -153,19 +153,6 @@
 //! event trace (mode switches, GC passes, lane episodes, checkpoints, and
 //! a final counters line) that `pp-report` renders into a summary table.
 //!
-//! ## Deprecation path
-//!
-//! Before the builder, this workspace exposed ~20 bespoke free functions
-//! (`run_terminating_counted`, `estimate_log_size_counted`, …), each
-//! hard-coding its engine, init, stop rule, and observation. The surviving
-//! ones in `pp-core`/`pp-baselines` are now thin builder invocations kept
-//! as conveniences; functions superseded outright — most recently the
-//! engine-hook variants `epidemic_*_time_with`, whose job
-//! `.mode(ctx.engine)` does — go through one release as `#[deprecated]`
-//! and are then removed. Trial fan-out (`run_trials_threaded`) moved to the sweep
-//! orchestration layer: use `pp_sweep::trials` or, better, a
-//! `pp_sweep::SweepSpec` over the experiment registry.
-//!
 //! ## Model fidelity
 //!
 //! * The ordered receiver/sender pair matches the paper's
@@ -192,7 +179,6 @@ pub mod count_sim;
 pub mod env;
 pub mod epidemic;
 pub mod interned;
-pub mod parallel;
 pub mod protocol;
 pub mod record;
 pub mod rng;

@@ -153,17 +153,6 @@ pub trait Engine<S> {
     fn set_metrics(&mut self, metrics: Metrics) {
         let _ = metrics;
     }
-
-    /// Sets the batched engine's fill-thread count: `0` = the classic
-    /// serial fill, `k ≥ 1` = the deterministic parallel-fill discipline
-    /// with up to `k` scoped workers (see [`crate::parallel`]). The
-    /// trajectory depends only on whether the discipline is enabled —
-    /// never on `k` — so any `k ≥ 1` is byte-identical to any other.
-    /// The default is a no-op for engines with no batch fill (the
-    /// per-agent and plain sequential simulators).
-    fn set_fill_threads(&mut self, threads: u64) {
-        let _ = threads;
-    }
 }
 
 /// Count of agents in `state` within a decoded view (0 if absent).
@@ -277,10 +266,6 @@ impl<P: CountProtocol> Engine<P::State> for BatchedCountSim<P> {
     fn set_metrics(&mut self, metrics: Metrics) {
         BatchedCountSim::set_metrics(self, metrics);
     }
-
-    fn set_fill_threads(&mut self, threads: u64) {
-        BatchedCountSim::set_fill_threads(self, threads);
-    }
 }
 
 impl<P: CountProtocol> Engine<P::State> for ConfigSim<P> {
@@ -314,10 +299,6 @@ impl<P: CountProtocol> Engine<P::State> for ConfigSim<P> {
 
     fn set_metrics(&mut self, metrics: Metrics) {
         ConfigSim::set_metrics(self, metrics);
-    }
-
-    fn set_fill_threads(&mut self, threads: u64) {
-        ConfigSim::set_fill_threads(self, threads);
     }
 }
 
@@ -367,10 +348,6 @@ where
 
     fn set_metrics(&mut self, metrics: Metrics) {
         self.sim.set_metrics(metrics);
-    }
-
-    fn set_fill_threads(&mut self, threads: u64) {
-        self.sim.set_fill_threads(threads);
     }
 }
 
@@ -458,10 +435,6 @@ where
     fn set_metrics(&mut self, metrics: Metrics) {
         Engine::set_metrics(&mut self.0, metrics);
     }
-
-    fn set_fill_threads(&mut self, threads: u64) {
-        Engine::set_fill_threads(&mut self.0, threads);
-    }
 }
 
 /// [`InternedEngine`] with checkpoint support (see [`CheckpointAgent`]):
@@ -505,10 +478,6 @@ where
 
     fn set_metrics(&mut self, metrics: Metrics) {
         Engine::set_metrics(&mut self.0, metrics);
-    }
-
-    fn set_fill_threads(&mut self, threads: u64) {
-        Engine::set_fill_threads(&mut self.0, threads);
     }
 }
 
@@ -559,7 +528,6 @@ struct Policy<'a, S> {
     checkpoint_path: Option<PathBuf>,
     metrics: Option<Metrics>,
     trace_path: Option<PathBuf>,
-    threads: Option<u64>,
 }
 
 impl<S> Default for Policy<'_, S> {
@@ -574,7 +542,6 @@ impl<S> Default for Policy<'_, S> {
             checkpoint_path: None,
             metrics: None,
             trace_path: None,
-            threads: None,
         }
     }
 }
@@ -691,21 +658,6 @@ macro_rules! policy_methods {
             self.policy.trace_path = Some(path.into());
             self
         }
-
-        /// Sets the batched engine's fill-thread count, overriding the
-        /// ambient setting and the `PP_THREADS` environment knob: `0` =
-        /// the classic serial fill (byte-identical to every release before
-        /// the knob existed), `k ≥ 1` = the deterministic parallel-fill
-        /// discipline with up to `k` scoped worker threads (see
-        /// [`crate::parallel`]). The trajectory depends only on whether
-        /// the discipline is enabled — never on `k` — so `.threads(1)`
-        /// and `.threads(8)` are byte-identical
-        /// (`tests/parallel_determinism.rs`). No-op for engines without a
-        /// batch fill.
-        pub fn threads(mut self, threads: u64) -> Self {
-            self.policy.threads = Some(threads);
-            self
-        }
     };
 }
 
@@ -792,9 +744,6 @@ impl<'a, S: Clone> Simulation<'a, S> {
         }
         if let Some(m) = &metrics {
             engine.set_metrics(m.clone());
-        }
-        if let Some(k) = policy.threads {
-            engine.set_fill_threads(k);
         }
         Self {
             engine,

@@ -66,17 +66,7 @@
 //! Job identity is the grid fingerprint: resubmitting a byte-different
 //! spec with the same effective grid resolves to the same job
 //! (idempotent submits), while any change to the grid — sizes, trials,
-//! seeds, engine, experiments, or the parallel-fill discipline — makes a
-//! new job.
-//!
-//! A spec's `fill_threads` key gives each job its own intra-trial
-//! parallelism: trials run the batched engine's deterministic parallel
-//! batch fill with up to that many workers (`0` = explicitly serial; the
-//! runner clamps `trial workers × fill workers` at the machine). Because
-//! enabling the discipline changes trial trajectories (the worker count
-//! never does), its enabled-ness is part of the grid fingerprint — a
-//! journal recorded under one discipline refuses to resume under the
-//! other, and jobs differing only in that bit are distinct.
+//! seeds, engine, or experiments — makes a new job.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -279,14 +279,6 @@ pub fn grid_fingerprint(spec: &SweepSpec, experiments: &[SweepExperiment]) -> u6
             spec.effective_trials().to_string(),
         ]
         .into_iter()
-        // Trajectory-changing knob: the parallel-fill *discipline* (not
-        // the worker count) alters trial trajectories, so its enabled-ness
-        // is grid identity. Chained only when on, so journals recorded
-        // before the knob existed keep their fingerprints.
-        .chain(
-            spec.effective_fill_threads()
-                .map(|_| "parallel_fill=on".to_string()),
-        )
         .chain(experiments.iter().flat_map(|e| {
             [
                 e.name.clone(),
@@ -752,13 +744,6 @@ fn execute(
         .filter(|&(p, t)| state.slots[p][t].is_none() && shard.is_none_or(|s| s.covers(t)))
         .collect();
     let threads = spec.worker_threads().min(tasks.len()).max(1);
-    // Keep `trial workers × fill workers` at the machine: parallel batch
-    // fills inside trials share cores with the trial pool. The cap clamps
-    // worker counts only — never the fill discipline — so it is
-    // trajectory-neutral.
-    pp_engine::parallel::set_fill_thread_cap(
-        (pp_engine::parallel::machine_parallelism() / threads as u64).max(1),
-    );
     eprintln!(
         "[sweep] {:?}: {} points × up to {} trials = {} tasks on {} threads{}{}",
         spec.name,
@@ -803,14 +788,6 @@ fn execute(
         // then record the failure and move on.
         let attempts = spec.max_retries + 1;
         let mut outcome: Result<(Vec<f64>, Vec<(String, u64)>), String> = Err(String::new());
-        // The spec's per-job fill-thread override, installed ambiently
-        // around the attempts (mirroring the ambient metrics registry) so
-        // every engine the trial builds picks it up; `None` inherits the
-        // `PP_THREADS` environment knob. Restored below — the inline
-        // single-thread path runs on the caller's thread.
-        let fill_prev = spec
-            .fill_threads
-            .map(|k| pp_engine::parallel::install_fill_threads(Some(k)));
         for attempt in 0..attempts {
             if attempt > 0 {
                 std::thread::sleep(Duration::from_millis(10u64 << (attempt - 1).min(6)));
@@ -846,9 +823,6 @@ fn execute(
                     outcome = Err(msg);
                 }
             }
-        }
-        if let Some(prev) = fill_prev {
-            pp_engine::parallel::install_fill_threads(prev);
         }
         let mut guard = state.lock();
         if guard.error.is_some() {

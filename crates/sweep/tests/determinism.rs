@@ -299,3 +299,47 @@ fn pinned_engine_refuses_engine_deaf_experiments() {
     spec.engine = "auto".parse().unwrap();
     assert!(run_sweep(&spec, &epidemic_experiments()).is_ok());
 }
+
+/// A stand-in for the `crates/bench` registry entry `name`, carrying
+/// exactly the inputs the grid fingerprint reads from it: the name, the
+/// metric list, and the trial cap. The closure never runs.
+fn fingerprint_stand_in(name: &str) -> SweepExperiment {
+    let (metrics, cap): (&[&str], Option<usize>) = match name {
+        "epidemic_full" | "epidemic_sub3" => (&["time"], None),
+        "logsize_estimate" => (&["err", "time", "converged"], None),
+        "weak_estimator" => (&["err", "time"], None),
+        "exact_backup" | "exact_leader_count" => (&["time", "exact"], Some(5)),
+        other => panic!("no fingerprint stand-in for {other:?}"),
+    };
+    let exp = SweepExperiment::new(name, metrics, |_| unreachable!("never run"));
+    match cap {
+        Some(cap) => exp.with_max_trials(cap),
+        None => exp,
+    }
+}
+
+#[test]
+fn committed_spec_fingerprints_are_stable() {
+    // Journal headers and pp-server job ids carry the grid fingerprint, so
+    // any drift here strands every recorded default-spec run.
+    if std::env::var_os("PP_SWEEP_TRIALS").is_some() {
+        return; // the trial cap is part of the fingerprint
+    }
+    let specs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
+    for (file, expected) in [
+        ("estimators.toml", 0x4249_ec2b_f636_f096_u64),
+        ("table_epidemic.toml", 0x9e76_c7f7_e660_ba6a),
+    ] {
+        let spec = SweepSpec::from_file(format!("{specs}/{file}")).unwrap();
+        let experiments: Vec<SweepExperiment> = spec
+            .experiments
+            .iter()
+            .map(|name| fingerprint_stand_in(name))
+            .collect();
+        assert_eq!(
+            pp_sweep::grid_fingerprint(&spec, &experiments),
+            expected,
+            "{file}: grid fingerprint changed"
+        );
+    }
+}

@@ -92,11 +92,10 @@ pub enum Counter {
     GcEvicted,
     /// Dense per-agent lane episodes (`ConfigSim::advance`, sequential arm).
     DenseLaneEpisodes,
-    /// Batches filled under the deterministic parallel subrange-fill
-    /// discipline (`BatchedCountSim::fill_parallel`, `PP_THREADS`).
+    /// Batches filled in parallel. No engine records it any more (the
+    /// batched engine has one serial fill); it stays because `perfbench`
+    /// reads `parallel_fills` and checks that it is 0.
     ParallelFills,
-    /// Subranges those parallel fills were split into.
-    FillSubranges,
     /// Interactions executed inside dense-lane episodes.
     DenseLaneInteractions,
     /// Pair-outcome cache probes that replayed a memoized outcome.
@@ -121,7 +120,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in display order.
-    pub const ALL: [Counter; 21] = [
+    pub const ALL: [Counter; 20] = [
         Counter::Batches,
         Counter::NullSkipRuns,
         Counter::NullSkipped,
@@ -133,7 +132,6 @@ impl Counter {
         Counter::DenseLaneEpisodes,
         Counter::DenseLaneInteractions,
         Counter::ParallelFills,
-        Counter::FillSubranges,
         Counter::PairCacheHits,
         Counter::PairCacheMisses,
         Counter::PairCacheGenDrops,
@@ -159,7 +157,6 @@ impl Counter {
             Counter::DenseLaneEpisodes => "dense_lane_episodes",
             Counter::DenseLaneInteractions => "dense_lane_interactions",
             Counter::ParallelFills => "parallel_fills",
-            Counter::FillSubranges => "fill_subranges",
             Counter::PairCacheHits => "pair_cache_hits",
             Counter::PairCacheMisses => "pair_cache_misses",
             Counter::PairCacheGenDrops => "pair_cache_gen_drops",
@@ -199,16 +196,13 @@ pub enum Hist {
     GcLive,
     /// Population expanded per dense-lane episode.
     DenseLaneN,
-    /// Wall-clock nanoseconds per parallel batch fill (spawn + draw +
-    /// merge; observation-only, never read back into a decision).
-    FillNanos,
     /// Bytes per snapshot write.
     SnapshotWriteBytes,
 }
 
 impl Hist {
     /// Every histogram, in display order.
-    pub const ALL: [Hist; 9] = [
+    pub const ALL: [Hist; 8] = [
         Hist::BatchLen,
         Hist::NullSkipLen,
         Hist::AdaptSupport,
@@ -216,7 +210,6 @@ impl Hist {
         Hist::GcTableLen,
         Hist::GcLive,
         Hist::DenseLaneN,
-        Hist::FillNanos,
         Hist::SnapshotWriteBytes,
     ];
 
@@ -230,7 +223,6 @@ impl Hist {
             Hist::GcTableLen => "gc_table_len",
             Hist::GcLive => "gc_live",
             Hist::DenseLaneN => "dense_lane_n",
-            Hist::FillNanos => "fill_nanos",
             Hist::SnapshotWriteBytes => "snapshot_write_bytes",
         }
     }

@@ -29,8 +29,7 @@ use uniform_sizeest::engine::epidemic::{epidemic_completion_time, InfectionEpide
 use uniform_sizeest::engine::interned::Interned;
 use uniform_sizeest::engine::AgentSim;
 use uniform_sizeest::protocols::leader::{
-    run_terminating_agentwise, run_terminating_counted, LeaderState, LeaderTerminating,
-    TerminatingOutcome,
+    run_terminating, run_terminating_agentwise, LeaderState, LeaderTerminating, TerminatingOutcome,
 };
 use uniform_sizeest::protocols::log_size::{
     estimate_agentwise, is_converged, is_converged_counts, EstimateOutcome, FieldMaxima,
@@ -77,8 +76,8 @@ fn estimate_agentwise_matches_legacy_agent_sim_byte_for_byte() {
     }
 }
 
-/// The pre-builder body of `estimate_log_size_counted` (interned
-/// `ConfigSim`), verbatim.
+/// The pre-builder body of the count-engine `estimate_log_size` run
+/// (interned `ConfigSim`), verbatim.
 fn legacy_estimate_counted(n: usize, seed: u64, budget: f64) -> EstimateOutcome {
     let interned = Interned::new(LogSizeEstimation::paper());
     let handle = interned.handle();
@@ -114,11 +113,11 @@ fn legacy_estimate_counted(n: usize, seed: u64, budget: f64) -> EstimateOutcome 
 
 #[test]
 fn estimate_log_size_counted_matches_legacy_config_sim_byte_for_byte() {
-    use uniform_sizeest::protocols::log_size::estimate_log_size_counted;
+    use uniform_sizeest::protocols::log_size::estimate_log_size;
     for (n, seed) in [(100usize, 17u64), (150, 18)] {
         let budget = 1e7;
         let legacy = legacy_estimate_counted(n, seed, budget);
-        let built = estimate_log_size_counted(n, seed, Some(budget));
+        let built = estimate_log_size(n, seed, Some(budget));
         assert!(legacy.converged);
         assert_eq!(legacy, built, "n={n} seed={seed}");
     }
@@ -170,8 +169,8 @@ fn run_terminating_agentwise_matches_legacy_agent_sim_byte_for_byte() {
     assert_eq!(legacy, built);
 }
 
-/// The pre-builder body of `run_terminating_counted` (interned count
-/// engine, planted leader as a non-uniform configuration), verbatim.
+/// The pre-builder body of the count-engine `run_terminating` run
+/// (planted leader as a non-uniform configuration), verbatim.
 fn legacy_run_terminating_counted(n: usize, seed: u64, max_time: f64) -> TerminatingOutcome {
     let interned = Interned::new(LeaderTerminating::paper());
     let handle = interned.handle();
@@ -206,7 +205,7 @@ fn legacy_run_terminating_counted(n: usize, seed: u64, max_time: f64) -> Termina
 fn run_terminating_counted_matches_legacy_config_sim_byte_for_byte() {
     let (n, seed) = (80usize, 41u64);
     let legacy = legacy_run_terminating_counted(n, seed, 5e6);
-    let built = run_terminating_counted(n, seed, 5e6);
+    let built = run_terminating(n, seed, 5e6);
     assert_eq!(legacy, built);
 }
 

@@ -24,7 +24,7 @@ use uniform_sizeest::engine::interned::Interned;
 use uniform_sizeest::engine::rng::SimRng;
 use uniform_sizeest::engine::{EngineMode, Protocol, Simulation};
 use uniform_sizeest::protocols::leader::{LeaderState, LeaderTerminating};
-use uniform_sizeest::protocols::log_size::{estimate_counted, LogSizeEstimation};
+use uniform_sizeest::protocols::log_size::{estimate_with, LogSizeEstimation};
 use uniform_sizeest::sweep::{emit, run_sweep, SweepExperiment, SweepSpec};
 
 /// Reduced-constants variants of the paper protocols: the byte-identity
@@ -46,7 +46,7 @@ fn short_leader() -> LeaderTerminating {
 fn experiments() -> Vec<SweepExperiment> {
     vec![
         SweepExperiment::new("logsize", &["time", "interactions", "output"], |ctx| {
-            let out = estimate_counted(short_logsize(), ctx.n as usize, ctx.seed, None);
+            let out = estimate_with(short_logsize(), ctx.n as usize, ctx.seed, None);
             assert!(out.converged);
             vec![
                 out.time,

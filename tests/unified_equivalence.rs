@@ -30,9 +30,7 @@ use uniform_sizeest::engine::batch::{BatchedCountSim, ConfigSim};
 use uniform_sizeest::engine::count_sim::{CountConfiguration, CountSim};
 use uniform_sizeest::engine::interned::Interned;
 use uniform_sizeest::engine::rng::derive_seed;
-use uniform_sizeest::protocols::log_size::{
-    estimate_agentwise, estimate_counted, LogSizeEstimation,
-};
+use uniform_sizeest::protocols::log_size::{estimate_agentwise, estimate_with, LogSizeEstimation};
 
 mod common;
 use common::{eq_trials, ks_statistic, ks_threshold};
@@ -58,7 +56,7 @@ fn log_size_estimation_agentwise_and_counted_agree() {
         for t in 0..trials {
             let seed = derive_seed(stream, t);
             let out = if counted {
-                estimate_counted(protocol, n, seed, None)
+                estimate_with(protocol, n, seed, None)
             } else {
                 estimate_agentwise(protocol, n, seed, None)
             };
