@@ -30,6 +30,12 @@
 //!   near 1 instead of the ~0.14 the pre-lane intern-per-interaction
 //!   path managed, and a regression in the lane, the slot index, or the
 //!   GC'd count path trips the gate.
+//! * **`logsize_estimation` / `checkpointed`** — the same fixed parallel
+//!   time at `n = 2000`, advanced `n` interactions at a time: the
+//!   cadence `Simulation::run` checks at, and so one dense-lane episode
+//!   (expand, run, collapse) per `n` interactions. The `fixed_time` rows
+//!   run one episode per trial, so only this row lets the gate see the
+//!   per-episode bracket.
 //!
 //! Two workloads per protocol:
 //!
@@ -212,7 +218,10 @@ fn bench_protocol<P: Workload + Default>(
 /// normalizer; the interned `ConfigSim` (`EngineMode::Auto`, interner GC
 /// on — the default every `estimate_log_size` / `run_terminating` call
 /// takes) fills "batched". See the module docs for why the gate watches
-/// this ratio.
+/// this ratio. `checkpointed` advances both engines `n` interactions at a
+/// time (the `checkpointed` workload) instead of in one call
+/// (`fixed_time`).
+#[allow(clippy::too_many_arguments)]
 fn bench_interned<P: Protocol + Clone>(
     name: &'static str,
     protocol: P,
@@ -220,6 +229,7 @@ fn bench_interned<P: Protocol + Clone>(
     n: u64,
     sim_time: f64,
     trials: u64,
+    checkpointed: bool,
     rows: &mut Vec<Row>,
 ) where
     P::State: Eq + std::hash::Hash + Clone,
@@ -248,7 +258,14 @@ fn bench_interned<P: Protocol + Clone>(
                 builder = builder.init_planted([(state, 1)]);
             }
             let mut sim = builder.build();
-            sim.run_for_time(sim_time);
+            if checkpointed {
+                let total = (sim_time * n as f64).ceil() as u64;
+                while sim.interactions() < total {
+                    sim.steps(n.min(total - sim.interactions()));
+                }
+            } else {
+                sim.run_for_time(sim_time);
+            }
             interactions += sim.interactions();
         }
         Measurement {
@@ -259,8 +276,13 @@ fn bench_interned<P: Protocol + Clone>(
     };
     let seq = measure(true);
     let bat = measure(false);
+    let workload = if checkpointed {
+        "checkpointed"
+    } else {
+        "fixed_time"
+    };
     eprintln!(
-        "{name:>18} n = {n:>9}  fixed_time: agent {:>12.0} int/s ({:.3}s) | counted {:>13.0} int/s ({:.3}s) | ratio {:.2}x",
+        "{name:>18} n = {n:>9} {workload:>12}: agent {:>12.0} int/s ({:.3}s) | counted {:>13.0} int/s ({:.3}s) | ratio {:.2}x",
         seq.rate(),
         seq.seconds,
         bat.rate(),
@@ -270,7 +292,7 @@ fn bench_interned<P: Protocol + Clone>(
     rows.push(Row {
         protocol: name,
         n,
-        workload: "fixed_time",
+        workload,
         seq,
         bat,
         counters: metrics.nonzero_counters(),
@@ -437,6 +459,7 @@ fn main() {
             n,
             300.0,
             trials,
+            false,
             &mut rows,
         );
         bench_interned(
@@ -446,9 +469,22 @@ fn main() {
             n,
             300.0,
             trials,
+            false,
             &mut rows,
         );
     }
+    // One lane episode per `n` interactions: the per-episode bracket.
+    // Ten trials in both modes, since one trial takes only ~35 ms.
+    bench_interned(
+        "logsize_estimation",
+        LogSizeEstimation::paper(),
+        None,
+        2_000,
+        300.0,
+        10,
+        true,
+        &mut rows,
+    );
 
     let mut json = String::from(
         "{\n  \"benchmark\": \"sequential_vs_batched\",\n  \"unit\": \"interactions_per_second\",\n  \

@@ -299,20 +299,42 @@ impl<S: Copy + Ord + Hash + std::fmt::Debug> CountConfiguration<S> {
     /// Panics if a state appears twice.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (S, u64)>) -> Self {
         let mut c = Self::new();
+        c.assign_pairs(pairs);
+        c
+    }
+
+    /// Rebuilds the configuration in place from `(state, count)` pairs,
+    /// reusing its allocations: pair `i` lands in slot `i` (the layout
+    /// [`Self::from_pairs`] produces), the free list empties, and the
+    /// Fenwick tree is rebuilt bottom-up in one linear pass. The index
+    /// keeps its telemetry counters, so engine-side slot tallies stay
+    /// monotone across the rebuild.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a state appears twice.
+    pub(crate) fn assign_pairs(&mut self, pairs: impl IntoIterator<Item = (S, u64)>) {
+        let pairs = pairs.into_iter();
+        self.states.clear();
+        self.counts.clear();
+        self.free.clear();
+        self.index.reset(pairs.size_hint().0);
+        self.total = 0;
+        self.occupied = 0;
         for (s, k) in pairs {
             assert!(
-                c.slot_lookup(&s).is_none(),
+                self.slot_lookup(&s).is_none(),
                 "duplicate state {s:?} in configuration"
             );
-            let slot = c.register(s);
+            self.states.push(s);
+            self.counts.push(k);
+            self.index_insert(self.states.len() - 1);
             if k > 0 {
-                c.counts[slot] = k;
-                c.tree_add(slot, k);
-                c.occupied += 1;
-                c.total += k;
+                self.occupied += 1;
+                self.total += k;
             }
         }
-        c
+        build_tree(&self.counts, &mut self.tree);
     }
 
     /// All `n` agents in a single state.
@@ -430,16 +452,8 @@ impl<S: Copy + Ord + Hash + std::fmt::Debug> CountConfiguration<S> {
         }
         let total = counts.iter().sum();
         let occupied = counts.iter().filter(|&&c| c > 0).count();
-        let k = counts.len();
-        let mut tree = vec![0u64; k + 1];
-        for i in 1..=k {
-            tree[i] += counts[i - 1];
-            let j = i + (i & i.wrapping_neg());
-            if j <= k {
-                let node = tree[i];
-                tree[j] += node;
-            }
-        }
+        let mut tree = Vec::new();
+        build_tree(&counts, &mut tree);
         Self {
             states,
             counts,
@@ -474,13 +488,30 @@ impl<S: Copy + Ord + Hash + std::fmt::Debug> CountConfiguration<S> {
     /// checkpoint-level cost (predicates, snapshots, equality), never on
     /// the per-interaction path.
     pub fn iter(&self) -> impl Iterator<Item = (&S, &u64)> {
-        let mut slots: Vec<usize> = (0..self.counts.len())
-            .filter(|&slot| self.counts[slot] > 0)
-            .collect();
-        slots.sort_unstable_by(|&a, &b| self.states[a].cmp(&self.states[b]));
+        let mut slots = Vec::new();
+        self.sort_occupied(&mut slots);
         slots
             .into_iter()
             .map(move |slot| (&self.states[slot], &self.counts[slot]))
+    }
+
+    /// [`Self::iter`] over a caller-kept slot buffer, for callers that walk
+    /// the configuration once per episode and must not allocate.
+    pub(crate) fn iter_with<'a>(
+        &'a self,
+        slots: &'a mut Vec<usize>,
+    ) -> impl Iterator<Item = (&'a S, &'a u64)> + 'a {
+        self.sort_occupied(slots);
+        slots
+            .iter()
+            .map(move |&slot| (&self.states[slot], &self.counts[slot]))
+    }
+
+    /// Fills `slots` with the occupied slots in state order.
+    fn sort_occupied(&self, slots: &mut Vec<usize>) {
+        slots.clear();
+        slots.extend((0..self.counts.len()).filter(|&slot| self.counts[slot] > 0));
+        slots.sort_unstable_by(|&a, &b| self.states[a].cmp(&self.states[b]));
     }
 
     /// Iterates over every *registered* state — occupied states plus any
@@ -662,6 +693,24 @@ impl<S: Copy + Ord + Hash + std::fmt::Debug> CountConfiguration<S> {
         self.total -= 2;
         self.add(rec2, 1);
         self.add(sen2, 1);
+    }
+}
+
+/// Rebuilds `tree` as the 1-indexed Fenwick tree over `counts`, bottom-up
+/// in one pass. Every node is the exact sum of its slot range, so the
+/// result is bit-identical to a tree maintained incrementally through
+/// `tree_append` / `tree_add` / `tree_sub`.
+fn build_tree(counts: &[u64], tree: &mut Vec<u64>) {
+    let k = counts.len();
+    tree.clear();
+    tree.resize(k + 1, 0);
+    for i in 1..=k {
+        tree[i] += counts[i - 1];
+        let j = i + (i & i.wrapping_neg());
+        if j <= k {
+            let node = tree[i];
+            tree[j] += node;
+        }
     }
 }
 
@@ -958,6 +1007,46 @@ mod tests {
     #[should_panic(expected = "duplicate state")]
     fn duplicate_states_rejected() {
         CountConfiguration::from_pairs([(0u8, 2), (0u8, 3)]);
+    }
+
+    #[test]
+    fn assign_pairs_rebuilds_in_place_like_from_pairs() {
+        let pairs = [(4u8, 3), (1, 0), (9, 5), (2, 1)];
+        let fresh = CountConfiguration::from_pairs(pairs);
+        let mut c = CountConfiguration::from_pairs([(0u8, 7), (5, 2)]);
+        c.add(6, 1);
+        c.remove(0, 7); // leaves a slot on the free list
+        c.assign_pairs(pairs);
+        assert_eq!(c.snapshot_parts(), fresh.snapshot_parts());
+        assert_eq!(c.tree, fresh.tree);
+        assert_eq!(
+            (c.total, c.occupied, c.registered_len()),
+            (fresh.total, fresh.occupied, fresh.registered_len())
+        );
+        for s in 0..10u8 {
+            assert_eq!(c.count(&s), fresh.count(&s), "state {s}");
+        }
+    }
+
+    #[test]
+    fn linear_tree_build_matches_incremental_maintenance() {
+        // `from_pairs` builds the Fenwick tree in one pass; `add` grows it
+        // node by node. Same slot layout, so the trees must be identical.
+        let pairs: Vec<(u16, u64)> = (0..37u16).map(|s| (s * 3, u64::from(s % 5))).collect();
+        let mut incremental = CountConfiguration::new();
+        for &(s, k) in &pairs {
+            incremental.register(s);
+            incremental.add(s, k);
+        }
+        let built = CountConfiguration::from_pairs(pairs);
+        assert_eq!(built.tree, incremental.tree);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate state")]
+    fn assign_pairs_rejects_duplicates() {
+        let mut c = CountConfiguration::from_pairs([(0u8, 2)]);
+        c.assign_pairs([(1u8, 2), (1u8, 3)]);
     }
 
     #[test]

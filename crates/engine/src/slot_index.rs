@@ -23,8 +23,9 @@
 //! Each index keeps three plain counters — lookups, total probe steps, and
 //! growth/rebuild sweeps ([`SlotIndex::stats`]) — that the owning engine
 //! flushes into a [`pp_telemetry::Metrics`] registry at its adaptive
-//! checkpoints. They are `Cell`s bumped on paths the index already walks,
-//! so counting costs one untyped add per probe and observes nothing the
+//! checkpoints. They are `Cell`s bumped on paths the index already walks
+//! — a lookup tallies its probes locally and adds them once on return —
+//! so counting costs two adds per lookup and observes nothing the
 //! trajectory depends on.
 
 use std::cell::Cell;
@@ -170,9 +171,14 @@ impl SlotIndex {
         Self::with_capacity(0)
     }
 
+    /// Bucket count that holds `n` entries at load ≤ 1/2 without growth.
+    fn capacity_for(n: usize) -> usize {
+        (n.max(4) * 2).next_power_of_two()
+    }
+
     /// Creates an index sized for `n` entries without rebuilds.
     pub fn with_capacity(n: usize) -> Self {
-        let cap = (n.max(4) * 2).next_power_of_two();
+        let cap = Self::capacity_for(n);
         Self {
             buckets: vec![EMPTY; cap],
             mask: cap - 1,
@@ -207,19 +213,22 @@ impl SlotIndex {
     /// `slot`.
     #[inline]
     pub fn get(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Option<u32> {
-        self.lookups.set(self.lookups.get() + 1);
         let mut i = (hash as usize) & self.mask;
-        loop {
-            self.probes.set(self.probes.get() + 1);
+        let mut probes = 1;
+        let found = loop {
             let slot = self.buckets[i];
             if slot == EMPTY {
-                return None;
+                break None;
             }
             if eq(slot) {
-                return Some(slot);
+                break Some(slot);
             }
             i = (i + 1) & self.mask;
-        }
+            probes += 1;
+        };
+        self.lookups.set(self.lookups.get() + 1);
+        self.probes.set(self.probes.get() + probes);
+        found
     }
 
     /// Inserts `slot` under `hash`. The caller must have checked the key is
@@ -285,6 +294,30 @@ impl SlotIndex {
     pub fn clear(&mut self) {
         self.buckets.fill(EMPTY);
         self.len = 0;
+    }
+
+    /// Discards all entries and sizes the index for `n` entries without
+    /// growth. The allocation is kept unless it is too small or more than
+    /// 4× larger than needed, so an index refilled with a similar number
+    /// of entries each time allocates nothing. Telemetry is untouched.
+    pub(crate) fn reset(&mut self, n: usize) {
+        let cap = Self::capacity_for(n);
+        if self.buckets.len() < cap || self.buckets.len() > 4 * cap {
+            self.buckets = vec![EMPTY; cap];
+            self.mask = cap - 1;
+            self.len = 0;
+        } else {
+            self.clear();
+        }
+    }
+
+    /// Exchanges entries and bucket storage with `other`. Each index keeps
+    /// its own telemetry counters, so an index built on the side can be
+    /// installed without its tallies (or the installed one's) jumping.
+    pub(crate) fn swap_entries(&mut self, other: &mut SlotIndex) {
+        std::mem::swap(&mut self.buckets, &mut other.buckets);
+        std::mem::swap(&mut self.mask, &mut other.mask);
+        std::mem::swap(&mut self.len, &mut other.len);
     }
 
     /// Rebuilds the index from scratch over `slots`, hashing each through
@@ -434,6 +467,47 @@ mod tests {
         let after = h.index.stats();
         assert_eq!(after.lookups, before.lookups + 1);
         assert!(after.probes > before.probes);
+    }
+
+    #[test]
+    fn reset_reuses_a_fitting_allocation() {
+        let mut h = Harness::new();
+        for k in 0..100u64 {
+            h.insert(k);
+        }
+        let (ptr, cap) = (h.index.buckets.as_ptr(), h.index.buckets.len());
+        let stats = h.index.stats();
+        h.index.reset(100);
+        assert_eq!(
+            (h.index.buckets.as_ptr(), h.index.buckets.len()),
+            (ptr, cap)
+        );
+        assert!(h.index.is_empty());
+        assert_eq!(h.index.stats(), stats, "reset touched telemetry");
+        h.keys.clear();
+        assert_eq!(h.insert(7), 0, "a reset index refills from scratch");
+        assert_eq!(h.get(7), Some(0));
+        h.index.reset(10 * cap);
+        assert!(h.index.buckets.len() >= 20 * cap, "reset did not grow");
+        h.index.reset(1);
+        assert_eq!(h.index.buckets.len(), 8, "reset kept a 4x-oversized table");
+    }
+
+    #[test]
+    fn swap_entries_moves_entries_but_not_counters() {
+        let mut a = Harness::new();
+        let mut b = Harness::new();
+        for k in 0..50u64 {
+            a.insert(k);
+        }
+        b.insert(1_000);
+        let (stats_a, stats_b) = (a.index.stats(), b.index.stats());
+        a.index.swap_entries(&mut b.index);
+        std::mem::swap(&mut a.keys, &mut b.keys);
+        assert_eq!((a.index.stats(), b.index.stats()), (stats_a, stats_b));
+        assert_eq!((a.index.len(), b.index.len()), (1, 50));
+        assert_eq!(a.get(1_000), Some(0));
+        assert_eq!(b.get(49), Some(49));
     }
 
     #[test]
