@@ -22,8 +22,11 @@
 //!    counts can never go negative or oversample a state.
 //! 3. **Bulk application.** Transitions are applied as count deltas through
 //!    a lazily built dense `k×k` table of per-pair *outcome laws* over the
-//!    discovered state space — `O(k²)` per batch, independent of `T`. A
-//!    pair's law is one of three kinds (see `PairLaw`):
+//!    discovered state space — `O(k²)` per batch, independent of `T`. Each
+//!    table entry also carries a "certainly null" flag bit, set once when
+//!    the pair is first analyzed, so the per-batch pair scans (productive
+//!    weight, reactive rows and columns) read one `u32` per pair and never
+//!    decode a law. A pair's law is one of three kinds (see `PairLaw`):
 //!    * **deterministic** — the classic case: one count delta per pair;
 //!    * **random with finite support** — the protocol enumerated the
 //!      outcome distribution via [`CountProtocol::outcomes`]; the pair's
@@ -170,6 +173,11 @@ const SURVIVAL_CUTOFF: f64 = 1e-18;
 /// Sentinel marking a law-table entry not yet computed.
 const UNCOMPUTED: u32 = u32::MAX;
 
+/// Law-table entry bit marking a certainly-null pair; the low bits are the
+/// index into `laws`. Set once, when the pair is analyzed, so the per-batch
+/// pair scans test nullness without loading the law.
+const NULL_FLAG: u32 = 1 << 31;
+
 /// Index of the shared [`PairLaw::Sampled`] law (always `laws[0]`).
 const LAW_SAMPLED: u32 = 0;
 
@@ -181,16 +189,12 @@ enum PairLaw {
     /// is applied as one delta.
     Det(u32, u32),
     /// Finite outcome support ([`Outcomes::Random`]): a batch count is split
-    /// over the outcomes with one exact multinomial draw. `silent` caches
-    /// whether every outcome maps the pair to itself (such pairs are
-    /// certainly-null and participate in null skipping).
+    /// over the outcomes with one exact multinomial draw.
     Random {
         /// Output id pairs with positive probability.
         outs: Vec<(u32, u32)>,
         /// Renormalized outcome probabilities (same order as `outs`).
         probs: Vec<f64>,
-        /// All outcomes equal the input pair.
-        silent: bool,
     },
     /// Unbounded or unenumerated outcome support: each interaction of this
     /// pair samples [`CountProtocol::transition`] individually.
@@ -198,11 +202,14 @@ enum PairLaw {
 }
 
 /// Switch to the null-skipping (Gillespie) mode when the expected number of
-/// productive interactions per batch drops below this. The value is the
-/// measured cost ratio between filling one batch (a few hypergeometric
-/// draws) and executing one skip step (a geometric draw plus a weighted
-/// pair pick); at the crossover both modes spend the same wall time per
-/// productive interaction.
+/// productive interactions per batch drops below this. It stands for the
+/// cost ratio between one batch and one skip step (a geometric draw plus a
+/// weighted pair pick), so that at the crossover both modes spend the same
+/// wall time per productive interaction. A batch is not "a few" draws: for
+/// `WeakEstimator` at `n = 10⁷` it averages ~165 hypergeometric fill draws
+/// plus ~40 population draws. The factor decides which draws happen, so it
+/// is a trajectory input, not a tuning knob: changing it changes every
+/// batched run.
 const NULL_SKIP_FACTOR: f64 = 6.0;
 
 /// Batched simulator over a configuration vector.
@@ -231,7 +238,8 @@ pub struct BatchedCountSim<P: CountProtocol> {
     /// Row stride (capacity) of `table`; grown geometrically so state
     /// discovery costs `O(cap)` amortized per new state, not `O(cap²)`.
     cap: usize,
-    /// Dense law-index table: entry `[a·cap + b]` points into `laws`, or is
+    /// Dense law-index table: entry `[a·cap + b]` points into `laws`, with
+    /// [`NULL_FLAG`] set if the pair is certainly null, or is
     /// [`UNCOMPUTED`].
     table: Vec<u32>,
     /// Analyzed pair laws; `laws[0]` is the shared [`PairLaw::Sampled`].
@@ -573,8 +581,7 @@ impl<P: CountProtocol> BatchedCountSim<P> {
                 if cb == 0 {
                     continue;
                 }
-                let li = self.law_index(a, b);
-                if !self.law_is_null(li, a, b) {
+                if !self.is_null_pair(a, b) {
                     w += ca * (cb - u64::from(a == b));
                 }
             }
@@ -614,8 +621,7 @@ impl<P: CountProtocol> BatchedCountSim<P> {
                 if cb == 0 {
                     continue;
                 }
-                let li = self.law_index(a, b);
-                if self.law_is_null(li, a, b) {
+                if self.is_null_pair(a, b) {
                     continue;
                 }
                 let w = ca * (cb - u64::from(a == b));
@@ -696,8 +702,7 @@ impl<P: CountProtocol> BatchedCountSim<P> {
                 if send[b] == 0 {
                     continue;
                 }
-                let li = self.law_index(a, b);
-                if !self.law_is_null(li, a, b) {
+                if !self.is_null_pair(a, b) {
                     row_reactive[a] = true;
                     col_reactive[b] = true;
                 }
@@ -877,19 +882,47 @@ impl<P: CountProtocol> BatchedCountSim<P> {
         }
     }
 
-    /// Looks up (analyzing on first use) the outcome law of the ordered
-    /// state-id pair `(a, b)`, interning any newly discovered output states.
-    /// Returns an index into `laws`.
-    fn law_index(&mut self, a: usize, b: usize) -> u32 {
-        let idx = self.table[a * self.cap + b];
-        if idx != UNCOMPUTED {
-            return idx;
+    /// Looks up (analyzing on first use) the law-table entry of the ordered
+    /// state-id pair `(a, b)`: its index into `laws`, with [`NULL_FLAG`]
+    /// set if the pair is certainly null.
+    #[inline]
+    fn law_entry(&mut self, a: usize, b: usize) -> u32 {
+        let entry = self.table[a * self.cap + b];
+        if entry != UNCOMPUTED {
+            return entry;
         }
+        self.analyze_entry(a, b)
+    }
+
+    /// The cold half of [`BatchedCountSim::law_entry`]: analyzes the pair,
+    /// interning any newly discovered output states, and stores its entry.
+    #[cold]
+    #[inline(never)]
+    fn analyze_entry(&mut self, a: usize, b: usize) -> u32 {
         let idx = self.analyze_pair(a, b);
+        assert!(idx < NULL_FLAG - 1, "law table overflow: {idx} laws");
+        let entry = if self.law_is_null(idx, a, b) {
+            idx | NULL_FLAG
+        } else {
+            idx
+        };
         // `analyze_pair` may have interned states and grown `cap`, so the
         // table offset must be recomputed after it returns.
-        self.table[a * self.cap + b] = idx;
-        idx
+        self.table[a * self.cap + b] = entry;
+        entry
+    }
+
+    /// The outcome law of `(a, b)` as an index into `laws` (analyzed on
+    /// first use).
+    fn law_index(&mut self, a: usize, b: usize) -> u32 {
+        self.law_entry(a, b) & !NULL_FLAG
+    }
+
+    /// Whether `(a, b)` is certainly null (analyzed on first use); reads
+    /// only the table entry's flag, never the law.
+    #[inline]
+    fn is_null_pair(&mut self, a: usize, b: usize) -> bool {
+        self.law_entry(a, b) & NULL_FLAG != 0
     }
 
     /// Builds the [`PairLaw`] for `(a, b)` from the protocol's outcome
@@ -902,7 +935,7 @@ impl<P: CountProtocol> BatchedCountSim<P> {
                 let di = self.intern(d) as u32;
                 PairLaw::Det(ci, di)
             }
-            Some(Outcomes::Random(support)) => self.analyze_random(a, b, support),
+            Some(Outcomes::Random(support)) => self.analyze_random(support),
             None if self.protocol.is_deterministic() => {
                 // Deterministic without enumeration: one probe fixes the law.
                 let (c, d) = self.protocol.transition(sa, sb, &mut self.table_rng);
@@ -917,12 +950,7 @@ impl<P: CountProtocol> BatchedCountSim<P> {
     }
 
     /// Validates, renormalizes, and interns a finite outcome distribution.
-    fn analyze_random(
-        &mut self,
-        a: usize,
-        b: usize,
-        support: Vec<(P::State, P::State, f64)>,
-    ) -> PairLaw {
+    fn analyze_random(&mut self, support: Vec<(P::State, P::State, f64)>) -> PairLaw {
         assert!(
             !support.is_empty(),
             "Outcomes::Random must have at least one outcome"
@@ -949,21 +977,18 @@ impl<P: CountProtocol> BatchedCountSim<P> {
         if outs.len() == 1 {
             return PairLaw::Det(outs[0].0, outs[0].1);
         }
-        let silent = outs.iter().all(|&o| o == (a as u32, b as u32));
-        PairLaw::Random {
-            outs,
-            probs,
-            silent,
-        }
+        PairLaw::Random { outs, probs }
     }
 
     /// Whether every outcome of the pair's law maps `(a, b)` to itself —
     /// i.e. the pair is certainly null and eligible for skipping. Sampled
-    /// pairs are conservatively treated as productive.
+    /// pairs are conservatively treated as productive. Evaluated once per
+    /// pair, at analysis; the scans read the cached [`NULL_FLAG`].
     fn law_is_null(&self, idx: u32, a: usize, b: usize) -> bool {
+        let ab = (a as u32, b as u32);
         match &self.laws[idx as usize] {
-            PairLaw::Det(c, d) => (*c as usize, *d as usize) == (a, b),
-            PairLaw::Random { silent, .. } => *silent,
+            PairLaw::Det(c, d) => (*c, *d) == ab,
+            PairLaw::Random { outs, .. } => outs.iter().all(|&o| o == ab),
             PairLaw::Sampled => false,
         }
     }
@@ -2384,5 +2409,78 @@ mod tests {
         // exactly one receiver by one, across any engine switches.
         let total: u64 = sim.config_view().iter().map(|(&s, &c)| s as u64 * c).sum();
         assert_eq!(total, 3 * n);
+    }
+
+    /// Epoch counter with null and productive pairs on and off the
+    /// diagonal: a receiver meeting its own value advances if the value is
+    /// even and ignores it if odd; a smaller receiver jumps past the
+    /// sender, a larger one ignores it. Values only grow, so the run keeps
+    /// interning states: the law table outgrows its initial stride and GC
+    /// has dead states to evict.
+    struct EpochJump;
+
+    impl crate::protocol::Protocol for EpochJump {
+        type State = u64;
+
+        fn initial_state(&self) -> u64 {
+            0
+        }
+
+        fn interact(&self, rec: &mut u64, sen: &mut u64, _rng: &mut SimRng) {
+            if rec < sen {
+                *rec = *sen + 1;
+            } else if rec == sen && rec.is_multiple_of(2) {
+                *rec += 1;
+            }
+        }
+    }
+
+    /// Asserts that every computed law-table entry's [`NULL_FLAG`] equals
+    /// [`BatchedCountSim::law_is_null`] of the law it indexes; returns the
+    /// `[null diagonal, null off-diagonal, productive]` entry counts.
+    fn assert_flags_match_laws<P: CountProtocol>(sim: &BatchedCountSim<P>) -> [usize; 3] {
+        let mut tally = [0; 3];
+        for a in 0..sim.states.len() {
+            for b in 0..sim.states.len() {
+                let entry = sim.table[a * sim.cap + b];
+                if entry == UNCOMPUTED {
+                    continue;
+                }
+                let flagged = entry & NULL_FLAG != 0;
+                assert_eq!(
+                    flagged,
+                    sim.law_is_null(entry & !NULL_FLAG, a, b),
+                    "flag of pair ({a}, {b}) disagrees with its law"
+                );
+                let slot = match (flagged, a == b) {
+                    (true, true) => 0,
+                    (true, false) => 1,
+                    (false, _) => 2,
+                };
+                tally[slot] += 1;
+            }
+        }
+        tally
+    }
+
+    #[test]
+    fn null_flags_match_laws_across_growth_and_collection() {
+        let interned = crate::interned::Interned::deterministic(EpochJump);
+        let config = interned.uniform_config(4_096);
+        let mut sim = BatchedCountSim::new(interned, config, 5);
+        assert_eq!(sim.cap, 4);
+        sim.steps(200_000);
+        assert!(sim.cap > 4, "the run never grew the law table");
+        let tally = assert_flags_match_laws(&sim);
+        assert!(tally.iter().all(|&t| t > 0), "entry tally {tally:?}");
+
+        let discovered = sim.states.len();
+        assert!(sim.collect_table(), "the interned adapter must collect");
+        assert!(sim.states.len() < discovered, "GC evicted nothing");
+        assert!(sim.table.iter().all(|&e| e == UNCOMPUTED));
+        sim.steps(200_000);
+        let tally = assert_flags_match_laws(&sim);
+        assert!(tally.iter().all(|&t| t > 0), "entry tally {tally:?}");
+        assert_eq!(sim.config_view().population_size(), 4_096);
     }
 }
