@@ -1014,18 +1014,39 @@ impl<P: CountProtocol> BatchedCountSim<P> {
                 }
             }
             PairLaw::Sampled => {
+                let (sa, sb) = (self.states[a], self.states[b]);
                 for _ in 0..m {
-                    let (sc, sd) =
-                        self.protocol
-                            .transition(self.states[a], self.states[b], &mut self.rng);
-                    let ci = self.intern(sc);
-                    let di = self.intern(sd);
+                    let (sc, sd) = self.protocol.transition(sa, sb, &mut self.rng);
+                    let ci = self.sampled_output_id(sc, (sa, a), (sb, b));
+                    let di = self.sampled_output_id(sd, (sa, a), (sb, b));
                     grow_to(touched, self.states.len());
                     touched[ci] += 1;
                     touched[di] += 1;
                 }
             }
         }
+    }
+
+    /// The id of a sampled transition's output `state`, given the pair's
+    /// input states with their ids. Most sampled outputs repeat an input
+    /// state, and those ids are already known, so only a new state pays
+    /// an [`BatchedCountSim::intern`] lookup.
+    #[inline]
+    fn sampled_output_id(
+        &mut self,
+        state: P::State,
+        (sa, a): (P::State, usize),
+        (sb, b): (P::State, usize),
+    ) -> usize {
+        let id = if state == sa {
+            a
+        } else if state == sb {
+            b
+        } else {
+            return self.intern(state);
+        };
+        debug_assert_eq!(self.slot_lookup(&state), Some(id));
+        id
     }
 
     /// Simulates a single interaction of the input pair `(a, b)`: one
