@@ -19,7 +19,10 @@
 //!    states, and the receiver↔sender pairing contingency table are realized
 //!    as iterated conditional hypergeometric draws
 //!    ([`crate::rng::hypergeometric`]), exactly — never approximately, so
-//!    counts can never go negative or oversample a state.
+//!    counts can never go negative or oversample a state. Most fill draws
+//!    are tiny (a receiver row's handful of partners), and a draw whose
+//!    smallest side is at most 16 is realized item by item with integer
+//!    draws; only larger ones invert the pmf from its mode.
 //! 3. **Bulk application.** Transitions are applied as count deltas through
 //!    a lazily built dense `k×k` table of per-pair *outcome laws* over the
 //!    discovered state space — `O(k²)` per batch, independent of `T`. Each
@@ -2115,6 +2118,38 @@ mod tests {
         assert!(boundary);
         assert_eq!(table.len(), 3);
         assert!((table[2] - 2.0 / 12.0).abs() < 1e-12); // 4!/ (4·3)² = 1/6
+    }
+
+    #[test]
+    fn draw_without_replacement_is_conserving_and_unbiased() {
+        let mut rng = rng_from_seed(113);
+        let counts = [500u64, 0, 300, 150, 50];
+        let total: u64 = counts.iter().sum();
+        let draws = 200u64;
+        let trials = 20_000;
+        let mut sums = [0f64; 5];
+        for _ in 0..trials {
+            let mut src = counts;
+            let mut split = [0u64; 5];
+            draw_without_replacement(&mut src, total, draws, &mut split, &mut rng);
+            assert_eq!(split.iter().sum::<u64>(), draws);
+            for (i, &x) in split.iter().enumerate() {
+                assert!(x <= counts[i], "class {i} oversampled: {x}");
+                assert_eq!(src[i] + x, counts[i], "class {i} not conserved");
+                sums[i] += x as f64;
+            }
+        }
+        for (i, &c) in counts.iter().enumerate() {
+            let mean = sums[i] / trials as f64;
+            let p = c as f64 / total as f64;
+            let expect = draws as f64 * p;
+            let fpc = (total - draws) as f64 / (total - 1) as f64;
+            let sigma_mean = (draws as f64 * p * (1.0 - p) * fpc / trials as f64).sqrt();
+            assert!(
+                (mean - expect).abs() <= 3.0 * sigma_mean,
+                "class {i}: mean {mean} vs {expect} ± {sigma_mean}"
+            );
+        }
     }
 
     #[test]

@@ -168,8 +168,8 @@
 //!   abstraction and are deterministic given a `u64` seed; checkpoints
 //!   never consume engine randomness, so observers and predicates cannot
 //!   perturb a trajectory. [`rng`] additionally provides the exact bulk
-//!   samplers (binomial, hypergeometric, multivariate splits) the batched
-//!   engine is built on.
+//!   samplers (binomial, hypergeometric, conditional multinomial) the
+//!   batched engine is built on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -245,13 +245,44 @@ pub fn binomial(n: u64, p: f64, rng: &mut impl Rng) -> u64 {
     )
 }
 
+/// Marked items among `s` drawn one at a time without replacement from
+/// `total` items of which `marked` are marked. With `y` marked among the
+/// first `i`, item `i` is marked with probability `(marked − y) / (total − i)`,
+/// decided by an exact integer draw, so the count is exactly hypergeometric.
+#[inline]
+fn count_marked_one_by_one(total: u64, s: u64, marked: u64, rng: &mut impl Rng) -> u64 {
+    let mut y = 0;
+    for i in 0..s {
+        y += u64::from(rng.gen_range(0..total - i) < marked - y);
+    }
+    y
+}
+
+/// Largest smallest side `s` that [`hypergeometric`] draws item by item
+/// instead of inverting the pmf from its mode.
+const SEQ_MAX: u64 = 16;
+
 /// Samples `Hypergeometric(total, successes, draws)`: the number of marked
 /// items among `draws` drawn without replacement from a population of
 /// `total` items of which `successes` are marked.
 ///
-/// Exact inversion from the mode, `O(σ)` expected time. This is the
-/// workhorse of the batched simulator: every batch realizes its multivariate
-/// state-count splits as iterated conditional hypergeometric draws.
+/// The draw is the top-left cell `x` of a 2×2 table with row sums
+/// `(K, T−K)` = `(successes, total − successes)` and column sums
+/// `(d, T−d)` = `(draws, total − draws)`, and every cell of that table is
+/// itself hypergeometric in its own row and column sums. So
+/// `H(T, K, d) = H(T, d, K)`; complementing the marked set turns `x` into
+/// the cell `d − x ~ H(T, T−K, d)`; complementing the drawn set turns it
+/// into `K − x ~ H(T, K, T−d)`. With the smallest side
+/// `s = min(K, T−K, d, T−d)`, one of these cells has `s` as a margin, and
+/// the sampler takes one of two exact branches:
+///
+/// * `s ≤ SEQ_MAX` (16): draw `s` items one at a time with integer-only
+///   uniform draws (Lemire rejection, so no rounding), `O(s)` time;
+/// * otherwise: inversion from the mode (chop-down), `O(σ)` expected time.
+///
+/// This is the workhorse of the batched simulator: every batch realizes
+/// its multivariate state-count splits as iterated conditional
+/// hypergeometric draws, most of them tiny.
 pub fn hypergeometric(total: u64, successes: u64, draws: u64, rng: &mut impl Rng) -> u64 {
     assert!(
         successes <= total && draws <= total,
@@ -267,13 +298,26 @@ pub fn hypergeometric(total: u64, successes: u64, draws: u64, rng: &mut impl Rng
     if draws == total {
         return successes;
     }
+    let (misses, undrawn) = (total - successes, total - draws);
+    let s = successes.min(misses).min(draws).min(undrawn);
+    if s <= SEQ_MAX {
+        // Draw the `s` items of the cell's smallest margin; map back to `x`.
+        return if s == draws {
+            count_marked_one_by_one(total, s, successes, rng)
+        } else if s == successes {
+            count_marked_one_by_one(total, s, draws, rng)
+        } else if s == misses {
+            draws - count_marked_one_by_one(total, s, draws, rng)
+        } else {
+            successes - count_marked_one_by_one(total, s, successes, rng)
+        };
+    }
     let lo_s = (draws + successes).saturating_sub(total);
     let hi_s = draws.min(successes);
     let mode = ((draws + 1) as f64 * (successes + 1) as f64 / (total + 2) as f64) as u64;
     let mode = mode.clamp(lo_s, hi_s);
-    let ln_pmf_mode = ln_choose(successes, mode) + ln_choose(total - successes, draws - mode)
-        - ln_choose(total, draws);
-    let misses = total - successes;
+    let ln_pmf_mode =
+        ln_choose(successes, mode) + ln_choose(misses, draws - mode) - ln_choose(total, draws);
     let u: f64 = rng.gen();
     chop_down_from_mode(
         mode,
@@ -289,38 +333,6 @@ pub fn hypergeometric(total: u64, successes: u64, draws: u64, rng: &mut impl Rng
         },
         u,
     )
-}
-
-/// Samples a multivariate hypergeometric split: draws `draws` items without
-/// replacement from classes with sizes `counts` and returns how many came
-/// from each class.
-///
-/// Realized as iterated conditional (univariate) hypergeometric draws — the
-/// standard exact decomposition. Panics if `draws` exceeds the population.
-pub fn multinomial_hypergeometric(counts: &[u64], draws: u64, rng: &mut impl Rng) -> Vec<u64> {
-    let mut remaining_total: u64 = counts.iter().sum();
-    assert!(
-        draws <= remaining_total,
-        "cannot draw {draws} from population of {remaining_total}"
-    );
-    let mut remaining_draws = draws;
-    let mut out = vec![0u64; counts.len()];
-    for (i, &c) in counts.iter().enumerate() {
-        if remaining_draws == 0 {
-            break;
-        }
-        if remaining_total == c {
-            // Only this and later classes remain; the conditional draw over
-            // the final class is deterministic.
-            out[i] = remaining_draws;
-            break;
-        }
-        let x = hypergeometric(remaining_total, c, remaining_draws, rng);
-        out[i] = x;
-        remaining_draws -= x;
-        remaining_total -= c;
-    }
-    out
 }
 
 /// Samples a multinomial split with replacement: `draws` independent trials
@@ -562,10 +574,27 @@ mod tests {
     #[test]
     fn hypergeometric_respects_support() {
         let mut rng = rng_from_seed(111);
-        for _ in 0..5_000 {
-            // Support is [draws + successes - total, min(draws, successes)] = [5, 10].
-            let x = hypergeometric(20, 15, 10, &mut rng);
-            assert!((5..=10).contains(&x), "out of support: {x}");
+        // (total, successes, draws): one per small-side orientation (the
+        // smallest side is draws, successes, misses, undrawn), a tie, and a
+        // chop-down case. Support is [draws + successes - total,
+        // min(draws, successes)].
+        for (total, successes, draws) in [
+            (20u64, 12u64, 5u64),
+            (20, 5, 12),
+            (20, 15, 10),
+            (20, 12, 17),
+            (40, 34, 36),
+            (30, 14, 16),
+            (60, 25, 40),
+        ] {
+            let support = (draws + successes).saturating_sub(total)..=draws.min(successes);
+            for _ in 0..5_000 {
+                let x = hypergeometric(total, successes, draws, &mut rng);
+                assert!(
+                    support.contains(&x),
+                    "H({total}, {successes}, {draws}) out of support {support:?}: {x}"
+                );
+            }
         }
         assert_eq!(hypergeometric(10, 10, 4, &mut rng), 4);
         assert_eq!(hypergeometric(10, 4, 10, &mut rng), 4);
@@ -573,33 +602,78 @@ mod tests {
         assert_eq!(hypergeometric(10, 5, 0, &mut rng), 0);
     }
 
-    #[test]
-    fn multivariate_hypergeometric_is_conserving_and_unbiased() {
-        let mut rng = rng_from_seed(113);
-        let counts = [500u64, 300, 150, 50];
-        let draws = 200u64;
-        let trials = 20_000;
-        let mut sums = [0f64; 4];
-        for _ in 0..trials {
-            let split = multinomial_hypergeometric(&counts, draws, &mut rng);
-            assert_eq!(split.iter().sum::<u64>(), draws);
-            for (i, &x) in split.iter().enumerate() {
-                assert!(x <= counts[i], "class {i} oversampled: {x}");
-                sums[i] += x as f64;
+    /// Draws `Hypergeometric(total, successes, draws)` 100,000 times from
+    /// `seed` and checks the counts against the exact pmf with Pearson's
+    /// chi-square test at significance 1e-4. The pmf comes from
+    /// [`ln_gamma`], independently of the sampler's `ln k!` table; bins
+    /// are pooled left to right until each expects at least 5 draws.
+    fn assert_matches_exact_pmf(total: u64, successes: u64, draws: u64, seed: u64) {
+        const TRIALS: u64 = 100_000;
+        let ln_choose_exact = |n: u64, k: u64| {
+            ln_gamma(n as f64 + 1.0) - ln_gamma(k as f64 + 1.0) - ln_gamma((n - k) as f64 + 1.0)
+        };
+        let lo = (draws + successes).saturating_sub(total);
+        let hi = draws.min(successes);
+        let mut observed = vec![0u64; (hi - lo + 1) as usize];
+        let mut rng = rng_from_seed(seed);
+        for _ in 0..TRIALS {
+            let x = hypergeometric(total, successes, draws, &mut rng);
+            assert!((lo..=hi).contains(&x), "out of support: {x}");
+            observed[(x - lo) as usize] += 1;
+        }
+        let mut bins: Vec<(f64, f64)> = Vec::new();
+        let (mut expected, mut seen) = (0.0, 0.0);
+        for (x, &count) in (lo..=hi).zip(&observed) {
+            let ln_pmf = ln_choose_exact(successes, x)
+                + ln_choose_exact(total - successes, draws - x)
+                - ln_choose_exact(total, draws);
+            expected += ln_pmf.exp() * TRIALS as f64;
+            seen += count as f64;
+            if expected >= 5.0 {
+                bins.push((expected, seen));
+                (expected, seen) = (0.0, 0.0);
             }
         }
-        let total: u64 = counts.iter().sum();
-        for (i, &c) in counts.iter().enumerate() {
-            let mean = sums[i] / trials as f64;
-            let p = c as f64 / total as f64;
-            let expect = draws as f64 * p;
-            let fpc = (total - draws) as f64 / (total - 1) as f64;
-            let sigma_mean = (draws as f64 * p * (1.0 - p) * fpc / trials as f64).sqrt();
-            assert!(
-                (mean - expect).abs() < 3.0 * sigma_mean,
-                "class {i}: mean {mean} vs {expect} ± {sigma_mean}"
-            );
-        }
+        let last = bins.last_mut().expect("support expects at least 5 draws");
+        last.0 += expected;
+        last.1 += seen;
+        assert!(bins.len() >= 2, "H({total}, {successes}, {draws}): one bin");
+        let chi2: f64 = bins.iter().map(|&(e, o)| (o - e) * (o - e) / e).sum();
+        // Upper 1e-4 quantile of chi-square(dof), Wilson–Hilferty.
+        let dof = (bins.len() - 1) as f64;
+        let z = 3.719;
+        let h = 2.0 / (9.0 * dof);
+        let critical = dof * (1.0 - h + z * h.sqrt()).powi(3);
+        assert!(
+            chi2 < critical,
+            "H({total}, {successes}, {draws}): chi-square {chi2:.1} ≥ {critical:.1} ({dof} dof)"
+        );
+    }
+
+    #[test]
+    fn hypergeometric_small_side_matches_exact_pmf_in_every_orientation() {
+        // The smallest side s is draws, successes, misses, undrawn.
+        assert_matches_exact_pmf(1_000, 400, 10, 201);
+        assert_matches_exact_pmf(1_000, 7, 300, 202);
+        assert_matches_exact_pmf(1_000, 990, 300, 203);
+        assert_matches_exact_pmf(1_000, 300, 988, 204);
+        // Small populations, where sampling without replacement matters
+        // most, and a tie between successes and undrawn.
+        assert_matches_exact_pmf(40, 25, 30, 205);
+        assert_matches_exact_pmf(30, 14, 16, 206);
+    }
+
+    #[test]
+    fn hypergeometric_matches_exact_pmf_across_the_branch_seam() {
+        assert_eq!(SEQ_MAX, 16);
+        // s = SEQ_MAX is drawn item by item; s = SEQ_MAX + 1 by chop-down.
+        assert_matches_exact_pmf(1_000, 400, 16, 207);
+        assert_matches_exact_pmf(1_000, 400, 17, 208);
+    }
+
+    #[test]
+    fn hypergeometric_chop_down_matches_exact_pmf() {
+        assert_matches_exact_pmf(10_000, 4_000, 900, 209);
     }
 
     #[test]
@@ -636,7 +710,7 @@ mod tests {
             (
                 binomial(1000, 0.25, &mut rng),
                 hypergeometric(10_000, 3_000, 500, &mut rng),
-                multinomial_hypergeometric(&[10, 20, 30], 15, &mut rng),
+                hypergeometric(10_000, 3_000, 5, &mut rng),
             )
         };
         assert_eq!(run(9), run(9));
