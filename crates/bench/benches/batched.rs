@@ -77,6 +77,12 @@ fn bench_samplers(c: &mut Criterion) {
         let mut rng = rng_from_seed(17);
         b.iter(|| hypergeometric(626, 313, 300, &mut rng));
     });
+    group.bench_function("hypergeometric_small_side", |b| {
+        // A typical fill draw at n = 10⁷: a receiver row of 3 agents
+        // partnered from a ~2000-sender pool; drawn item by item.
+        let mut rng = rng_from_seed(19);
+        b.iter(|| hypergeometric(2_000, 150, 3, &mut rng));
+    });
     group.finish();
 }
 

@@ -209,10 +209,12 @@ enum PairLaw {
 /// cost ratio between one batch and one skip step (a geometric draw plus a
 /// weighted pair pick), so that at the crossover both modes spend the same
 /// wall time per productive interaction. A batch is not "a few" draws: for
-/// `WeakEstimator` at `n = 10⁷` it averages ~165 hypergeometric fill draws
-/// plus ~40 population draws. The factor decides which draws happen, so it
-/// is a trajectory input, not a tuning knob: changing it changes every
-/// batched run.
+/// `WeakEstimator` at `n = 10⁷` it averages ~160 hypergeometric fill draws
+/// (two thirds drawn item by item at a few ns each, the rest by chop-down
+/// at ~60–100 ns), ~40 population draws (mostly chop-down, ~150 ns) and
+/// ~130 sampled per-interaction transitions. The factor decides which
+/// draws happen, so it is a trajectory input, not a tuning knob: changing
+/// it changes every batched run.
 const NULL_SKIP_FACTOR: f64 = 6.0;
 
 /// Batched simulator over a configuration vector.
@@ -1031,9 +1033,9 @@ impl<P: CountProtocol> BatchedCountSim<P> {
     }
 
     /// The id of a sampled transition's output `state`, given the pair's
-    /// input states with their ids. Most sampled outputs repeat an input
-    /// state, and those ids are already known, so only a new state pays
-    /// an [`BatchedCountSim::intern`] lookup.
+    /// input states with their ids. Sampled outputs often repeat an input
+    /// state, whose id is already known, so only a different state pays
+    /// for a hash lookup in [`BatchedCountSim::intern`].
     #[inline]
     fn sampled_output_id(
         &mut self,

@@ -134,7 +134,7 @@ fn ln_fact_table() -> &'static [f64] {
 
 /// `ln k!` in O(1): table lookup below 4096, Stirling series above.
 ///
-/// This is the hot scalar under every batched-simulator hypergeometric draw
+/// This is the hot scalar under every chop-down hypergeometric draw
 /// (9 evaluations per pmf-at-mode), so it avoids the full Lanczos sum: the
 /// Stirling tail `1/(12x) - 1/(360x³)` already has relative error below
 /// `1e-16` for `x ≥ 4096`.
@@ -247,8 +247,9 @@ pub fn binomial(n: u64, p: f64, rng: &mut impl Rng) -> u64 {
 
 /// Marked items among `s` drawn one at a time without replacement from
 /// `total` items of which `marked` are marked. With `y` marked among the
-/// first `i`, item `i` is marked with probability `(marked − y) / (total − i)`,
-/// decided by an exact integer draw, so the count is exactly hypergeometric.
+/// first `i`, item `i` is marked with probability
+/// `(marked − y) / (total − i)`, decided by an exact integer draw, so the
+/// count is exactly hypergeometric.
 #[inline]
 fn count_marked_one_by_one(total: u64, s: u64, marked: u64, rng: &mut impl Rng) -> u64 {
     let mut y = 0;
