@@ -1,7 +1,7 @@
 //! `pp-report`: renders telemetry artifacts into human-readable tables.
 //!
 //! ```text
-//! pp-report <file.jsonl | job-dir> [...]
+//! pp-report <file.jsonl> [...]
 //! ```
 //!
 //! Accepts, in any mix:
@@ -11,107 +11,29 @@
 //!   cumulative counter snapshot, and histogram summaries;
 //! * **sweep trial journals** (version 2, the CRC-checked format) —
 //!   rendered as a per-point trial census plus per-point counter
-//!   aggregates from the optional `counters` field the runner records;
-//! * **`pp-server` job directories** (`pp-report jobs/<id>`) — rendered
-//!   as the job's identity and lifecycle history from `meta.jsonl`,
-//!   followed by the job's trial journal.
+//!   aggregates from the optional `counters` field the runner records.
 //!
-//! All the file formats share the same line discipline (one JSON document
+//! Both file formats share the same line discipline (one JSON document
 //! per line, fixed-width CRC-32 suffix), so one verifying reader serves
-//! them all; a file's kind is detected from its first line, and a
-//! directory argument is treated as a job directory. Section headers
-//! start with `== ` so CI can grep for expected sections.
+//! them both; a file's kind is detected from its first line. Section
+//! headers start with `== ` so CI can grep for expected sections.
 
 use std::collections::BTreeMap;
-use std::path::Path;
 
-use pp_bench::{print_table, table_string};
+use pp_bench::print_table;
 use pp_sweep::json::{self, Value};
 
 fn main() {
     let files: Vec<String> = std::env::args().skip(1).collect();
     if files.is_empty() || files.iter().any(|f| f == "--help" || f == "-h") {
-        die("usage: pp-report <file.jsonl | job-dir> [...]\nrenders PP_TRACE event traces, sweep trial journals, and pp-server job directories as summary tables");
+        die("usage: pp-report <file.jsonl> [...]\nrenders PP_TRACE event traces and sweep trial journals as summary tables");
     }
     for (i, path) in files.iter().enumerate() {
         if i > 0 {
             println!();
         }
-        if Path::new(path).is_dir() {
-            report_job_dir(path);
-        } else {
-            report_file(path);
-        }
+        report_file(path);
     }
-}
-
-/// Renders a `pp-server` job directory: the `meta.jsonl` identity and
-/// lifecycle section, then the trial journal (when the job has one).
-fn report_job_dir(path: &str) {
-    let dir = Path::new(path);
-    print!("{}", job_section(dir).unwrap_or_else(|e| die(&e)));
-    let journal = dir.join("journal.jsonl");
-    if journal.is_file() {
-        report_file(journal.to_str().expect("utf-8 path"));
-    } else {
-        println!("(no journal yet — the job has not started)");
-    }
-}
-
-/// The `== job` section of a job directory, rendered from `meta.jsonl`:
-/// identity fields from the header line, then the recorded lifecycle
-/// transitions in order.
-fn job_section(dir: &Path) -> Result<String, String> {
-    let meta = dir.join("meta.jsonl");
-    let lines = pp_telemetry::read_trace(&meta)?;
-    let mut docs = Vec::new();
-    for (i, line) in lines.iter().enumerate() {
-        docs.push(
-            json::parse(line).map_err(|e| format!("{}: line {}: {e}", meta.display(), i + 1))?,
-        );
-    }
-    let Some(header) = docs
-        .first()
-        .filter(|d| d.get("event").and_then(Value::as_str) == Some("job"))
-    else {
-        return Err(format!("{}: no job header line", meta.display()));
-    };
-    let field = |name: &str| {
-        header
-            .get(name)
-            .and_then(Value::as_str)
-            .unwrap_or("?")
-            .to_string()
-    };
-    let mut out = format!("== job {}\n", dir.display());
-    let total = header.get("total").and_then(Value::as_u64).unwrap_or(0);
-    out.push_str(&format!(
-        "  id {}  name {:?}  fingerprint {}  spec {}  total trials {}\n",
-        field("id"),
-        field("name"),
-        field("fingerprint"),
-        field("spec"),
-        total
-    ));
-    out.push_str("== lifecycle\n");
-    let rows: Vec<Vec<String>> = docs[1..]
-        .iter()
-        .filter(|d| d.get("event").and_then(Value::as_str) == Some("state"))
-        .map(|d| {
-            vec![
-                d.get("state")
-                    .and_then(Value::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-                d.get("detail")
-                    .and_then(Value::as_str)
-                    .unwrap_or("-")
-                    .to_string(),
-            ]
-        })
-        .collect();
-    out.push_str(&table_string(&["state", "detail"], &rows));
-    Ok(out)
 }
 
 fn report_file(path: &str) {
@@ -309,88 +231,4 @@ fn obj_fields(value: Option<&Value>) -> Vec<(String, Value)> {
 fn die(msg: &str) -> ! {
     eprintln!("pp-report: {msg}");
     std::process::exit(1);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::io::Write as _;
-
-    /// Appends one meta line with the store's CRC splice, building a
-    /// fixture job directory without depending on the server crate.
-    fn append_meta_line(dir: &Path, mut line: String) {
-        let crc = pp_telemetry::crc32(line.as_bytes());
-        line.pop();
-        line.push_str(&format!(",\"crc\":\"{crc:08x}\"}}"));
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(dir.join("meta.jsonl"))
-            .unwrap();
-        writeln!(file, "{line}").unwrap();
-    }
-
-    #[test]
-    fn job_section_renders_identity_and_lifecycle() {
-        let dir =
-            std::env::temp_dir().join(format!("pp_report_job_fixture_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        append_meta_line(
-            &dir,
-            "{\"event\":\"job\",\"id\":\"000001-00000000deadbeef\",\"seq\":1,\
-             \"name\":\"fixture\",\"fingerprint\":\"00000000deadbeef\",\
-             \"spec\":\"spec.toml\",\"total\":8}"
-                .to_string(),
-        );
-        append_meta_line(
-            &dir,
-            "{\"event\":\"state\",\"state\":\"queued\"}".to_string(),
-        );
-        append_meta_line(
-            &dir,
-            "{\"event\":\"state\",\"state\":\"running\"}".to_string(),
-        );
-        append_meta_line(
-            &dir,
-            "{\"event\":\"state\",\"state\":\"failed\",\"detail\":\"boom\"}".to_string(),
-        );
-
-        let section = job_section(&dir).unwrap();
-        assert!(section.starts_with("== job "), "{section}");
-        assert!(section.contains("id 000001-00000000deadbeef"), "{section}");
-        assert!(
-            section.contains("fingerprint 00000000deadbeef"),
-            "{section}"
-        );
-        assert!(section.contains("total trials 8"), "{section}");
-        assert!(section.contains("== lifecycle"), "{section}");
-        // Lifecycle rows render in recorded order, with details.
-        let queued = section.find("queued").unwrap();
-        let running = section.find("running").unwrap();
-        let failed = section.find("failed").unwrap();
-        assert!(queued < running && running < failed, "{section}");
-        assert!(section.contains("boom"), "{section}");
-
-        // A torn final line falls back to the previous transitions.
-        let path = dir.join("meta.jsonl");
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 9]).unwrap();
-        let section = job_section(&dir).unwrap();
-        assert!(!section.contains("failed"), "{section}");
-        assert!(section.contains("running"), "{section}");
-
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn missing_meta_is_a_readable_error() {
-        let dir =
-            std::env::temp_dir().join(format!("pp_report_empty_fixture_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let err = job_section(&dir).unwrap_err();
-        assert!(err.contains("meta.jsonl"), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
 }

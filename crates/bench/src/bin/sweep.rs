@@ -6,10 +6,6 @@
 //!                             [--max-retries R] [--fault kill@N]
 //!                             [--shard k/N] [--merge a.jsonl b.jsonl ...]
 //! sweep --list
-//! sweep submit <server> <spec.toml|spec.json>
-//! sweep status <server> <job-id>
-//! sweep watch  <server> <job-id>
-//! sweep fetch  <server> <job-id> [--out DIR]
 //! ```
 //!
 //! `--max-retries R` retries a panicking trial up to `R` times (with
@@ -47,30 +43,15 @@
 //! and the sweep then runs whatever is still missing and emits the
 //! combined report.
 //!
-//! The `submit`/`status`/`watch`/`fetch` subcommands talk to a running
-//! `pp-server` instead of executing locally: `submit` posts the spec and
-//! prints the job id on stdout (submission is idempotent on the grid
-//! fingerprint, so rerunning a submit script is safe), `status` prints
-//! the job's JSON status document, `watch` follows the server-sent-event
-//! stream until the job ends (exit status reflects the terminal state),
-//! and `fetch` downloads the report artifacts — byte-identical to what a
-//! local `sweep <spec>` run of the same spec writes under `results/`.
-//!
 //! Example spec: see `specs/table_epidemic.toml`.
 
 use std::path::PathBuf;
 
-use pp_bench::{anchor_journal, client, experiments, print_table, results_dir, run_sweep_or_exit};
+use pp_bench::{anchor_journal, experiments, print_table, results_dir, run_sweep_or_exit};
 use pp_sweep::{emit, merge_journals, run_sweep_shard, Shard, SweepSpec};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    if matches!(
-        args.get(1).map(String::as_str),
-        Some("submit" | "status" | "watch" | "fetch")
-    ) {
-        client_main(&args);
-    }
     if args.iter().any(|a| a == "--list") {
         println!("available experiments:");
         for name in experiments::names() {
@@ -263,67 +244,6 @@ fn shard_journal_path(spec: &SweepSpec, shard: Shard) -> PathBuf {
         "{stem}_shard{}of{}.jsonl",
         shard.index, shard.count
     ))
-}
-
-/// Dispatches the `submit|status|watch|fetch <server> ...` subcommands
-/// (the client half of the `pp-server` sweep service).
-fn client_main(args: &[String]) -> ! {
-    let command = args[1].as_str();
-    let server = args
-        .get(2)
-        .unwrap_or_else(|| die(&format!("{command} needs a server address")));
-    let addr = client::server_addr(server);
-    let arg3 = || {
-        args.get(3)
-            .unwrap_or_else(|| die(&format!("{command} needs a job id")))
-            .as_str()
-    };
-    match command {
-        "submit" => {
-            let spec = args
-                .get(3)
-                .unwrap_or_else(|| die("submit needs a spec file"));
-            let id = client::submit(&addr, spec).unwrap_or_else(|e| die(&e));
-            // Only the job id on stdout: `ID=$(sweep submit ...)` works.
-            println!("{id}");
-        }
-        "status" => {
-            let body = client::status(&addr, arg3()).unwrap_or_else(|e| die(&e));
-            println!("{body}");
-        }
-        "watch" => {
-            let state = client::watch(&addr, arg3()).unwrap_or_else(|e| die(&e));
-            println!("{state}");
-            if state != "done" {
-                std::process::exit(1);
-            }
-        }
-        "fetch" => {
-            let id = arg3();
-            let mut out_dir = None;
-            let mut i = 4;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--out" => {
-                        i += 1;
-                        out_dir = Some(PathBuf::from(
-                            args.get(i)
-                                .unwrap_or_else(|| die("--out needs a directory")),
-                        ));
-                    }
-                    other => die(&format!("unknown fetch argument {other}")),
-                }
-                i += 1;
-            }
-            let out_dir = out_dir.unwrap_or_else(|| results_dir().join("jobs").join(id));
-            let written = client::fetch(&addr, id, &out_dir).unwrap_or_else(|e| die(&e));
-            for path in written {
-                eprintln!("[out] {}", path.display());
-            }
-        }
-        _ => unreachable!("dispatched on a known subcommand"),
-    }
-    std::process::exit(0);
 }
 
 fn parse_num(args: &[String], i: usize, flag: &str) -> u64 {

@@ -6,8 +6,8 @@
 //! maximum (fast, many trials, stays inline — it samples raw geometrics,
 //! not a population) and the value the full protocol actually settles on,
 //! which runs as a `pp-sweep` grid over the registry's `logsize2_band`
-//! experiment — so trials fan out over `--threads` workers, `--journal`
-//! makes the run resumable, and the spec is servable by `pp-server`.
+//! experiment — so trials fan out over `--threads` workers and `--journal`
+//! makes the run resumable.
 
 use pp_analysis::geometric::{logsize2_band, max_geometric_sample};
 use pp_bench::{experiments, fmt, print_table, run_sweep_or_exit, write_csv, HarnessArgs};

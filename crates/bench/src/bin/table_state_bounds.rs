@@ -7,11 +7,10 @@
 //! maxima and the implied state-count estimate.
 //!
 //! Runs as a `pp-sweep` grid over the registry's `state_bounds`
-//! experiment, so trials fan out over `--threads` workers, `--journal`
-//! makes the run resumable, and the same measurement is servable by
-//! `pp-server`. The across-trial field maxima are folded back into a
-//! `FieldMaxima` here, so the reported state estimate is computed from
-//! the componentwise maxima (an upper bound on any single trial's).
+//! experiment, so trials fan out over `--threads` workers and `--journal`
+//! makes the run resumable. The across-trial field maxima are folded back
+//! into a `FieldMaxima` here, so the reported state estimate is computed
+//! from the componentwise maxima (an upper bound on any single trial's).
 
 use pp_bench::{experiments, fmt, print_table, run_sweep_or_exit, write_csv, HarnessArgs};
 use pp_core::log_size::FieldMaxima;

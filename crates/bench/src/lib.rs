@@ -1,6 +1,6 @@
 //! # pp-bench — experiment harness utilities
 //!
-//! *Layer 5 (sweep & service) of the five-layer workspace — see `ARCHITECTURE.md` at the
+//! *Layer 5 (sweep) of the five-layer workspace — see `ARCHITECTURE.md` at the
 //! repository root for the layer map and the three determinism
 //! invariants every layer is held to.*
 //!
@@ -32,7 +32,6 @@ use std::path::PathBuf;
 
 use pp_sweep::SweepSpec;
 
-pub mod client;
 pub mod experiments;
 
 /// The workspace root (compile-time anchor: two levels above this
@@ -74,9 +73,8 @@ pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n[csv] {}", path.display());
 }
 
-/// Renders an aligned text table to a string (the form the report
-/// renderers unit-test against).
-pub fn table_string(header: &[&str], rows: &[Vec<String>]) -> String {
+/// Prints an aligned text table.
+pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
     let cols = header.len();
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -99,12 +97,7 @@ pub fn table_string(header: &[&str], rows: &[Vec<String>]) -> String {
     for row in rows {
         push_row(row);
     }
-    out
-}
-
-/// Prints an aligned text table.
-pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
-    print!("{}", table_string(header, rows));
+    print!("{out}");
 }
 
 /// Renders a scatter of `(x, y)` points as ASCII art with a log-scaled x

@@ -76,21 +76,6 @@ pub fn trace_path() -> Option<std::path::PathBuf> {
     pp_telemetry::trace_path_from_env()
 }
 
-/// Reads the `PP_JOBS_DIR` job-store-root knob: `Some(path)` when set to
-/// a non-empty value, with the standard `off`/`0`/`false` literals (and
-/// the empty string) meaning "use the caller's default". The sweep
-/// service (`pp-server`) anchors its directory-per-job store here; its
-/// `--jobs-dir` flag outranks the variable.
-pub fn jobs_dir() -> Option<std::path::PathBuf> {
-    match std::env::var("PP_JOBS_DIR") {
-        Err(_) => None,
-        Ok(v) => match v.as_str() {
-            "" | "off" | "0" | "false" => None,
-            path => Some(std::path::PathBuf::from(path)),
-        },
-    }
-}
-
 /// Reads the `PP_FAULT` environment knob.
 ///
 /// # Panics
@@ -133,6 +118,5 @@ mod tests {
         // `pp_telemetry::trace_path_from_env`'s own suite.
         assert!(metrics_enabled());
         assert!(trace_path().is_none());
-        assert!(jobs_dir().is_none());
     }
 }

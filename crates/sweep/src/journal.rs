@@ -23,8 +23,9 @@
 //! end is real corruption and a hard error, again with the line number.
 //! The header is additionally fsync'd when first written, so a resumable
 //! journal's identity survives a crash immediately after creation.
-//! Version-1 journals (written before the checksum scheme) are still
-//! read, with the legacy torn-final-line-only tolerance.
+//! Only the current version is read: a version-1 journal (written before
+//! the checksum scheme) is refused with an "unsupported journal version"
+//! error naming the file.
 //!
 //! Failed trials (a panicking experiment that exhausted its retries) are
 //! journaled too, with a `failed` message instead of `values`; on resume
@@ -51,8 +52,7 @@ use pp_engine::snapshot::crc32;
 use crate::json;
 
 /// Journal format version (bumped on incompatible line-format changes).
-/// Version 2 added the per-line CRC-32; version-1 journals are still
-/// readable.
+/// Version 2 added the per-line CRC-32; no other version is readable.
 const VERSION: u64 = 2;
 
 /// Length of the fixed-width `,"crc":"xxxxxxxx"}` line suffix.
@@ -250,27 +250,20 @@ pub fn read_entries(path: &Path, fingerprint: u64) -> Result<Vec<JournalEntry>, 
 }
 
 /// Parses a non-empty journal: header line (version- and
-/// fingerprint-checked), then entry lines, each checksum-verified on
-/// version-2 journals. A final line that fails is a torn write — dropped
-/// with a warning naming the line number; a failure anywhere earlier is
-/// corruption and an error, also naming the line number.
+/// fingerprint-checked), then entry lines, each checksum-verified. A
+/// final line that fails is a torn write — dropped with a warning naming
+/// the line number; a failure anywhere earlier is corruption and an
+/// error, also naming the line number.
 fn parse_journal(text: &str, path: &Path, fingerprint: u64) -> Result<Vec<JournalEntry>, String> {
     let lines: Vec<&str> = text.lines().collect();
     let (first, rest) = lines.split_first().expect("caller checked non-empty");
-    let version =
-        check_header(first, fingerprint).map_err(|e| format!("journal {}: {e}", path.display()))?;
-    let checked = version >= 2;
+    check_header(first, fingerprint).map_err(|e| format!("journal {}: {e}", path.display()))?;
     let mut entries = Vec::new();
     for (i, line) in rest.iter().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let parsed = if checked {
-            strip_crc(line).and_then(|original| parse_entry(&original))
-        } else {
-            parse_entry(line)
-        };
-        match parsed {
+        match strip_crc(line).and_then(|original| parse_entry(&original)) {
             Ok(entry) => entries.push(entry),
             // A torn final line is an interrupted write; any earlier
             // failure is real corruption.
@@ -294,23 +287,23 @@ fn parse_journal(text: &str, path: &Path, fingerprint: u64) -> Result<Vec<Journa
     Ok(entries)
 }
 
-/// Validates the header line and returns the journal's format version.
-fn check_header(line: &str, fingerprint: u64) -> Result<u64, String> {
+/// Validates the header line: current [`VERSION`], checksum present and
+/// intact, fingerprint matching.
+fn check_header(line: &str, fingerprint: u64) -> Result<(), String> {
+    let checked = has_crc_suffix(line);
     // The checksum (when present) is verified before anything else, so a
-    // corrupted-but-still-valid-JSON header cannot slip through.
-    let original = if has_crc_suffix(line) {
+    // corrupted-but-still-valid-JSON header cannot slip through. A header
+    // without one is parsed only to name its version in the error.
+    let original = if checked {
         strip_crc(line).map_err(|e| format!("corrupt header: {e}"))?
     } else {
         line.to_string()
     };
     let doc = json::parse(&original).map_err(|e| format!("corrupt header: {e}"))?;
-    let version = doc.get("version").and_then(json::Value::as_u64);
-    let version = match version {
-        Some(v @ 1..=VERSION) => v,
+    match doc.get("version").and_then(json::Value::as_u64) {
+        Some(VERSION) if checked => {}
+        Some(VERSION) => return Err(format!("version {VERSION} header is missing its checksum")),
         other => return Err(format!("unsupported journal version {other:?}")),
-    };
-    if version >= 2 && !has_crc_suffix(line) {
-        return Err("version 2 header is missing its checksum".into());
     }
     let found = doc
         .get("fingerprint")
@@ -323,7 +316,7 @@ fn check_header(line: &str, fingerprint: u64) -> Result<u64, String> {
              the journal belongs to a different grid — delete it or point the spec elsewhere"
         ));
     }
-    Ok(version)
+    Ok(())
 }
 
 fn parse_entry(line: &str) -> Result<JournalEntry, String> {
@@ -563,23 +556,26 @@ mod tests {
         std::fs::write(&path, &text).unwrap();
         let (_journal, loaded) = Journal::open(&path, "t", 9, 7).unwrap();
         assert_eq!(loaded.len(), 1);
+        assert!(loaded[0].counters.is_empty(), "absent field parses empty");
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn legacy_v1_journals_still_parse() {
+    fn v1_journals_are_refused() {
         let path = temp_path("legacy-v1");
         let _ = std::fs::remove_file(&path);
-        std::fs::write(
-            &path,
-            "{\"sweep\":\"t\",\"version\":1,\"master_seed\":9,\"fingerprint\":\"0000000000000007\"}\n\
-             {\"point\":0,\"exp\":\"e\",\"n\":10,\"trial\":0,\"seed\":1,\"values\":[1.5]}\n",
-        )
-        .unwrap();
-        let loaded = read_entries(&path, 7).unwrap();
-        assert_eq!(loaded.len(), 1);
-        assert_eq!(loaded[0].values, vec![1.5]);
-        assert!(loaded[0].counters.is_empty(), "absent field parses empty");
+        let v1 = "{\"sweep\":\"t\",\"version\":1,\"master_seed\":9,\"fingerprint\":\"0000000000000007\"}\n\
+                  {\"point\":0,\"exp\":\"e\",\"n\":10,\"trial\":0,\"seed\":1,\"values\":[1.5]}\n";
+        std::fs::write(&path, v1).unwrap();
+        for err in [
+            read_entries(&path, 7).unwrap_err(),
+            Journal::open(&path, "t", 9, 7).unwrap_err(),
+        ] {
+            assert!(err.contains("unsupported journal version"), "{err}");
+            assert!(err.contains(&path.display().to_string()), "{err}");
+        }
+        // Refusal leaves the file as it was: nothing is appended to it.
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), v1);
         std::fs::remove_file(&path).unwrap();
     }
 

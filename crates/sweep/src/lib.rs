@@ -1,6 +1,6 @@
 //! # pp-sweep — parallel experiment-sweep orchestration
 //!
-//! *Layer 5 (sweep & service) of the five-layer workspace — see `ARCHITECTURE.md` at the
+//! *Layer 5 (sweep) of the five-layer workspace — see `ARCHITECTURE.md` at the
 //! repository root for the layer map and the three determinism
 //! invariants every layer is held to.*
 //!
@@ -105,8 +105,8 @@ pub mod trials;
 
 pub use agg::{PointResult, SweepReport, TrialRecord};
 pub use run::{
-    grid_fingerprint, grid_total_trials, merge_journals, run_sweep, run_sweep_shard,
-    run_sweep_with, RunHooks, Shard, SweepError, SweepExperiment, TrialCtx, TrialEvent,
+    grid_fingerprint, merge_journals, run_sweep, run_sweep_shard, run_sweep_with, RunHooks, Shard,
+    SweepError, SweepExperiment, TrialCtx, TrialEvent,
 };
 pub use spec::SweepSpec;
 pub use trials::{run_trials, run_trials_threaded, TrialOutcome};

@@ -289,16 +289,6 @@ pub fn grid_fingerprint(spec: &SweepSpec, experiments: &[SweepExperiment]) -> u6
     )
 }
 
-/// Total trials across the grid (experiments × sizes, per-experiment
-/// caps applied) — what a fresh run of `spec` would execute, and the
-/// denominator for progress reporting over [`TrialEvent::completed`].
-pub fn grid_total_trials(spec: &SweepSpec, experiments: &[SweepExperiment]) -> usize {
-    build_points(spec, experiments)
-        .iter()
-        .map(|p| p.trials)
-        .sum()
-}
-
 /// Validates one journaled trial against the current grid: known point,
 /// in-range trial index, re-derivable seed, declared metric count
 /// (skipped for failed-trial records, which carry no values).
@@ -578,9 +568,9 @@ pub fn run_sweep(
 }
 
 /// [`run_sweep`] with observation/control hooks: a per-trial progress
-/// callback and a cooperative cancellation flag (see [`RunHooks`]). The
-/// service tier drives this; the plain CLI path is `run_sweep` with
-/// default (inert) hooks — the two produce byte-identical reports.
+/// callback and a cooperative cancellation flag (see [`RunHooks`]).
+/// `run_sweep` is this with default (inert) hooks — the two produce
+/// byte-identical reports.
 pub fn run_sweep_with(
     spec: &SweepSpec,
     experiments: &[SweepExperiment],
@@ -1134,16 +1124,6 @@ mod tests {
         assert_eq!(report.resumed_trials, 2);
         assert_eq!(report.point("toy", 100).trials.len(), 6);
         std::fs::remove_file(&journal).unwrap();
-    }
-
-    #[test]
-    fn grid_total_counts_capped_trials() {
-        let spec = SweepSpec::new("t", vec![100, 200], 8);
-        let experiments = vec![
-            toy_experiment(),
-            SweepExperiment::new("slow", &["x"], |ctx| vec![ctx.seed as f64]).with_max_trials(3),
-        ];
-        assert_eq!(grid_total_trials(&spec, &experiments), 2 * 8 + 2 * 3);
     }
 
     #[test]

@@ -320,8 +320,8 @@ fn fingerprint_stand_in(name: &str) -> SweepExperiment {
 
 #[test]
 fn committed_spec_fingerprints_are_stable() {
-    // Journal headers and pp-server job ids carry the grid fingerprint, so
-    // any drift here strands every recorded default-spec run.
+    // Journal headers carry the grid fingerprint, so any drift here
+    // strands every recorded default-spec run.
     if std::env::var_os("PP_SWEEP_TRIALS").is_some() {
         return; // the trial cap is part of the fingerprint
     }

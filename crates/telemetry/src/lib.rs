@@ -168,14 +168,6 @@ impl Counter {
             Counter::SnapshotNanos => "snapshot_nanos",
         }
     }
-
-    /// Inverse of [`Counter::name`]: resolves a stable snake_case name
-    /// (as carried by journals and traces) back to the counter, or `None`
-    /// for an unknown name — callers aggregating journaled counters into
-    /// a live registry skip those rather than fail.
-    pub fn from_name(name: &str) -> Option<Counter> {
-        Counter::ALL.iter().copied().find(|c| c.name() == name)
-    }
 }
 
 /// Log₂-bucket histograms, one per sampled quantity.
@@ -445,12 +437,6 @@ impl Metrics {
         }
     }
 
-    /// Shorthand for `self.snapshot().render_text()` — the greppable
-    /// text exposition (see [`MetricsSnapshot::render_text`]).
-    pub fn render_text(&self) -> String {
-        self.snapshot().render_text()
-    }
-
     /// Attaches a JSONL event trace to this handle, **appending** to
     /// `path` (append, not truncate, so a process building several
     /// simulations against one `PP_TRACE` target keeps every span; the
@@ -592,28 +578,6 @@ impl MetricsSnapshot {
             .filter(|(_, &v)| v > 0)
             .map(|(&c, &v)| (c.name(), v))
             .collect()
-    }
-
-    /// Renders the snapshot in a greppable, Prometheus-flavored text
-    /// format: one `pp_<counter> <value>` line per counter (zeros
-    /// included, so `grep <name>` always hits), then
-    /// `pp_hist_<name>_{count,sum,max}` triplets for every histogram
-    /// that recorded at least one observation. This is the wire format
-    /// of the sweep service's `GET /metrics` endpoint.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        for (c, v) in Counter::ALL.iter().zip(&self.counters) {
-            out.push_str(&format!("pp_{} {v}\n", c.name()));
-        }
-        for h in &self.hists {
-            if h.count == 0 {
-                continue;
-            }
-            out.push_str(&format!("pp_hist_{}_count {}\n", h.name, h.count));
-            out.push_str(&format!("pp_hist_{}_sum {}\n", h.name, h.sum));
-            out.push_str(&format!("pp_hist_{}_max {}\n", h.name, h.max));
-        }
-        out
     }
 }
 
@@ -850,29 +814,11 @@ mod tests {
     }
 
     #[test]
-    fn counter_names_round_trip() {
-        for &c in &Counter::ALL {
-            assert_eq!(Counter::from_name(c.name()), Some(c));
-        }
-        assert_eq!(Counter::from_name("nope"), None);
-    }
-
-    #[test]
-    fn text_exposition_is_greppable() {
-        let m = Metrics::new();
-        m.add(Counter::Batches, 12);
-        m.record(Hist::BatchLen, 40);
-        let text = m.render_text();
-        // Every counter appears (zeros included), histograms only when
-        // they recorded something.
-        assert!(text.contains("pp_batches 12\n"));
-        assert!(text.contains("pp_gc_passes 0\n"));
-        assert!(text.contains("pp_hist_batch_len_count 1\n"));
-        assert!(text.contains("pp_hist_batch_len_sum 40\n"));
-        assert!(text.contains("pp_hist_batch_len_max 40\n"));
-        assert_eq!(
-            text.lines().filter(|l| !l.starts_with("pp_hist_")).count(),
-            Counter::ALL.len()
-        );
+    fn counter_names_are_distinct() {
+        // Journals and traces key counters by name.
+        let mut names: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), Counter::ALL.len());
     }
 }
