@@ -20,7 +20,7 @@
 //! sampling. This is the repository's showcase that randomized paper
 //! protocols now reach batched speed — see `bench_batch`.
 
-use pp_engine::count_sim::{CountConfiguration, CountProtocol, Outcomes};
+use pp_engine::count_sim::{CountProtocol, Outcomes};
 use pp_engine::rng::{geometric_half, SimRng};
 use pp_engine::Simulation;
 
@@ -49,15 +49,10 @@ impl WeakState {
 pub struct WeakEstimator;
 
 impl WeakEstimator {
-    /// Agreement: a single occupied state, and it has sampled. The shared
-    /// convergence predicate for [`weak_estimate`], the equivalence tests,
-    /// and the `bench_batch` completion workload.
-    pub fn agreed(c: &CountConfiguration<WeakState>) -> bool {
-        c.support_size() == 1 && c.iter().all(|(s, _)| s.sampled)
-    }
-
-    /// [`WeakEstimator::agreed`] over a decoded `(state, count)` view —
-    /// the [`Simulation`] observation surface.
+    /// Agreement over a decoded `(state, count)` view (the [`Simulation`]
+    /// observation surface): a single occupied state, and it has sampled.
+    /// The shared convergence predicate for [`weak_estimate`], the
+    /// equivalence tests, and the `bench_batch` completion workload.
     pub fn agreed_view(view: &[(WeakState, u64)]) -> bool {
         view.len() == 1 && view.iter().all(|(s, _)| s.sampled)
     }
@@ -146,10 +141,9 @@ pub fn weak_estimate(n: usize, seed: u64) -> WeakOutcome {
 mod tests {
     use super::*;
     use pp_engine::batch::ConfigSim;
-
-    use pp_engine::batch::BatchedCountSim;
-    use pp_engine::count_sim::CountSim;
+    use pp_engine::count_sim::CountConfiguration;
     use pp_engine::rng::derive_seed;
+    use pp_engine::EngineMode;
 
     #[test]
     fn estimate_in_multiplicative_band() {
@@ -204,33 +198,24 @@ mod tests {
         // estimate: compare the batched and sequential estimate means.
         let n = 30_000u64;
         let trials = 40;
-        let mean = |batched: bool, stream: u64| -> f64 {
+        let mean = |mode: EngineMode, stream: u64| -> f64 {
             (0..trials)
                 .map(|t| {
-                    let config = CountConfiguration::uniform(WeakState::initial(), n);
-                    let seed = derive_seed(stream, t);
-                    let pred = WeakEstimator::agreed;
-                    if batched {
-                        let mut sim = BatchedCountSim::new(WeakEstimator, config, seed);
-                        let out = sim.run_until(pred, n, f64::MAX);
-                        assert!(out.converged);
-                        sim.config_view()
-                            .iter()
-                            .map(|(s, _)| s.value)
-                            .max()
-                            .unwrap() as f64
-                    } else {
-                        let mut sim = CountSim::new(WeakEstimator, config, seed);
-                        let out = sim.run_until(pred, n, f64::MAX);
-                        assert!(out.converged);
-                        sim.config().iter().map(|(s, _)| s.value).max().unwrap() as f64
-                    }
+                    let (out, sim) = Simulation::count_builder(WeakEstimator)
+                        .size(n)
+                        .uniform(WeakState::initial())
+                        .seed(derive_seed(stream, t))
+                        .mode(mode)
+                        .until(WeakEstimator::agreed_view)
+                        .run();
+                    assert!(out.converged);
+                    sim.view().iter().map(|(s, _)| s.value).max().unwrap() as f64
                 })
                 .sum::<f64>()
                 / trials as f64
         };
-        let m_seq = mean(false, 0x11);
-        let m_bat = mean(true, 0x12);
+        let m_seq = mean(EngineMode::Sequential, 0x11);
+        let m_bat = mean(EngineMode::Batched, 0x12);
         // Max-of-geometrics has σ ≈ 1.9; means over 40 trials within ~1.2.
         assert!(
             (m_seq - m_bat).abs() < 1.2,

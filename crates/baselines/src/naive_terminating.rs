@@ -267,9 +267,13 @@ mod tests {
 
     #[test]
     fn termination_spreads_after_signal() {
-        let config = CountConfiguration::uniform(FixedState::Counting(0), 1000);
-        let mut sim = ConfigSim::new(FixedCounter { threshold: 20 }, config, 3);
-        let out = sim.run_until(|c| c.count(&FixedState::Terminated) == 1000, 100, f64::MAX);
+        let (out, _) = Simulation::count_builder(FixedCounter { threshold: 20 })
+            .size(1000)
+            .uniform(FixedState::Counting(0))
+            .seed(3)
+            .check_every(100)
+            .until(|view| count_of(view, &FixedState::Terminated) == 1000)
+            .run();
         assert!(out.converged);
     }
 

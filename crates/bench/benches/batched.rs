@@ -13,6 +13,7 @@ use pp_engine::batch::BatchedCountSim;
 use pp_engine::count_sim::{CountConfiguration, CountSim};
 use pp_engine::epidemic::InfectionEpidemic;
 use pp_engine::rng::{hypergeometric, rng_from_seed};
+use pp_engine::{count_of, EngineMode, Simulation};
 
 fn dense_config(n: u64) -> CountConfiguration<bool> {
     CountConfiguration::from_pairs([(false, n - n / 10), (true, n / 10)])
@@ -48,20 +49,26 @@ fn bench_completion(c: &mut Criterion) {
     let mut group = c.benchmark_group("batched_vs_sequential/completion_n=1e5");
     let n = 100_000u64;
     group.sample_size(20);
-    group.bench_function("sequential", |b| {
-        b.iter_batched_ref(
-            || CountSim::new(InfectionEpidemic, single_source(n), 11),
-            |sim| sim.run_until(|c| c.count(&true) == n, n / 8, f64::MAX),
-            BatchSize::SmallInput,
-        );
-    });
-    group.bench_function("batched", |b| {
-        b.iter_batched_ref(
-            || BatchedCountSim::new(InfectionEpidemic, single_source(n), 11),
-            |sim| sim.run_until(|c| c.count(&true) == n, n / 8, f64::MAX),
-            BatchSize::SmallInput,
-        );
-    });
+    for (name, mode) in [
+        ("sequential", EngineMode::Sequential),
+        ("batched", EngineMode::Batched),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter_batched_ref(
+                || {
+                    Simulation::count_builder(InfectionEpidemic)
+                        .initial(single_source(n))
+                        .seed(11)
+                        .mode(mode)
+                        .check_every(n / 8)
+                        .until(move |view| count_of(view, &true) == n)
+                        .build()
+                },
+                |sim| sim.run(),
+                BatchSize::SmallInput,
+            );
+        });
+    }
     group.finish();
 }
 

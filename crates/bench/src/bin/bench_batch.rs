@@ -45,7 +45,10 @@
 //!   that null skipping accelerates). Both engines execute exactly
 //!   `⌈8 n ln n⌉` interactions.
 //! * **`completion`**: run until the protocol's convergence predicate
-//!   holds (every agent infected / all agents agree on the settled max).
+//!   holds (every agent infected / all agents agree on the settled max),
+//!   checked every `n / 8` interactions. These rows run the way every
+//!   experiment does: through `Simulation::count_builder`, with the engine
+//!   pinned by `EngineMode::Sequential` / `EngineMode::Batched`.
 //!
 //! Interactions per second and the batched/sequential speedup are recorded
 //! per workload so future PRs have a perf trajectory. Results land in
@@ -80,7 +83,7 @@ use pp_engine::batch::BatchedCountSim;
 use pp_engine::count_sim::{CountConfiguration, CountProtocol, CountSim};
 use pp_engine::epidemic::InfectionEpidemic;
 use pp_engine::rng::derive_seed;
-use pp_engine::{EngineMode, Metrics, Protocol, SimMode, Simulation};
+use pp_engine::{count_of, EngineMode, Metrics, Protocol, SimMode, Simulation};
 
 struct Measurement {
     trials: u64,
@@ -95,10 +98,10 @@ impl Measurement {
 }
 
 /// One benchmarkable protocol: initial configuration plus completion
-/// predicate.
+/// predicate over a decoded view.
 trait Workload: CountProtocol + Copy {
     fn config(n: u64) -> CountConfiguration<Self::State>;
-    fn complete(c: &CountConfiguration<Self::State>, n: u64) -> bool;
+    fn complete(view: &[(Self::State, u64)], n: u64) -> bool;
 }
 
 impl Workload for InfectionEpidemic {
@@ -106,8 +109,8 @@ impl Workload for InfectionEpidemic {
         CountConfiguration::from_pairs([(false, n - 1), (true, 1)])
     }
 
-    fn complete(c: &CountConfiguration<bool>, n: u64) -> bool {
-        c.count(&true) == n
+    fn complete(view: &[(bool, u64)], n: u64) -> bool {
+        count_of(view, &true) == n
     }
 }
 
@@ -116,8 +119,8 @@ impl Workload for WeakEstimator {
         CountConfiguration::uniform(WeakState::initial(), n)
     }
 
-    fn complete(c: &CountConfiguration<WeakState>, _n: u64) -> bool {
-        WeakEstimator::agreed(c)
+    fn complete(view: &[(WeakState, u64)], _n: u64) -> bool {
+        WeakEstimator::agreed_view(view)
     }
 }
 
@@ -139,24 +142,28 @@ fn run<P: Workload + Default>(
     let mut interactions = 0;
     for t in 0..trials {
         let seed = derive_seed(base_seed, t);
-        let done = if batched {
+        let done = if !fixed_time {
+            let mut builder = Simulation::count_builder(P::default())
+                .initial(P::config(n))
+                .seed(seed)
+                .check_every((n / 8).max(1))
+                .until(move |view| P::complete(view, n));
+            builder = if batched {
+                builder.mode(EngineMode::Batched).metrics(metrics)
+            } else {
+                builder.mode(EngineMode::Sequential)
+            };
+            let (out, _) = builder.run();
+            assert!(out.converged);
+            out.interactions
+        } else if batched {
             let mut sim = BatchedCountSim::new(P::default(), P::config(n), seed);
             sim.set_metrics(metrics.clone());
-            if fixed_time {
-                sim.run_for_time(sim_time);
-            } else {
-                let out = sim.run_until(|c| P::complete(c, n), (n / 8).max(1), f64::MAX);
-                assert!(out.converged);
-            }
+            sim.run_for_time(sim_time);
             sim.interactions()
         } else {
             let mut sim = CountSim::new(P::default(), P::config(n), seed);
-            if fixed_time {
-                sim.run_for_time(sim_time);
-            } else {
-                let out = sim.run_until(|c| P::complete(c, n), (n / 8).max(1), f64::MAX);
-                assert!(out.converged);
-            }
+            sim.run_for_time(sim_time);
             sim.interactions()
         };
         interactions += done;

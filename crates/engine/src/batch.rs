@@ -112,12 +112,9 @@ use std::collections::BTreeMap;
 use pp_telemetry::{Counter, Hist, Metrics, TraceValue};
 use rand::Rng;
 
-use crate::count_sim::{
-    AdapterStats, CountConfiguration, CountProtocol, CountSeededInit, CountSim, Outcomes,
-};
+use crate::count_sim::{AdapterStats, CountConfiguration, CountProtocol, CountSim, Outcomes};
 use crate::rng::{geometric, hypergeometric, multinomial_conditional, rng_from_seed, SimRng};
 use crate::scheduler::parallel_time;
-use crate::sim::RunOutcome;
 use crate::slot_index::{fnv_hash, SlotIndex, SlotIndexStats};
 
 /// A [`CountProtocol`] whose transition function is a pure function of the
@@ -1127,45 +1124,6 @@ impl<P: CountProtocol> BatchedCountSim<P> {
     pub fn run_for_time(&mut self, t: f64) {
         self.steps((t * self.n as f64).ceil() as u64);
     }
-
-    /// Runs until `predicate(config)` holds, checking every `check_every`
-    /// interactions, within a parallel-time budget. Semantics match
-    /// [`CountSim::run_until`]; the predicate sees a materialized
-    /// configuration view at each checkpoint.
-    pub fn run_until(
-        &mut self,
-        mut predicate: impl FnMut(&CountConfiguration<P::State>) -> bool,
-        check_every: u64,
-        max_time: f64,
-    ) -> RunOutcome {
-        assert!(check_every > 0, "check_every must be positive");
-        let max_interactions = (max_time * self.n as f64).ceil() as u64;
-        if predicate(&self.config_view()) {
-            return RunOutcome {
-                converged: true,
-                time: self.time(),
-                interactions: self.interactions,
-            };
-        }
-        while self.interactions < max_interactions {
-            let target = (self.interactions + check_every).min(max_interactions);
-            while self.interactions < target {
-                self.advance(target - self.interactions);
-            }
-            if predicate(&self.config_view()) {
-                return RunOutcome {
-                    converged: true,
-                    time: self.time(),
-                    interactions: self.interactions,
-                };
-            }
-        }
-        RunOutcome {
-            converged: false,
-            time: self.time(),
-            interactions: self.interactions,
-        }
-    }
 }
 
 impl<P: CountProtocol> std::fmt::Debug for BatchedCountSim<P> {
@@ -1390,16 +1348,22 @@ const ENGINE_PRESENT: &str = "ConfigSim engine slot is always occupied";
 /// trajectory-neutral, so when it engages (and on which engine history)
 /// is unobservable in the decoded run.
 ///
-/// ```
-/// use pp_engine::batch::ConfigSim;
-/// use pp_engine::count_sim::CountConfiguration;
-/// use pp_engine::epidemic::InfectionEpidemic;
+/// Runs go through [`crate::Simulation::count_builder`], which builds a
+/// `ConfigSim` under the chosen [`EngineMode`]:
 ///
-/// let config = CountConfiguration::from_pairs([(false, 99_999), (true, 1)]);
-/// let mut sim = ConfigSim::new(InfectionEpidemic, config, 7);
-/// assert!(sim.is_batched());
-/// let out = sim.run_until(|c| c.count(&true) == 100_000, 10_000, f64::MAX);
-/// assert!(out.converged);
+/// ```
+/// use pp_engine::epidemic::InfectionEpidemic;
+/// use pp_engine::simulation::{count_of, EngineKind, Simulation};
+///
+/// let n = 100_000;
+/// let mut sim = Simulation::count_builder(InfectionEpidemic)
+///     .config([(false, n - 1), (true, 1)])
+///     .seed(7)
+///     .check_every(10_000)
+///     .until(move |view| count_of(view, &true) == n)
+///     .build();
+/// assert_eq!(sim.engine_kind(), EngineKind::Batched);
+/// assert!(sim.run().converged);
 /// ```
 pub struct ConfigSim<P: CountProtocol> {
     /// `None` only transiently while [`ConfigSim::switch_engine`] rebuilds.
@@ -1482,23 +1446,6 @@ impl<P: CountProtocol> ConfigSim<P> {
             flushed_adapter: AdapterStats::default(),
             flushed_index: SlotIndexStats::default(),
         }
-    }
-
-    /// [`ConfigSim::new`] with the protocol's own input-dependent initial
-    /// configuration ([`CountSeededInit`]) — the count-space counterpart of
-    /// [`crate::sim::AgentSim::with_inputs`] for majority splits, planted
-    /// leaders, and other non-uniform starts.
-    pub fn from_seeded(protocol: P, n: u64, seed: u64) -> Self
-    where
-        P: CountSeededInit,
-    {
-        let config = protocol.initial_config(n);
-        assert_eq!(
-            config.population_size(),
-            n,
-            "CountSeededInit::initial_config produced the wrong population size"
-        );
-        Self::new(protocol, config, seed)
     }
 
     /// Forces the sequential engine ([`EngineMode::Sequential`]).
@@ -1627,26 +1574,33 @@ impl<P: CountProtocol> ConfigSim<P> {
     /// before the operations that rebuild — and thereby reset — the
     /// engine-side index (engine switches, GC passes).
     fn flush_telemetry(&mut self) {
-        let Some(m) = self.metrics.clone() else {
+        let Some(m) = &self.metrics else {
             return;
+        };
+        // Runs once per advance, so it skips the atomic adds of zero
+        // deltas (the common case outside the interned adapter).
+        let add = |c: Counter, delta: u64| {
+            if delta > 0 {
+                m.add(c, delta);
+            }
         };
         if let Some(stats) = self.protocol().telemetry_stats() {
             let last = self.flushed_adapter;
-            m.add(Counter::PairCacheHits, stats.cache_hits - last.cache_hits);
-            m.add(
+            add(Counter::PairCacheHits, stats.cache_hits - last.cache_hits);
+            add(
                 Counter::PairCacheMisses,
                 stats.cache_misses - last.cache_misses,
             );
-            m.add(
+            add(
                 Counter::PairCacheGenDrops,
                 stats.cache_gen_drops - last.cache_gen_drops,
             );
-            m.add(
+            add(
                 Counter::SlotLookups,
                 stats.index_lookups - last.index_lookups,
             );
-            m.add(Counter::SlotProbes, stats.index_probes - last.index_probes);
-            m.add(
+            add(Counter::SlotProbes, stats.index_probes - last.index_probes);
+            add(
                 Counter::SlotRebuilds,
                 stats.index_rebuilds - last.index_rebuilds,
             );
@@ -1660,10 +1614,18 @@ impl<P: CountProtocol> ConfigSim<P> {
         // passes; a current tally below the flushed baseline means a reset
         // happened since (the pre-reset tail was flushed just before it).
         let last = self.flushed_index;
-        let delta = |cur: u64, last: u64| cur.saturating_sub(last);
-        m.add(Counter::SlotLookups, delta(index.lookups, last.lookups));
-        m.add(Counter::SlotProbes, delta(index.probes, last.probes));
-        m.add(Counter::SlotRebuilds, delta(index.rebuilds, last.rebuilds));
+        add(
+            Counter::SlotLookups,
+            index.lookups.saturating_sub(last.lookups),
+        );
+        add(
+            Counter::SlotProbes,
+            index.probes.saturating_sub(last.probes),
+        );
+        add(
+            Counter::SlotRebuilds,
+            index.rebuilds.saturating_sub(last.rebuilds),
+        );
         self.flushed_index = index;
     }
 
@@ -1917,8 +1879,8 @@ impl<P: CountProtocol> ConfigSim<P> {
     }
 
     /// Executes at least one and at most `budget` interactions on the
-    /// current engine (the [`crate::simulation::Engine`] advance
-    /// granularity): one batch or null-skip step when batched, a `~√n`
+    /// current engine (the granularity [`crate::Simulation`]'s run driver
+    /// advances by): one batch or null-skip step when batched, a `~√n`
     /// chunk when sequential under [`EngineMode::Auto`] or with interner
     /// GC active (both re-check state at chunk boundaries), the full
     /// budget when pinned sequential without GC. Each call ends with the
@@ -2002,58 +1964,6 @@ impl<P: CountProtocol> ConfigSim<P> {
     pub fn run_for_time(&mut self, t: f64) {
         self.steps((t * self.population_size() as f64).ceil() as u64);
     }
-
-    /// Runs until `predicate(config)` holds, checking every `check_every`
-    /// interactions, within a parallel-time budget.
-    pub fn run_until(
-        &mut self,
-        mut predicate: impl FnMut(&CountConfiguration<P::State>) -> bool,
-        check_every: u64,
-        max_time: f64,
-    ) -> RunOutcome {
-        if !self.adaptive && !self.gc {
-            let out = match self.eng_mut() {
-                Engine::Sequential(s) => s.run_until(predicate, check_every, max_time),
-                Engine::Batched(b) => b.run_until(predicate, check_every, max_time),
-            };
-            if self.metrics.is_some() {
-                self.flush_telemetry();
-            }
-            return out;
-        }
-        assert!(check_every > 0, "check_every must be positive");
-        let max_interactions = (max_time * self.population_size() as f64).ceil() as u64;
-        loop {
-            if self.check_predicate(&mut predicate) {
-                return RunOutcome {
-                    converged: true,
-                    time: self.time(),
-                    interactions: self.interactions(),
-                };
-            }
-            if self.interactions() >= max_interactions {
-                return RunOutcome {
-                    converged: false,
-                    time: self.time(),
-                    interactions: self.interactions(),
-                };
-            }
-            let target = (self.interactions() + check_every).min(max_interactions);
-            while self.interactions() < target {
-                self.advance(target - self.interactions());
-            }
-        }
-    }
-
-    fn check_predicate(
-        &self,
-        predicate: &mut impl FnMut(&CountConfiguration<P::State>) -> bool,
-    ) -> bool {
-        match self.eng() {
-            Engine::Sequential(s) => predicate(s.config()),
-            Engine::Batched(b) => predicate(&b.config_view()),
-        }
-    }
 }
 
 impl<P: CountProtocol> std::fmt::Debug for ConfigSim<P> {
@@ -2068,6 +1978,7 @@ impl<P: CountProtocol> std::fmt::Debug for ConfigSim<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulation::{count_of, EngineKind, Simulation};
 
     /// One-way infection epidemic (deterministic).
     #[derive(Clone, Copy)]
@@ -2189,8 +2100,14 @@ mod tests {
     fn batched_epidemic_infects_everyone() {
         let n = 100_000u64;
         let config = CountConfiguration::from_pairs([(0u8, n - 1), (1u8, 1)]);
-        let mut sim = BatchedCountSim::new(Infection, config, 5);
-        let out = sim.run_until(|c| c.count(&1) == n, n / 10, 200.0);
+        let (out, _) = Simulation::count_builder(Infection)
+            .initial(config)
+            .seed(5)
+            .mode(EngineMode::Batched)
+            .check_every(n / 10)
+            .max_time(200.0)
+            .until(move |view| count_of(view, &1) == n)
+            .run();
         assert!(out.converged);
         // Epidemic completes in ~2 ln n ≈ 23 parallel time.
         assert!(out.time > 5.0 && out.time < 60.0, "time {}", out.time);
@@ -2199,10 +2116,15 @@ mod tests {
     #[test]
     fn batched_is_deterministic_given_seed() {
         let run = |seed| {
-            let config = CountConfiguration::from_pairs([(0u8, 49_999), (1u8, 1)]);
-            let mut sim = BatchedCountSim::new(Infection, config, seed);
-            sim.run_until(|c| c.count(&1) == 50_000, 1_000, 100.0)
-                .interactions
+            let (out, _) = Simulation::count_builder(Infection)
+                .config([(0u8, 49_999), (1u8, 1)])
+                .seed(seed)
+                .mode(EngineMode::Batched)
+                .check_every(1_000)
+                .max_time(100.0)
+                .until(|view| count_of(view, &1) == 50_000)
+                .run();
+            out.interactions
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43));
@@ -2303,9 +2225,14 @@ mod tests {
         // Lazy copying is a consensus process; the batched engine must
         // drive it to an absorbing state through the multinomial path.
         let n = 20_000u64;
-        let config = CountConfiguration::from_pairs([(0u8, n / 2), (1u8, n / 2)]);
-        let mut sim = BatchedCountSim::new(LazyCopy, config, 99);
-        let out = sim.run_until(|c| c.count(&0) == n || c.count(&1) == n, n / 10, 100_000.0);
+        let (out, sim) = Simulation::count_builder(LazyCopy)
+            .config([(0u8, n / 2), (1u8, n / 2)])
+            .seed(99)
+            .mode(EngineMode::Batched)
+            .check_every(n / 10)
+            .max_time(100_000.0)
+            .until(move |view| count_of(view, &0) == n || count_of(view, &1) == n)
+            .run();
         assert!(out.converged, "lazy copying never reached consensus");
         assert_eq!(sim.count(&0) + sim.count(&1), n);
     }
@@ -2341,22 +2268,6 @@ mod tests {
             sim.steps(1_000);
         }));
         assert!(panic.is_err(), "probabilities summing to 0.8 must panic");
-    }
-
-    #[test]
-    fn facade_run_until_matches_sequential_semantics() {
-        let n = 50_000u64;
-        let config = CountConfiguration::from_pairs([(0u8, n - 1), (1u8, 1)]);
-        let mut sim = ConfigSim::new(Infection, config, 31);
-        assert!(sim.is_batched());
-        let out = sim.run_until(|c| c.count(&1) == n, n / 10, 500.0);
-        assert!(out.converged);
-        assert_eq!(sim.count(&1), n);
-        assert_eq!(sim.config_view().population_size(), n);
-        // Already-converged predicate returns immediately.
-        let out2 = sim.run_until(|c| c.count(&1) == n, 1, 1.0);
-        assert!(out2.converged);
-        assert_eq!(out2.interactions, out.interactions);
     }
 
     /// Counter protocol whose occupied support grows without bound (every
@@ -2412,16 +2323,22 @@ mod tests {
     #[test]
     fn adaptive_adopts_batching_when_support_is_tiny() {
         let n = 100_000u64;
-        let config = CountConfiguration::from_pairs([(0u8, n - 1), (1u8, 1)]);
-        let mut sim = ConfigSim::new(ShyInfection, config, 9);
-        assert!(
-            !sim.is_batched(),
+        let metrics = Metrics::new();
+        let mut sim = Simulation::count_builder(ShyInfection)
+            .config([(0u8, n - 1), (1u8, 1)])
+            .seed(9)
+            .check_every(n / 10)
+            .metrics(&metrics)
+            .until(move |view| count_of(view, &1) == n)
+            .build();
+        assert_eq!(
+            sim.engine_kind(),
+            EngineKind::Sequential,
             "prefers_batching = false starts sequential"
         );
-        let out = sim.run_until(|c| c.count(&1) == n, (n / 10).max(1), f64::MAX);
-        assert!(out.converged);
+        assert!(sim.run().converged);
         assert!(
-            sim.engine_switches() >= 1,
+            metrics.counter(Counter::ModeSwitches) >= 1,
             "2-state support at n = 10⁵ should have upswitched"
         );
         assert_eq!(sim.count(&1), n);

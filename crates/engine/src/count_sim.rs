@@ -39,7 +39,6 @@ use rand::Rng;
 
 use crate::rng::{rng_from_seed, SimRng};
 use crate::scheduler::parallel_time;
-use crate::sim::RunOutcome;
 use crate::slot_index::{fnv_hash, SlotIndex};
 
 /// The outcome law of one interaction for a fixed ordered pair of input
@@ -899,41 +898,6 @@ impl<P: CountProtocol> CountSim<P> {
         let target = (t * self.n as f64).ceil() as u64;
         self.steps(target);
     }
-
-    /// Runs until `predicate(config)` holds, checking every `check_every`
-    /// interactions, within a parallel-time budget.
-    pub fn run_until(
-        &mut self,
-        mut predicate: impl FnMut(&CountConfiguration<P::State>) -> bool,
-        check_every: u64,
-        max_time: f64,
-    ) -> RunOutcome {
-        assert!(check_every > 0, "check_every must be positive");
-        let max_interactions = (max_time * self.n as f64).ceil() as u64;
-        if predicate(&self.config) {
-            return RunOutcome {
-                converged: true,
-                time: self.time(),
-                interactions: self.interactions,
-            };
-        }
-        while self.interactions < max_interactions {
-            let burst = check_every.min(max_interactions - self.interactions);
-            self.steps(burst);
-            if predicate(&self.config) {
-                return RunOutcome {
-                    converged: true,
-                    time: self.time(),
-                    interactions: self.interactions,
-                };
-            }
-        }
-        RunOutcome {
-            converged: false,
-            time: self.time(),
-            interactions: self.interactions,
-        }
-    }
 }
 
 impl<P: CountProtocol> std::fmt::Debug for CountSim<P> {
@@ -949,6 +913,8 @@ impl<P: CountProtocol> std::fmt::Debug for CountSim<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulation::{count_of, Simulation};
+    use crate::EngineMode;
 
     /// One-way epidemic over {0 = susceptible, 1 = infected}.
     struct Epidemic;
@@ -1120,11 +1086,16 @@ mod tests {
 
     #[test]
     fn epidemic_infects_all() {
-        let config = CountConfiguration::from_pairs([(0u8, 999), (1u8, 1)]);
-        let mut sim = CountSim::new(Epidemic, config, 5);
-        let out = sim.run_until(|c| c.count(&1) == 1000, 100, 100.0);
+        let (out, sim) = Simulation::count_builder(Epidemic)
+            .config([(0u8, 999), (1u8, 1)])
+            .seed(5)
+            .mode(EngineMode::Sequential)
+            .check_every(100)
+            .max_time(100.0)
+            .until(|view| count_of(view, &1) == 1000)
+            .run();
         assert!(out.converged);
-        assert_eq!(sim.config().population_size(), 1000);
+        assert_eq!(sim.population_size(), 1000);
     }
 
     #[test]
@@ -1145,9 +1116,14 @@ mod tests {
         let trials = 12;
         let mut count_mean = 0.0;
         for t in 0..trials {
-            let config = CountConfiguration::from_pairs([(0u8, n - 1), (1u8, 1)]);
-            let mut sim = CountSim::new(Epidemic, config, 1000 + t);
-            let out = sim.run_until(|c| c.count(&1) == n, 50, 200.0);
+            let (out, _) = Simulation::count_builder(Epidemic)
+                .config([(0u8, n - 1), (1u8, 1)])
+                .seed(1000 + t)
+                .mode(EngineMode::Sequential)
+                .check_every(50)
+                .max_time(200.0)
+                .until(move |view| count_of(view, &1) == n)
+                .run();
             assert!(out.converged);
             count_mean += out.time;
         }
@@ -1163,10 +1139,15 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let run = |seed| {
-            let config = CountConfiguration::from_pairs([(0u8, 99), (1u8, 1)]);
-            let mut sim = CountSim::new(Epidemic, config, seed);
-            sim.run_until(|c| c.count(&1) == 100, 10, 100.0)
-                .interactions
+            let (out, _) = Simulation::count_builder(Epidemic)
+                .config([(0u8, 99), (1u8, 1)])
+                .seed(seed)
+                .mode(EngineMode::Sequential)
+                .check_every(10)
+                .max_time(100.0)
+                .until(|view| count_of(view, &1) == 100)
+                .run();
+            out.interactions
         };
         assert_eq!(run(42), run(42));
     }
@@ -1188,10 +1169,15 @@ mod tests {
 
     #[test]
     fn randomized_count_protocol_runs() {
-        let config = CountConfiguration::from_pairs([(0u8, 50), (1u8, 50)]);
-        let mut sim = CountSim::new(LazyCopy, config, 9);
         // Lazy copying is a consensus process; eventually one opinion wins.
-        let out = sim.run_until(|c| c.count(&0) == 100 || c.count(&1) == 100, 100, 10_000.0);
+        let (out, _) = Simulation::count_builder(LazyCopy)
+            .config([(0u8, 50), (1u8, 50)])
+            .seed(9)
+            .mode(EngineMode::Sequential)
+            .check_every(100)
+            .max_time(10_000.0)
+            .until(|view| count_of(view, &0) == 100 || count_of(view, &1) == 100)
+            .run();
         assert!(out.converged);
     }
 }

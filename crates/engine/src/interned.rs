@@ -23,14 +23,18 @@
 //! ## Decoding
 //!
 //! The id ↔ state mapping lives behind an [`InternerHandle`] (shared `Rc`),
-//! so harness code can keep a handle while the simulator owns the protocol
-//! and translate ids back into protocol states inside predicates:
+//! so a caller can keep a handle while the simulator owns the protocol and
+//! translate ids back into protocol states. The
+//! [`Simulation::builder`](crate::Simulation::builder) count modes do
+//! exactly that, so their views, predicates and observers see protocol
+//! states:
 //!
 //! ```
-//! use pp_engine::batch::ConfigSim;
 //! use pp_engine::interned::Interned;
 //! use pp_engine::protocol::Protocol;
 //! use pp_engine::rng::SimRng;
+//! use pp_engine::simulation::{count_of, Simulation};
+//! use pp_engine::EngineMode;
 //!
 //! struct Epidemic;
 //! impl Protocol for Epidemic {
@@ -46,10 +50,18 @@
 //! let interned = Interned::new(Epidemic);
 //! let handle = interned.handle();
 //! let config = interned.config_from_pairs([(false, 999), (true, 1)]);
-//! let mut sim = ConfigSim::new(interned, config, 7);
 //! // Look states up through the handle per query — raw ids are
 //! // invalidated whenever a GC pass compacts the table (see below).
-//! let out = sim.run_until(|c| handle.count_of(c, &true) == 1000, 100, f64::MAX);
+//! assert_eq!(handle.count_of(&config, &true), 1);
+//!
+//! let (out, _) = Simulation::builder(Epidemic)
+//!     .size(1000)
+//!     .seed(7)
+//!     .mode(EngineMode::Auto)
+//!     .init_planted([(true, 1)])
+//!     .check_every(100)
+//!     .until(|view| count_of(view, &true) == 1000)
+//!     .run();
 //! assert!(out.converged);
 //! ```
 //!
@@ -436,8 +448,10 @@ impl<S> Default for LaneBuffers<S> {
 
 /// A cloneable handle onto an [`Interned`] adapter's id ↔ state table.
 ///
-/// Lets harness code decode slot ids inside `run_until` predicates while the
-/// simulator owns the protocol (both share the table through an `Rc`).
+/// Lets a caller decode slot ids at observation points while the simulator
+/// owns the protocol (both share the table through an `Rc`); the
+/// [`Simulation::builder`](crate::Simulation::builder) count modes decode
+/// every view through one.
 #[derive(Debug)]
 pub struct InternerHandle<S> {
     table: Rc<RefCell<StateTable<S>>>,
@@ -896,6 +910,8 @@ mod tests {
     use crate::count_sim::CountSim;
     use crate::rng::derive_seed;
     use crate::sim::AgentSim;
+    use crate::simulation::Simulation;
+    use crate::EngineMode;
     use rand::Rng;
 
     /// Max-propagation epidemic with a record state (not `Copy`).
@@ -928,37 +944,23 @@ mod tests {
 
     #[test]
     fn interned_protocol_runs_on_count_sim() {
-        let interned = Interned::new(MaxRecord);
-        let handle = interned.handle();
-        let config = interned.config_from_pairs([
-            (
+        let (out, sim) = Simulation::builder(MaxRecord)
+            .size(500)
+            .seed(3)
+            .mode(EngineMode::Sequential)
+            .init_planted([(
                 Record {
                     value: 9,
                     touched: false,
                 },
                 1,
-            ),
-            (
-                Record {
-                    value: 0,
-                    touched: false,
-                },
-                499,
-            ),
-        ]);
-        let mut sim = CountSim::new(interned, config, 3);
-        let out = sim.run_until(
-            |c| {
-                handle
-                    .decode(c)
-                    .iter()
-                    .all(|(s, _)| s.value == 9 && s.touched)
-            },
-            100,
-            10_000.0,
-        );
+            )])
+            .check_every(100)
+            .max_time(10_000.0)
+            .until(|view| view.iter().all(|(s, _)| s.value == 9 && s.touched))
+            .run();
         assert!(out.converged, "max never propagated");
-        assert_eq!(sim.config().population_size(), 500);
+        assert_eq!(sim.population_size(), 500);
     }
 
     #[test]
@@ -980,46 +982,32 @@ mod tests {
         // between engines within sampling error.
         let n = 20_000u64;
         let trials = 30;
-        let mean = |batched: bool, stream: u64| -> f64 {
+        let mean = |mode: EngineMode, stream: u64| -> f64 {
             (0..trials)
                 .map(|t| {
-                    let interned = Interned::deterministic(MaxRecord);
-                    let handle = interned.handle();
-                    let config = interned.config_from_pairs([
-                        (
+                    let (out, _) = Simulation::builder(MaxRecord)
+                        .size(n)
+                        .seed(derive_seed(stream, t))
+                        .mode(mode)
+                        .deterministic()
+                        .init_planted([(
                             Record {
                                 value: 1,
                                 touched: false,
                             },
                             1,
-                        ),
-                        (
-                            Record {
-                                value: 0,
-                                touched: false,
-                            },
-                            n - 1,
-                        ),
-                    ]);
-                    let seed = derive_seed(stream, t);
-                    let mut sim = if batched {
-                        ConfigSim::batched(interned, config, seed)
-                    } else {
-                        ConfigSim::sequential(interned, config, seed)
-                    };
-                    let out = sim.run_until(
-                        |c| handle.decode(c).iter().all(|(s, _)| s.value == 1),
-                        n / 20,
-                        f64::MAX,
-                    );
+                        )])
+                        .check_every(n / 20)
+                        .until(|view| view.iter().all(|(s, _)| s.value == 1))
+                        .run();
                     assert!(out.converged);
                     out.time
                 })
                 .sum::<f64>()
                 / trials as f64
         };
-        let m_seq = mean(false, 0x51);
-        let m_bat = mean(true, 0x52);
+        let m_seq = mean(EngineMode::Sequential, 0x51);
+        let m_bat = mean(EngineMode::Batched, 0x52);
         assert!(
             (m_seq - m_bat).abs() < 0.25 * m_seq,
             "interned engines diverge: sequential {m_seq} vs batched {m_bat}"

@@ -14,7 +14,7 @@
 //! transition algorithm. *Parallel time* is the number of interactions divided
 //! by `n`.
 //!
-//! ## The API: one builder, one trait
+//! ## The API: one builder, one run driver
 //!
 //! Every measurement in this repository is one sentence: *run protocol `P`
 //! on `n` agents from initial configuration `C` under engine `E` until
@@ -64,9 +64,10 @@
 //!
 //! ## The engines
 //!
-//! Underneath the builder sit four simulators, unified behind the
-//! object-safe [`simulation::Engine`] trait (advance the interaction
-//! clock, decode the occupied-state multiset):
+//! Underneath the builder sit four simulators. The builder picks one per
+//! `.mode(..)` and holds it behind a crate-internal trait (advance the
+//! interaction clock, decode the occupied-state multiset), so
+//! [`Simulation::run`] is the one checkpoint loop for all of them:
 //!
 //! * [`sim::AgentSim`] — one state struct per agent. Retained for
 //!   cross-engine validation (the `*_agentwise` helpers), trace tooling,
@@ -112,9 +113,11 @@
 //! `leader_terminating` rows hold the count/agent ratio near 1). All engines realize exactly the
 //! same stochastic process — the statistical-equivalence suites
 //! (`tests/batched_equivalence.rs`, `tests/unified_equivalence.rs`), the
-//! byte-level builder suite (`tests/builder_equivalence.rs`), and the
-//! `Engine` conformance suite (`crates/engine/tests/engine_conformance.rs`)
-//! hold them to that.
+//! byte-level suites (`tests/builder_equivalence.rs`,
+//! `tests/batch_golden.rs`, `tests/lane_golden.rs`,
+//! `tests/snapshot_roundtrip.rs`), and the conformance suite over every
+//! builder mode (`crates/engine/tests/engine_conformance.rs`) hold them to
+//! that.
 //!
 //! ## Observability
 //!
@@ -196,7 +199,7 @@ pub use record::{Trace, TracePoint};
 pub use rng::{derive_seed, SimRng};
 pub use scheduler::{OrderedPair, PairScheduler};
 pub use sim::{AgentSim, RunOutcome};
-pub use simulation::{count_of, Engine, EngineKind, Observer, SimMode, Simulation};
+pub use simulation::{count_of, EngineKind, Observer, SimMode, Simulation};
 pub use snapshot::{crc32, Snapshot, SnapshotError, SnapshotState};
 
 // Telemetry vocabulary, re-exported so engine users need no direct

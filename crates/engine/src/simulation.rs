@@ -1,24 +1,21 @@
-//! The unified simulation API: one [`Engine`] trait, one [`Simulation`]
-//! builder.
+//! The unified simulation API: one [`Simulation`] builder, one run
+//! driver.
 //!
 //! Every measurement in the paper reduces to the same sentence: *run
 //! protocol `P` on `n` agents from initial configuration `C` under engine
 //! `E` until predicate `Q`, observing metrics `M`.* This module makes that
 //! sentence the API:
 //!
-//! * [`Engine`] abstracts the four simulators ([`AgentSim`],
-//!   [`CountSim`], [`BatchedCountSim`], and
-//!   the adaptive [`ConfigSim`] facade) behind one object-safe interface —
-//!   advance the interaction clock, decode the occupied-state multiset —
-//!   so harness code (and the sweep layer) can select engines dynamically
-//!   behind a `Box<dyn Engine<S>>`.
-//! * [`Simulation`] owns a boxed engine plus the run policy (checkpoint
-//!   cadence, time budget, convergence predicate, observers) and provides
-//!   the *single* run driver that used to be quadruplicated across the
-//!   simulators' `run_until`/`run_for_time` surfaces.
 //! * [`Simulation::builder`] (agent-level [`Protocol`]s) and
 //!   [`Simulation::count_builder`] ([`CountProtocol`]s) assemble a
-//!   simulation declaratively:
+//!   simulation declaratively; `.mode(..)` picks the engine
+//!   ([`AgentSim`], or the [`ConfigSim`] facade over
+//!   [`CountSim`](crate::CountSim) and
+//!   [`BatchedCountSim`](crate::BatchedCountSim)).
+//! * [`Simulation`] owns the built engine plus the run policy (checkpoint
+//!   cadence, time budget, convergence predicate, observers), and
+//!   [`Simulation::run`] / [`Simulation::run_until`] share its one
+//!   checkpoint loop:
 //!
 //! ```
 //! use pp_engine::epidemic::InfectionEpidemic;
@@ -71,44 +68,43 @@
 //! ## Determinism and equivalence
 //!
 //! A built simulation is a deterministic function of `(protocol, init,
-//! seed, mode)`. The builder-vs-legacy equivalence suite
-//! (`tests/builder_equivalence.rs`) holds the builder to *byte-identical*
-//! outcomes against the pre-builder free-function bodies, and the
-//! `Engine`-trait conformance suite
-//! (`crates/engine/tests/engine_conformance.rs`) holds all four engines to
-//! the trait contract.
+//! seed, mode)`. `tests/builder_equivalence.rs` pins the builder-backed
+//! convenience functions to exact outcomes (and the agent-engine ones to
+//! hand-driven [`AgentSim`] runs), and
+//! `crates/engine/tests/engine_conformance.rs` holds every mode of both
+//! builders to the same advance/view/clock contract.
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash};
 use std::path::{Path, PathBuf};
 
 use pp_telemetry::{Counter, Hist, Metrics, TraceValue};
 
-use crate::batch::{BatchedCountSim, ConfigSim, EngineMode};
-use crate::count_sim::{CountConfiguration, CountProtocol, CountSeededInit, CountSim};
+use crate::batch::{ConfigSim, EngineMode};
+use crate::count_sim::{CountConfiguration, CountProtocol, CountSeededInit};
 use crate::interned::{Interned, InternerHandle};
 use crate::protocol::{Protocol, SeededInit};
 use crate::sim::{AgentSim, RunOutcome};
+use crate::slot_index::FnvHasher;
 use crate::snapshot::{self, Snapshot, SnapshotError, SnapshotState};
 
-/// Which concrete simulator an [`Engine`] is currently running on.
+/// Which concrete simulator a [`Simulation`] is currently running on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
     /// Per-agent state array ([`AgentSim`]).
     Agent,
-    /// Sequential configuration vector ([`CountSim`]).
+    /// Sequential configuration vector ([`CountSim`](crate::CountSim)).
     Sequential,
-    /// Batched configuration vector ([`BatchedCountSim`]).
+    /// Batched configuration vector
+    /// ([`BatchedCountSim`](crate::BatchedCountSim)).
     Batched,
 }
 
-/// The unified, object-safe simulator interface.
-///
-/// One implementation per simulator; the run drivers ([`Simulation::run`],
-/// [`Simulation::run_until`]) are written once against this trait instead
-/// of once per engine. All methods are object-safe, so the sweep layer can
-/// hold a `Box<dyn Engine<S>>` and pick the engine at runtime.
-pub trait Engine<S> {
+/// The object-safe simulator interface a [`Simulation`] drives: one
+/// implementation per engine the builders build ([`AgentSim`],
+/// [`ConfigSim`], and [`InternedEngine`]), each held in a
+/// [`Checkpointed`].
+pub(crate) trait Engine<S> {
     /// Population size `n`.
     fn population_size(&self) -> u64;
 
@@ -121,7 +117,7 @@ pub trait Engine<S> {
     /// Executes at least one and at most `budget` interactions (the engine
     /// picks its natural granularity: single steps, one batch, one
     /// null-skip run). Returns the number executed. Engines never
-    /// overshoot `budget`, so drivers land checkpoints exactly.
+    /// overshoot `budget`, so the driver lands checkpoints exactly.
     fn advance(&mut self, budget: u64) -> u64;
 
     /// The decoded occupied-state multiset: `(state, count)` pairs with
@@ -132,13 +128,9 @@ pub trait Engine<S> {
     /// The concrete simulator currently executing interactions.
     fn kind(&self) -> EngineKind;
 
-    /// Serializes the engine's full mutable state into a versioned
-    /// [`Snapshot`] (see [`crate::snapshot`] for the format guarantees).
-    ///
-    /// Supported by engines built with checkpointing enabled (the
-    /// builders' `checkpoint_to` / `resume`); the default implementation
-    /// reports [`SnapshotError::Unsupported`], so existing `Engine`
-    /// implementations are unaffected.
+    /// Serializes the engine's full mutable state (see [`crate::snapshot`]
+    /// for the format guarantees). Only [`Checkpointed`] with an encoder
+    /// supports it.
     fn snapshot(&self) -> Result<Snapshot, SnapshotError> {
         Err(SnapshotError::Unsupported)
     }
@@ -148,8 +140,7 @@ pub trait Engine<S> {
     /// null-skip runs, mode switches, GC passes, dense-lane episodes —
     /// without consuming randomness or influencing any branch, so
     /// attaching a registry never perturbs the trajectory. The default is
-    /// a no-op for engines with nothing engine-specific to record (the
-    /// per-agent and plain sequential simulators).
+    /// a no-op for engines with nothing engine-specific to record.
     fn set_metrics(&mut self, metrics: Metrics) {
         let _ = metrics;
     }
@@ -189,10 +180,12 @@ where
     }
 
     /// Groups equal agent states; pairs appear in first-seen agent-index
-    /// order, so the first pair always holds agent 0's state.
+    /// order, so the first pair always holds agent 0's state. The map only
+    /// indexes `pairs`, so its hasher cannot change the output.
     fn view(&self) -> Vec<(P::State, u64)> {
         let states = self.states();
-        let mut index: HashMap<&P::State, usize> = HashMap::with_capacity(16);
+        let mut index: HashMap<&P::State, usize, BuildHasherDefault<FnvHasher>> =
+            HashMap::with_capacity_and_hasher(16, BuildHasherDefault::default());
         let mut pairs: Vec<(&P::State, u64)> = Vec::new();
         for s in states {
             match index.entry(s) {
@@ -208,63 +201,6 @@ where
 
     fn kind(&self) -> EngineKind {
         EngineKind::Agent
-    }
-}
-
-impl<P: CountProtocol> Engine<P::State> for CountSim<P> {
-    fn population_size(&self) -> u64 {
-        CountSim::population_size(self)
-    }
-
-    fn interactions(&self) -> u64 {
-        CountSim::interactions(self)
-    }
-
-    fn time(&self) -> f64 {
-        CountSim::time(self)
-    }
-
-    fn advance(&mut self, budget: u64) -> u64 {
-        self.steps(budget);
-        budget
-    }
-
-    fn view(&self) -> Vec<(P::State, u64)> {
-        self.config().iter().map(|(&s, &c)| (s, c)).collect()
-    }
-
-    fn kind(&self) -> EngineKind {
-        EngineKind::Sequential
-    }
-}
-
-impl<P: CountProtocol> Engine<P::State> for BatchedCountSim<P> {
-    fn population_size(&self) -> u64 {
-        BatchedCountSim::population_size(self)
-    }
-
-    fn interactions(&self) -> u64 {
-        BatchedCountSim::interactions(self)
-    }
-
-    fn time(&self) -> f64 {
-        BatchedCountSim::time(self)
-    }
-
-    fn advance(&mut self, budget: u64) -> u64 {
-        BatchedCountSim::advance(self, budget)
-    }
-
-    fn view(&self) -> Vec<(P::State, u64)> {
-        self.config_view().iter().map(|(&s, &c)| (s, c)).collect()
-    }
-
-    fn kind(&self) -> EngineKind {
-        EngineKind::Batched
-    }
-
-    fn set_metrics(&mut self, metrics: Metrics) {
-        BatchedCountSim::set_metrics(self, metrics);
     }
 }
 
@@ -331,7 +267,7 @@ where
     }
 
     fn advance(&mut self, budget: u64) -> u64 {
-        ConfigSim::advance(&mut self.sim, budget)
+        self.sim.advance(budget)
     }
 
     fn view(&self) -> Vec<(P::State, u64)> {
@@ -339,11 +275,7 @@ where
     }
 
     fn kind(&self) -> EngineKind {
-        if self.sim.is_batched() {
-            EngineKind::Batched
-        } else {
-            EngineKind::Sequential
-        }
+        Engine::kind(&self.sim)
     }
 
     fn set_metrics(&mut self, metrics: Metrics) {
@@ -351,133 +283,70 @@ where
     }
 }
 
-/// [`AgentSim`] with checkpoint support: delegates every [`Engine`]
-/// method and overrides [`Engine::snapshot`] under the [`SnapshotState`]
-/// bound. The wrapper (rather than a bound on the plain `Engine` impls)
-/// keeps checkpointing opt-in: protocols whose states have no codec build
-/// and run exactly as before.
-struct CheckpointAgent<P: Protocol>(AgentSim<P>)
-where
-    P::State: Eq + Hash;
+/// The one engine holder every [`Simulation`] boxes: the built engine
+/// plus, when the builder enabled checkpointing (`checkpoint_to` or
+/// `resume`), the snapshot encoder for its concrete type. The encoder is
+/// captured where the [`SnapshotState`] bound is in scope, so protocols
+/// whose states have no codec build and run without one.
+struct Checkpointed<E> {
+    engine: E,
+    encode: Option<fn(&E) -> Snapshot>,
+}
 
-impl<P: Protocol> Engine<P::State> for CheckpointAgent<P>
-where
-    P::State: Eq + Hash + SnapshotState,
-{
+impl<S, E: Engine<S>> Engine<S> for Checkpointed<E> {
     fn population_size(&self) -> u64 {
-        Engine::population_size(&self.0)
+        self.engine.population_size()
     }
 
     fn interactions(&self) -> u64 {
-        Engine::interactions(&self.0)
+        self.engine.interactions()
     }
 
     fn time(&self) -> f64 {
-        Engine::time(&self.0)
+        self.engine.time()
     }
 
     fn advance(&mut self, budget: u64) -> u64 {
-        Engine::advance(&mut self.0, budget)
+        self.engine.advance(budget)
     }
 
-    fn view(&self) -> Vec<(P::State, u64)> {
-        Engine::view(&self.0)
+    fn view(&self) -> Vec<(S, u64)> {
+        self.engine.view()
     }
 
     fn kind(&self) -> EngineKind {
-        Engine::kind(&self.0)
+        self.engine.kind()
     }
 
     fn snapshot(&self) -> Result<Snapshot, SnapshotError> {
-        Ok(snapshot::encode_agent(&self.0))
+        let encode = self.encode.ok_or(SnapshotError::Unsupported)?;
+        Ok(encode(&self.engine))
     }
 
     fn set_metrics(&mut self, metrics: Metrics) {
-        Engine::set_metrics(&mut self.0, metrics);
+        self.engine.set_metrics(metrics);
     }
 }
 
-/// [`ConfigSim`] with checkpoint support (see [`CheckpointAgent`]).
-struct CheckpointConfig<P: CountProtocol>(ConfigSim<P>);
-
-impl<P: CountProtocol> Engine<P::State> for CheckpointConfig<P>
+/// The snapshot encoders of the two engines an agent-protocol build can
+/// pick, captured by [`SimulationBuilder::checkpoint_to`].
+struct AgentEncoders<P: Protocol>
 where
-    P::State: SnapshotState,
+    P::State: Eq + Hash,
 {
-    fn population_size(&self) -> u64 {
-        Engine::population_size(&self.0)
-    }
-
-    fn interactions(&self) -> u64 {
-        Engine::interactions(&self.0)
-    }
-
-    fn time(&self) -> f64 {
-        Engine::time(&self.0)
-    }
-
-    fn advance(&mut self, budget: u64) -> u64 {
-        Engine::advance(&mut self.0, budget)
-    }
-
-    fn view(&self) -> Vec<(P::State, u64)> {
-        Engine::view(&self.0)
-    }
-
-    fn kind(&self) -> EngineKind {
-        Engine::kind(&self.0)
-    }
-
-    fn snapshot(&self) -> Result<Snapshot, SnapshotError> {
-        Ok(snapshot::encode_config_sim(&self.0))
-    }
-
-    fn set_metrics(&mut self, metrics: Metrics) {
-        Engine::set_metrics(&mut self.0, metrics);
-    }
+    agent: fn(&AgentSim<P>) -> Snapshot,
+    interned: fn(&InternedEngine<P>) -> Snapshot,
 }
 
-/// [`InternedEngine`] with checkpoint support (see [`CheckpointAgent`]):
-/// the snapshot additionally carries the interner table, its GC
-/// generation, and the deterministic certification.
-struct CheckpointInterned<P: Protocol>(InternedEngine<P>)
-where
-    P::State: Eq + Hash;
-
-impl<P: Protocol> Engine<P::State> for CheckpointInterned<P>
+impl<P: Protocol> AgentEncoders<P>
 where
     P::State: Eq + Hash + SnapshotState,
 {
-    fn population_size(&self) -> u64 {
-        Engine::population_size(&self.0)
-    }
-
-    fn interactions(&self) -> u64 {
-        Engine::interactions(&self.0)
-    }
-
-    fn time(&self) -> f64 {
-        Engine::time(&self.0)
-    }
-
-    fn advance(&mut self, budget: u64) -> u64 {
-        Engine::advance(&mut self.0, budget)
-    }
-
-    fn view(&self) -> Vec<(P::State, u64)> {
-        Engine::view(&self.0)
-    }
-
-    fn kind(&self) -> EngineKind {
-        Engine::kind(&self.0)
-    }
-
-    fn snapshot(&self) -> Result<Snapshot, SnapshotError> {
-        Ok(snapshot::encode_interned(&self.0.sim))
-    }
-
-    fn set_metrics(&mut self, metrics: Metrics) {
-        Engine::set_metrics(&mut self.0, metrics);
+    fn new() -> Self {
+        Self {
+            agent: snapshot::encode_agent,
+            interned: |e| snapshot::encode_interned(&e.sim),
+        }
     }
 }
 
@@ -661,7 +530,7 @@ macro_rules! policy_methods {
     };
 }
 
-/// A configured simulation: a boxed [`Engine`] plus the run policy.
+/// A configured simulation: the built engine plus the run policy.
 ///
 /// Built by [`Simulation::builder`] / [`Simulation::count_builder`]. Run
 /// it to completion with [`Simulation::run`], phase by phase with
@@ -698,22 +567,6 @@ impl<'a, S: Clone> Simulation<'a, S> {
         P: CountProtocol<State = S>,
     {
         CountSimulationBuilder::new(protocol)
-    }
-
-    /// Wraps an existing engine in a simulation with default policy — the
-    /// escape hatch for engines constructed outside the builders (e.g. the
-    /// `Engine`-trait conformance suite).
-    pub fn from_engine(engine: Box<dyn Engine<S> + 'a>) -> Self {
-        let n = engine.population_size().max(1);
-        Self {
-            engine,
-            check_every: n,
-            max_time: f64::INFINITY,
-            predicate: None,
-            observers: Vec::new(),
-            checkpoint: None,
-            metrics: None,
-        }
     }
 
     /// Assembles a simulation from a restored or freshly built engine plus
@@ -809,7 +662,8 @@ impl<'a, S: Clone> Simulation<'a, S> {
         self.engine.interactions()
     }
 
-    /// The decoded occupied-state multiset (see [`Engine::view`]).
+    /// The decoded occupied-state multiset (see the [module docs](self)
+    /// for its ordering).
     pub fn view(&self) -> Vec<(S, u64)> {
         self.engine.view()
     }
@@ -843,9 +697,9 @@ impl<'a, S: Clone> Simulation<'a, S> {
 
     /// Executes exactly `k` further interactions (no checkpoints fire).
     pub fn steps(&mut self, k: u64) {
-        let target = self.engine.interactions() + k;
-        while self.engine.interactions() < target {
-            self.engine.advance(target - self.engine.interactions());
+        let mut done = 0;
+        while done < k {
+            done += self.engine.advance(k - done);
         }
     }
 
@@ -880,9 +734,9 @@ impl<'a, S: Clone> Simulation<'a, S> {
     /// Runs until an ad-hoc `predicate` holds — the multi-phase driver
     /// ("until the signal fires, then until everyone froze"). Uses the
     /// configured checkpoint cadence; `max_time` is an **absolute**
-    /// parallel-time cap (matching the legacy `run_until` semantics), so
-    /// consecutive phases share one budget. Observers fire at every
-    /// checkpoint of every phase.
+    /// parallel-time cap, so consecutive phases share one budget. A
+    /// predicate that already holds returns at once, even past the cap.
+    /// Observers fire at every checkpoint of every phase.
     pub fn run_until(
         &mut self,
         mut predicate: impl FnMut(&[(S, u64)]) -> bool,
@@ -989,10 +843,7 @@ impl<'a, S: Clone> Simulation<'a, S> {
                     interactions,
                 };
             }
-            let target = (interactions + self.check_every).min(max_interactions);
-            while self.engine.interactions() < target {
-                self.engine.advance(target - self.engine.interactions());
-            }
+            self.steps(self.check_every.min(max_interactions - interactions));
         }
     }
 
@@ -1035,26 +886,6 @@ enum InitSpec<'a, S> {
     Assign(Box<dyn Fn(usize, usize) -> S + 'a>),
 }
 
-/// What [`SimulationBuilder::build`] produces before boxing: the engine
-/// value with its concrete type still visible, so the checkpoint wrap
-/// closure (installed by [`SimulationBuilder::checkpoint_to`], which
-/// carries the [`SnapshotState`] bound `build` itself does not have) can
-/// wrap it in the matching snapshot-capable adapter.
-#[allow(clippy::large_enum_variant)] // transient: consumed by `build` immediately
-enum BuiltAgentEngine<P: Protocol>
-where
-    P::State: Eq + Hash,
-{
-    Agent(AgentSim<P>),
-    Interned(InternedEngine<P>),
-}
-
-/// Boxed closure turning a [`BuiltAgentEngine`] into the final boxed
-/// engine — identity boxing by default, checkpoint-adapter boxing when
-/// [`SimulationBuilder::checkpoint_to`] was called.
-type AgentWrap<'a, P> =
-    Box<dyn FnOnce(BuiltAgentEngine<P>) -> Box<dyn Engine<<P as Protocol>::State> + 'a> + 'a>;
-
 /// Builder for agent-level [`Protocol`] simulations. Construct via
 /// [`Simulation::builder`]; see the [module docs](self) for the builder
 /// walkthrough.
@@ -1068,7 +899,7 @@ where
     deterministic: bool,
     init: InitSpec<'a, P::State>,
     policy: Policy<'a, P::State>,
-    wrap: Option<AgentWrap<'a, P>>,
+    encode: Option<AgentEncoders<P>>,
 }
 
 impl<'a, P: Protocol> SimulationBuilder<'a, P>
@@ -1083,7 +914,7 @@ where
             deterministic: false,
             init: InitSpec::Uniform,
             policy: Policy::default(),
-            wrap: None,
+            encode: None,
         }
     }
 
@@ -1159,10 +990,7 @@ where
         P::State: SnapshotState + 'a,
     {
         self.policy.checkpoint_path = Some(path.into());
-        self.wrap = Some(Box::new(|built| match built {
-            BuiltAgentEngine::Agent(sim) => Box::new(CheckpointAgent(sim)),
-            BuiltAgentEngine::Interned(sim) => Box::new(CheckpointInterned(sim)),
-        }));
+        self.encode = Some(AgentEncoders::new());
         self
     }
 
@@ -1184,14 +1012,18 @@ where
         P::State: SnapshotState + 'a,
     {
         let snap = Snapshot::read(path.as_ref())?;
+        let encode = AgentEncoders::new();
         let engine: Box<dyn Engine<P::State> + 'a> = match snap.kind {
-            snapshot::KIND_AGENT => Box::new(CheckpointAgent(snapshot::decode_agent(
-                self.protocol,
-                &snap.body,
-            )?)),
+            snapshot::KIND_AGENT => Box::new(Checkpointed {
+                engine: snapshot::decode_agent(self.protocol, &snap.body)?,
+                encode: Some(encode.agent),
+            }),
             snapshot::KIND_INTERNED => {
                 let (sim, handle) = snapshot::decode_interned(self.protocol, &snap.body)?;
-                Box::new(CheckpointInterned(InternedEngine { sim, handle }))
+                Box::new(Checkpointed {
+                    engine: InternedEngine { sim, handle },
+                    encode: Some(encode.interned),
+                })
             }
             k => {
                 return Err(SnapshotError::Corrupt(format!(
@@ -1216,7 +1048,8 @@ where
         assert!(n >= 2, "simulation needs .size(n) with n >= 2");
         let n_usize = usize::try_from(n).expect("population exceeds usize");
         let seed = self.policy.seed;
-        let built = match self.mode {
+        let encode = self.encode;
+        let engine: Box<dyn Engine<P::State> + 'a> = match self.mode {
             SimMode::Agent => {
                 let mut sim = AgentSim::new(self.protocol, n_usize, seed);
                 match self.init {
@@ -1251,7 +1084,10 @@ where
                         }
                     }
                 }
-                BuiltAgentEngine::Agent(sim)
+                Box::new(Checkpointed {
+                    engine: sim,
+                    encode: encode.map(|e| e.agent),
+                })
             }
             SimMode::Count(engine_mode) => {
                 let interned = if self.deterministic {
@@ -1313,15 +1149,11 @@ where
                     }
                 };
                 let sim = ConfigSim::with_mode(interned, config, seed, engine_mode);
-                BuiltAgentEngine::Interned(InternedEngine { sim, handle })
+                Box::new(Checkpointed {
+                    engine: InternedEngine { sim, handle },
+                    encode: encode.map(|e| e.interned),
+                })
             }
-        };
-        let engine: Box<dyn Engine<P::State> + 'a> = match self.wrap {
-            Some(wrap) => wrap(built),
-            None => match built {
-                BuiltAgentEngine::Agent(sim) => Box::new(sim),
-                BuiltAgentEngine::Interned(sim) => Box::new(sim),
-            },
         };
         Simulation::assemble(engine, self.policy)
     }
@@ -1351,12 +1183,6 @@ enum CountInit<S: Copy + Ord + std::hash::Hash> {
     Ready(CountConfiguration<S>),
 }
 
-/// Boxed closure turning the built [`ConfigSim`] into the final boxed
-/// engine — identity boxing by default, [`CheckpointConfig`] boxing when
-/// [`CountSimulationBuilder::checkpoint_to`] was called.
-type CountWrap<'a, P> =
-    Box<dyn FnOnce(ConfigSim<P>) -> Box<dyn Engine<<P as CountProtocol>::State> + 'a> + 'a>;
-
 /// Builder for [`CountProtocol`] simulations. Construct via
 /// [`Simulation::count_builder`]; see the [module docs](self) for the
 /// builder walkthrough.
@@ -1366,7 +1192,7 @@ pub struct CountSimulationBuilder<'a, P: CountProtocol> {
     mode: EngineMode,
     init: CountInit<P::State>,
     policy: Policy<'a, P::State>,
-    wrap: Option<CountWrap<'a, P>>,
+    encode: Option<fn(&ConfigSim<P>) -> Snapshot>,
 }
 
 impl<'a, P: CountProtocol> CountSimulationBuilder<'a, P> {
@@ -1377,7 +1203,7 @@ impl<'a, P: CountProtocol> CountSimulationBuilder<'a, P> {
             mode: EngineMode::Auto,
             init: CountInit::Unset,
             policy: Policy::default(),
-            wrap: None,
+            encode: None,
         }
     }
 
@@ -1458,7 +1284,7 @@ impl<'a, P: CountProtocol> CountSimulationBuilder<'a, P> {
         P::State: SnapshotState + 'a,
     {
         self.policy.checkpoint_path = Some(path.into());
-        self.wrap = Some(Box::new(|sim| Box::new(CheckpointConfig(sim))));
+        self.encode = Some(snapshot::encode_config_sim);
         self
     }
 
@@ -1481,10 +1307,10 @@ impl<'a, P: CountProtocol> CountSimulationBuilder<'a, P> {
     {
         let snap = Snapshot::read(path.as_ref())?;
         let engine: Box<dyn Engine<P::State> + 'a> = match snap.kind {
-            snapshot::KIND_CONFIG => Box::new(CheckpointConfig(snapshot::decode_config_sim(
-                self.protocol,
-                &snap.body,
-            )?)),
+            snapshot::KIND_CONFIG => Box::new(Checkpointed {
+                engine: snapshot::decode_config_sim(self.protocol, &snap.body)?,
+                encode: Some(snapshot::encode_config_sim),
+            }),
             k => {
                 return Err(SnapshotError::Corrupt(format!(
                     "snapshot engine tag {k} cannot resume a count-protocol simulation"
@@ -1516,12 +1342,11 @@ impl<'a, P: CountProtocol> CountSimulationBuilder<'a, P> {
             CountInit::Config(pairs) => CountConfiguration::from_pairs(pairs),
             CountInit::Ready(config) => config,
         };
-        let sim = ConfigSim::with_mode(self.protocol, config, self.policy.seed, self.mode);
-        let engine: Box<dyn Engine<P::State> + 'a> = match self.wrap {
-            Some(wrap) => wrap(sim),
-            None => Box::new(sim),
+        let engine = Checkpointed {
+            engine: ConfigSim::with_mode(self.protocol, config, self.policy.seed, self.mode),
+            encode: self.encode,
         };
-        Simulation::assemble(engine, self.policy)
+        Simulation::assemble(Box::new(engine), self.policy)
     }
 
     /// Builds and runs to the configured stopping condition, returning the
@@ -1592,11 +1417,21 @@ mod tests {
 
     #[test]
     fn count_builder_matches_direct_config_sim() {
+        // The default mode is Auto and the default cadence is `n`: the run
+        // is a directly constructed `ConfigSim` advanced `n` interactions
+        // per checkpoint.
         let n = 3_000u64;
         let direct = {
             let config = CountConfiguration::from_pairs([(false, n - 1), (true, 1)]);
             let mut sim = ConfigSim::new(InfectionEpidemic, config, 11);
-            sim.run_until(|c| c.count(&true) == n, n, f64::MAX)
+            while sim.count(&true) < n {
+                sim.steps(n);
+            }
+            RunOutcome {
+                converged: true,
+                time: sim.time(),
+                interactions: sim.interactions(),
+            }
         };
         let (built, _) = Simulation::count_builder(InfectionEpidemic)
             .config([(false, n - 1), (true, 1)])
@@ -1672,6 +1507,63 @@ mod tests {
         assert!(full.converged);
         assert!(full.interactions >= half.interactions);
         assert_eq!(sim.count(&true), n);
+        // An already-satisfied predicate returns at the initial checkpoint,
+        // even past its budget, without executing an interaction.
+        let again = sim.run_until(move |view| count_of(view, &true) == n, 1.0);
+        assert!(again.converged);
+        assert_eq!(again.interactions, full.interactions);
+    }
+
+    /// The `(interactions, sorted view)` a snapshot must reproduce.
+    fn fingerprint<S: Clone + Ord>(sim: &Simulation<'_, S>) -> (u64, Vec<(S, u64)>) {
+        let mut view = sim.view();
+        view.sort();
+        (sim.interactions(), view)
+    }
+
+    #[test]
+    fn snapshots_need_checkpoint_to_and_resume_every_holder_shape() {
+        let dir = std::env::temp_dir().join(format!("pp-sim-holder-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("sim.ppsnap");
+        let unsupported =
+            |r: Result<(), SnapshotError>| matches!(r, Err(SnapshotError::Unsupported));
+        // Agent-protocol builder: the agent engine and the interned count
+        // engine.
+        for mode in [SimMode::Agent, SimMode::Count(EngineMode::Auto)] {
+            let spec = || {
+                Simulation::builder(MaxRecord)
+                    .size(300)
+                    .seed(2)
+                    .mode(mode)
+                    .init_planted([(9u64, 1)])
+            };
+            let mut plain = spec().build();
+            plain.steps(700);
+            assert!(unsupported(plain.snapshot_to(&path)), "{mode:?}");
+            let mut held = spec().checkpoint_to(&path).build();
+            held.steps(700);
+            held.snapshot_to(&path).unwrap();
+            let resumed = Simulation::resume(MaxRecord, &path).unwrap();
+            assert_eq!(fingerprint(&resumed), fingerprint(&held), "{mode:?}");
+            assert_eq!(fingerprint(&plain), fingerprint(&held), "{mode:?}");
+        }
+        // Count-protocol builder.
+        let spec = || {
+            Simulation::count_builder(InfectionEpidemic)
+                .config([(false, 499), (true, 1)])
+                .seed(4)
+        };
+        let mut plain = spec().build();
+        plain.steps(700);
+        assert!(unsupported(plain.snapshot_to(&path)));
+        let mut held = spec().checkpoint_to(&path).build();
+        held.steps(700);
+        held.snapshot_to(&path).unwrap();
+        let resumed = Simulation::resume_count(InfectionEpidemic, &path).unwrap();
+        assert_eq!(fingerprint(&resumed), fingerprint(&held));
+        assert_eq!(fingerprint(&plain), fingerprint(&held));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

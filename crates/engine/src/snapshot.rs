@@ -106,10 +106,11 @@ fn corrupt(msg: impl Into<String>) -> SnapshotError {
 
 /// A serialized engine state: the engine tag plus the opaque body bytes.
 ///
-/// Produced by [`crate::simulation::Engine::snapshot`] on
-/// checkpoint-enabled engines; persisted with [`Snapshot::write_atomic`];
-/// loaded with [`Snapshot::read`]; turned back into a live engine by the
-/// `Simulation` builders' `resume` methods.
+/// Produced by simulations built with checkpointing enabled (the
+/// builders' `checkpoint_to` / `resume`), at due checkpoints or on
+/// [`crate::Simulation::snapshot_to`]; persisted with
+/// [`Snapshot::write_atomic`]; loaded with [`Snapshot::read`]; turned back
+/// into a live engine by the `Simulation` builders' `resume` methods.
 pub struct Snapshot {
     pub(crate) kind: u8,
     pub(crate) body: Vec<u8>,

@@ -1,28 +1,28 @@
-//! `Engine`-trait conformance suite: every simulator behind the unified
-//! [`Engine`] interface must honor the same contract —
+//! Engine conformance suite: every engine a builder can build must honor
+//! the same contract behind [`Simulation`] —
 //!
 //! * `view()` is the occupied-state multiset: positive counts summing to
 //!   the population size;
 //! * `advance(budget)` executes between 1 and `budget` interactions and
-//!   never overshoots (run drivers rely on landing checkpoints exactly);
+//!   never overshoots (the run driver relies on landing checkpoints
+//!   exactly);
 //! * `time()` is `interactions / n`;
 //! * trajectories are a deterministic function of the seed;
-//! * the dynamic dispatch the sweep layer depends on (`Box<dyn Engine>`)
-//!   drives every engine to the same convergence result.
+//! * the one run driver takes every engine to the same convergence result.
 //!
-//! The suite runs against all four engines: `AgentSim`, `CountSim`,
-//! `BatchedCountSim`, and the adaptive `ConfigSim` facade.
+//! The suite runs every mode: the agent-protocol builder under
+//! `SimMode::Agent` and interned `SimMode::Count(Sequential | Batched |
+//! Auto)`, and the count-protocol builder under all three `EngineMode`s.
 
-use pp_engine::batch::{BatchedCountSim, ConfigSim};
-use pp_engine::count_sim::{CountConfiguration, CountSim};
-use pp_engine::simulation::{count_of, view_population, Engine, EngineKind, Simulation};
-use pp_engine::{AgentSim, Protocol, SimRng};
+use pp_engine::epidemic::InfectionEpidemic;
+use pp_engine::simulation::{count_of, view_population, EngineKind, SimMode, Simulation};
+use pp_engine::{EngineMode, Protocol, SimRng};
 
-// Above ConfigSim::BATCH_THRESHOLD so the Auto facade starts batched.
+// Above ConfigSim::BATCH_THRESHOLD so the Auto modes start batched.
 const N: u64 = 8_192;
 
-/// Agent-level one-way epidemic over `bool`, so all four engines share
-/// one state type and one conformance harness.
+/// Agent-level one-way epidemic over `bool`, so every mode shares one
+/// state type and one conformance harness.
 struct AgentEpidemic;
 
 impl Protocol for AgentEpidemic {
@@ -37,41 +37,52 @@ impl Protocol for AgentEpidemic {
     }
 }
 
-fn config() -> CountConfiguration<bool> {
-    CountConfiguration::from_pairs([(false, N - 1), (true, 1)])
-}
+const ENGINE_MODES: [EngineMode; 3] = [
+    EngineMode::Sequential,
+    EngineMode::Batched,
+    EngineMode::Auto,
+];
 
-/// All four engines, seeded, from the same single-source epidemic start.
-fn engines(seed: u64) -> Vec<(&'static str, Box<dyn Engine<bool>>)> {
-    use pp_engine::epidemic::InfectionEpidemic;
-    let mut agent = AgentSim::new(AgentEpidemic, N as usize, seed);
-    agent.set_state(0, true);
-    vec![
-        ("agent", Box::new(agent)),
-        (
-            "count",
-            Box::new(CountSim::new(InfectionEpidemic, config(), seed)),
-        ),
-        (
-            "batched",
-            Box::new(BatchedCountSim::new(InfectionEpidemic, config(), seed)),
-        ),
-        (
-            "config_auto",
-            Box::new(ConfigSim::new(InfectionEpidemic, config(), seed)),
-        ),
-        (
-            "config_sequential",
-            Box::new(ConfigSim::sequential(InfectionEpidemic, config(), seed)),
-        ),
-    ]
+/// Every mode, seeded, from the same single-source epidemic start, with
+/// the engine each one must start on.
+fn simulations(seed: u64) -> Vec<(String, EngineKind, Simulation<'static, bool>)> {
+    let kind = |mode: EngineMode| match mode {
+        EngineMode::Sequential => EngineKind::Sequential,
+        EngineMode::Batched | EngineMode::Auto => EngineKind::Batched,
+    };
+    let agent = |mode: SimMode| {
+        Simulation::builder(AgentEpidemic)
+            .size(N)
+            .seed(seed)
+            .mode(mode)
+            .deterministic()
+            .init_planted([(true, 1)])
+            .build()
+    };
+    let mut sims = vec![(
+        "agent".to_string(),
+        EngineKind::Agent,
+        agent(SimMode::Agent),
+    )];
+    for mode in ENGINE_MODES {
+        sims.push((format!("interned_{mode:?}"), kind(mode), agent(mode.into())));
+    }
+    for mode in ENGINE_MODES {
+        let sim = Simulation::count_builder(InfectionEpidemic)
+            .config([(false, N - 1), (true, 1)])
+            .seed(seed)
+            .mode(mode)
+            .build();
+        sims.push((format!("count_{mode:?}"), kind(mode), sim));
+    }
+    sims
 }
 
 #[test]
 fn view_is_the_population_multiset() {
-    for (name, mut engine) in engines(1) {
+    for (name, _, mut sim) in simulations(1) {
         for _ in 0..5 {
-            let view = engine.view();
+            let view = sim.view();
             assert_eq!(view_population(&view), N, "{name}: view does not sum to n");
             assert!(
                 view.iter().all(|&(_, c)| c > 0),
@@ -81,24 +92,24 @@ fn view_is_the_population_multiset() {
                 count_of(&view, &true) >= 1,
                 "{name}: infection lost from view"
             );
-            engine.advance(N / 4);
+            sim.advance(N / 4);
         }
     }
 }
 
 #[test]
 fn advance_lands_within_budget_and_never_overshoots() {
-    for (name, mut engine) in engines(2) {
-        assert_eq!(engine.interactions(), 0, "{name}: fresh engine not at 0");
+    for (name, _, mut sim) in simulations(2) {
+        assert_eq!(sim.interactions(), 0, "{name}: fresh engine not at 0");
         for budget in [1u64, 7, 64, 1_000] {
-            let before = engine.interactions();
-            let executed = engine.advance(budget);
+            let before = sim.interactions();
+            let executed = sim.advance(budget);
             assert!(
                 (1..=budget).contains(&executed),
                 "{name}: advance({budget}) executed {executed}"
             );
             assert_eq!(
-                engine.interactions(),
+                sim.interactions(),
                 before + executed,
                 "{name}: interaction clock out of sync with advance()"
             );
@@ -108,15 +119,15 @@ fn advance_lands_within_budget_and_never_overshoots() {
 
 #[test]
 fn time_is_interactions_over_n() {
-    for (name, mut engine) in engines(3) {
-        assert_eq!(engine.population_size(), N, "{name}");
+    for (name, _, mut sim) in simulations(3) {
+        assert_eq!(sim.population_size(), N, "{name}");
         for _ in 0..4 {
-            engine.advance(777);
-            let expect = engine.interactions() as f64 / N as f64;
+            sim.advance(777);
+            let expect = sim.interactions() as f64 / N as f64;
             assert!(
-                (engine.time() - expect).abs() < 1e-12,
+                (sim.time() - expect).abs() < 1e-12,
                 "{name}: time {} vs interactions/n {expect}",
-                engine.time()
+                sim.time()
             );
         }
     }
@@ -125,20 +136,20 @@ fn time_is_interactions_over_n() {
 #[test]
 fn trajectories_are_deterministic_given_seed() {
     let run = |seed: u64| -> Vec<(u64, Vec<(bool, u64)>)> {
-        engines(seed)
+        simulations(seed)
             .into_iter()
-            .map(|(_, mut engine)| {
+            .map(|(_, _, mut sim)| {
                 let mut executed = 0;
                 while executed < 3 * N {
-                    executed += engine.advance(3 * N - executed);
+                    executed += sim.advance(3 * N - executed);
                 }
-                let mut view = engine.view();
+                let mut view = sim.view();
                 view.sort();
-                (engine.interactions(), view)
+                (sim.interactions(), view)
             })
             .collect()
     };
-    assert_eq!(run(42), run(42), "same seed must reproduce all engines");
+    assert_eq!(run(42), run(42), "same seed must reproduce every mode");
     assert_ne!(
         run(42),
         run(43),
@@ -147,17 +158,9 @@ fn trajectories_are_deterministic_given_seed() {
 }
 
 #[test]
-fn dyn_dispatch_drives_every_engine_to_completion() {
-    for (name, engine) in engines(4) {
-        let expected_kind = match name {
-            "agent" => EngineKind::Agent,
-            "batched" | "config_auto" => EngineKind::Batched,
-            _ => EngineKind::Sequential,
-        };
-        assert_eq!(engine.kind(), expected_kind, "{name}");
-        // The sweep layer's shape: engine selected at runtime, driven
-        // through the one generic run loop.
-        let mut sim = Simulation::from_engine(engine);
+fn run_until_drives_every_mode_to_completion() {
+    for (name, kind, mut sim) in simulations(4) {
+        assert_eq!(sim.engine_kind(), kind, "{name}");
         let out = sim.run_until(|view| count_of(view, &true) == N, 1e6);
         assert!(out.converged, "{name}: epidemic never completed");
         assert_eq!(sim.count(&true), N, "{name}");

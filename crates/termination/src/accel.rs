@@ -175,7 +175,7 @@ impl<S: Copy + Ord + std::hash::Hash + std::fmt::Debug> TransitionRelation<S> {
 mod tests {
     use super::*;
     use crate::relation::Transition;
-    use pp_engine::count_sim::CountSim;
+    use pp_engine::{count_of, EngineMode, Simulation};
 
     fn epidemic_relation() -> TransitionRelation<u8> {
         // One-way epidemic: susceptible receiver + infected sender.
@@ -190,9 +190,13 @@ mod tests {
         let trials = 15;
         let mean_plain: f64 = (0..trials)
             .map(|s| {
-                let config = CountConfiguration::from_pairs([(0u8, n - 1), (1u8, 1)]);
-                let mut sim = CountSim::new(epidemic_relation(), config, 100 + s);
-                let out = sim.run_until(|c| c.count(&1) == n, 100, f64::MAX);
+                let (out, _) = Simulation::count_builder(epidemic_relation())
+                    .config([(0u8, n - 1), (1u8, 1)])
+                    .seed(100 + s)
+                    .mode(EngineMode::Sequential)
+                    .check_every(100)
+                    .until(move |view| count_of(view, &1) == n)
+                    .run();
                 out.time
             })
             .sum::<f64>()

@@ -147,8 +147,8 @@ impl<S: Copy + Ord + std::hash::Hash + std::fmt::Debug> CountProtocol for Transi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pp_engine::count_sim::{CountConfiguration, CountSim};
     use pp_engine::rng::rng_from_seed;
+    use pp_engine::{count_of, EngineMode, Simulation};
 
     #[test]
     fn deterministic_transition_applies() {
@@ -207,11 +207,16 @@ mod tests {
         // x, y -> y, y epidemic over {0 susceptible, 1 infected}: encode as
         // (0 rec, 1 sen) -> (1, 1).
         let rel = TransitionRelation::new([Transition::new(0u8, 1u8, 1u8, 1u8)]);
-        let config = CountConfiguration::from_pairs([(0u8, 999), (1u8, 1)]);
-        let mut sim = CountSim::new(rel, config, 2);
         // One-way epidemic where only (rec=0, sen=1) infects: completes in
         // O(log n) time all the same.
-        let out = sim.run_until(|c| c.count(&1) == 1000, 100, 1_000.0);
+        let (out, _) = Simulation::count_builder(rel)
+            .config([(0u8, 999), (1u8, 1)])
+            .seed(2)
+            .mode(EngineMode::Sequential)
+            .check_every(100)
+            .max_time(1_000.0)
+            .until(|view| count_of(view, &1) == 1000)
+            .run();
         assert!(out.converged);
     }
 }

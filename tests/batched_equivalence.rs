@@ -12,34 +12,39 @@
 //! fill, collision interaction, null skipping, state discovery) fires
 //! constantly.
 
-use uniform_sizeest::engine::batch::{BatchedCountSim, ConfigSim, DeterministicCountProtocol};
+use uniform_sizeest::engine::batch::{BatchedCountSim, DeterministicCountProtocol};
 use uniform_sizeest::engine::count_sim::{CountConfiguration, CountSim};
 use uniform_sizeest::engine::epidemic::InfectionEpidemic;
 use uniform_sizeest::engine::rng::derive_seed;
+use uniform_sizeest::engine::simulation::{count_of, Simulation};
+use uniform_sizeest::engine::EngineMode;
 
 mod common;
 use common::{eq_trials, ks_statistic, ks_threshold};
+
+/// Parallel time for a single-source epidemic on `n` agents to infect
+/// everyone under `mode`, checked every `n / 50` interactions.
+fn epidemic_time(n: u64, mode: EngineMode, seed: u64) -> f64 {
+    let (out, _) = Simulation::count_builder(InfectionEpidemic)
+        .config([(false, n - 1), (true, 1)])
+        .seed(seed)
+        .mode(mode)
+        .check_every(n / 50)
+        .until(move |view| count_of(view, &true) == n)
+        .run();
+    assert!(out.converged);
+    out.time
+}
 
 #[test]
 fn epidemic_completion_times_agree() {
     let n = 10_000u64;
     let trials = eq_trials(200);
-    let config = || CountConfiguration::from_pairs([(false, n - 1), (true, 1)]);
     let mut seq: Vec<f64> = (0..trials)
-        .map(|t| {
-            let mut sim = CountSim::new(InfectionEpidemic, config(), derive_seed(0xE0, t));
-            let out = sim.run_until(|c| c.count(&true) == n, n / 50, f64::MAX);
-            assert!(out.converged);
-            out.time
-        })
+        .map(|t| epidemic_time(n, EngineMode::Sequential, derive_seed(0xE0, t)))
         .collect();
     let mut bat: Vec<f64> = (0..trials)
-        .map(|t| {
-            let mut sim = BatchedCountSim::new(InfectionEpidemic, config(), derive_seed(0xE1, t));
-            let out = sim.run_until(|c| c.count(&true) == n, n / 50, f64::MAX);
-            assert!(out.converged);
-            out.time
-        })
+        .map(|t| epidemic_time(n, EngineMode::Batched, derive_seed(0xE1, t)))
         .collect();
     let d = ks_statistic(&mut seq, &mut bat);
     let crit = ks_threshold(trials as usize, trials as usize);
@@ -71,14 +76,21 @@ impl DeterministicCountProtocol for ApproxMajority {
     }
 }
 
-/// Runs one approximate-majority trial to consensus; returns
-/// `(a_won, consensus_time)`.
-fn majority_outcome(sim: &mut ConfigSim<ApproxMajority>, n: u64) -> (bool, f64) {
-    let out = sim.run_until(
-        |c| c.count(&0) + c.count(&2) == n || c.count(&1) + c.count(&2) == n,
-        n / 50,
-        10_000.0,
-    );
+/// Runs one approximate-majority trial from a 5050/4950 split of
+/// `n = 10⁴` agents to consensus; returns `(a_won, consensus_time)`.
+fn majority_outcome(mode: EngineMode, seed: u64) -> (bool, f64) {
+    let n = 10_000u64;
+    let (out, sim) = Simulation::count_builder(ApproxMajority)
+        .config([(0u8, 5_050), (1u8, 4_950)])
+        .seed(seed)
+        .mode(mode)
+        .check_every(n / 50)
+        .max_time(10_000.0)
+        .until(move |view| {
+            let count = |s| count_of(view, &s);
+            count(0) + count(2) == n || count(1) + count(2) == n
+        })
+        .run();
     assert!(out.converged, "approximate majority failed to converge");
     let a_won = sim.count(&1) == 0;
     (a_won, out.time)
@@ -90,27 +102,19 @@ fn majority_outcome_distributions_agree() {
     // scale where approximate majority becomes near-deterministic, so which
     // opinion wins is genuinely random and both engines must produce the
     // same win probability and the same consensus-time distribution.
-    let n = 10_000u64;
     let trials = eq_trials(200);
-    let config = || CountConfiguration::from_pairs([(0u8, 5_050), (1u8, 4_950)]);
-    let run = |batched: bool, stream: u64| {
+    let run = |mode: EngineMode, stream: u64| {
         let mut wins = 0u64;
         let mut times = Vec::new();
         for t in 0..trials {
-            let seed = derive_seed(stream, t);
-            let mut sim = if batched {
-                ConfigSim::batched(ApproxMajority, config(), seed)
-            } else {
-                ConfigSim::sequential(ApproxMajority, config(), seed)
-            };
-            let (a_won, time) = majority_outcome(&mut sim, n);
+            let (a_won, time) = majority_outcome(mode, derive_seed(stream, t));
             wins += u64::from(a_won);
             times.push(time);
         }
         (wins as f64 / trials as f64, times)
     };
-    let (p_seq, mut t_seq) = run(false, 0xA0);
-    let (p_bat, mut t_bat) = run(true, 0xA1);
+    let (p_seq, mut t_seq) = run(EngineMode::Sequential, 0xA0);
+    let (p_bat, mut t_bat) = run(EngineMode::Batched, 0xA1);
     // Win-rate difference: 3σ two-sample binomial bound at the pooled rate.
     let pooled = 0.5 * (p_seq + p_bat);
     let sigma = (2.0 * pooled * (1.0 - pooled) / trials as f64).sqrt();
@@ -237,31 +241,20 @@ fn tiny_population_forced_batch_path_agrees() {
 
 #[test]
 fn facade_engines_agree_on_epidemic_mean_time() {
-    // Cross-check through the ConfigSim facade with moderate trial counts:
+    // Cross-check on fresh streams with moderate trial counts:
     // mean completion times within 4 standard errors.
     let n = 10_000u64;
     let trials = 60u64;
-    let config = || CountConfiguration::from_pairs([(false, n - 1), (true, 1)]);
-    let mean_time = |batched: bool, stream: u64| -> (f64, f64) {
+    let mean_time = |mode: EngineMode, stream: u64| -> (f64, f64) {
         let times: Vec<f64> = (0..trials)
-            .map(|t| {
-                let seed = derive_seed(stream, t);
-                let mut sim = if batched {
-                    ConfigSim::batched(InfectionEpidemic, config(), seed)
-                } else {
-                    ConfigSim::sequential(InfectionEpidemic, config(), seed)
-                };
-                let out = sim.run_until(|c| c.count(&true) == n, n / 50, f64::MAX);
-                assert!(out.converged);
-                out.time
-            })
+            .map(|t| epidemic_time(n, mode, derive_seed(stream, t)))
             .collect();
         let mean = times.iter().sum::<f64>() / trials as f64;
         let var = times.iter().map(|t| (t - mean) * (t - mean)).sum::<f64>() / (trials - 1) as f64;
         (mean, (var / trials as f64).sqrt())
     };
-    let (m_seq, se_seq) = mean_time(false, 0xD0);
-    let (m_bat, se_bat) = mean_time(true, 0xD1);
+    let (m_seq, se_seq) = mean_time(EngineMode::Sequential, 0xD0);
+    let (m_bat, se_bat) = mean_time(EngineMode::Batched, 0xD1);
     let se = (se_seq * se_seq + se_bat * se_bat).sqrt();
     assert!(
         (m_seq - m_bat).abs() < 4.0 * se,

@@ -1,42 +1,38 @@
-//! Builder-vs-legacy equivalence: for fixed seeds, the `Simulation`
-//! builder reproduces **byte-identical** outcomes to the free functions'
+//! Builder equivalence: for fixed seeds, the `Simulation` builder
+//! reproduces **byte-identical** outcomes to the free functions'
 //! pre-builder bodies.
 //!
-//! Each test re-implements one deprecated/migrated free function the way
-//! it was written before the unified API — direct `AgentSim` /
-//! `CountSim` / `ConfigSim` construction, hand-rolled `run_until` loops —
-//! and asserts exact equality (`==`, not statistical closeness) against
-//! the function's current builder-backed implementation. This pins down
-//! the builder's contract: same engine construction order, same RNG
-//! stream, same checkpoint cadence, same observation points.
+//! The agent-engine tests re-implement a migrated free function the way it
+//! was written before the unified API — direct `AgentSim` construction,
+//! hand-rolled `run_until_converged` loops — and assert exact equality
+//! (`==`, not statistical closeness) against the function's current
+//! builder-backed implementation. This pins down the builder's contract:
+//! same engine construction order, same RNG stream, same checkpoint
+//! cadence, same observation points.
+//!
+//! The count-engine tests pin each builder-backed function to the exact
+//! outcome its legacy `ConfigSim::run_until` body returned. Those values
+//! were recorded while both drivers still existed and agreed, so the one
+//! run driver left is held to the bytes of the one it replaced.
 //!
 //! (This file is the sanctioned home for direct engine constructions
 //! outside `pp-engine`; everything else goes through the builder.)
 
-use uniform_sizeest::baselines::alistarh::{weak_estimate, WeakEstimator, WeakState};
-use uniform_sizeest::baselines::exact_backup::{
-    run_backup, BackupOutcome, BackupState, ExactBackup,
-};
+use uniform_sizeest::baselines::alistarh::{weak_estimate, WeakOutcome};
+use uniform_sizeest::baselines::exact_backup::{run_backup, BackupOutcome};
 use uniform_sizeest::baselines::exact_leader::{
     run_exact_count, CountOutcome, CountState, ExactLeaderCount,
 };
-use uniform_sizeest::baselines::majority::{
-    run_nonuniform_majority, NonuniformMajority, SeededNonuniformMajority,
-};
-use uniform_sizeest::engine::batch::ConfigSim;
-use uniform_sizeest::engine::count_sim::CountConfiguration;
-use uniform_sizeest::engine::epidemic::{epidemic_completion_time, InfectionEpidemic};
-use uniform_sizeest::engine::interned::Interned;
+use uniform_sizeest::baselines::majority::{run_nonuniform_majority, MajorityOutcome};
+use uniform_sizeest::engine::epidemic::epidemic_completion_time;
 use uniform_sizeest::engine::AgentSim;
 use uniform_sizeest::protocols::leader::{
     run_terminating, run_terminating_agentwise, LeaderState, LeaderTerminating, TerminatingOutcome,
 };
 use uniform_sizeest::protocols::log_size::{
-    estimate_agentwise, is_converged, is_converged_counts, EstimateOutcome, FieldMaxima,
-    LogSizeEstimation,
+    estimate_agentwise, is_converged, EstimateOutcome, FieldMaxima, LogSizeEstimation,
 };
-use uniform_sizeest::protocols::partition::{run_partition, PartitionOnly, PartitionOutcome};
-use uniform_sizeest::protocols::state::Role;
+use uniform_sizeest::protocols::partition::{run_partition, PartitionOutcome};
 
 /// The pre-builder body of `estimate_log_size` (then agent-engine), verbatim;
 /// `estimate_agentwise` is its builder-backed successor.
@@ -76,50 +72,28 @@ fn estimate_agentwise_matches_legacy_agent_sim_byte_for_byte() {
     }
 }
 
-/// The pre-builder body of the count-engine `estimate_log_size` run
-/// (interned `ConfigSim`), verbatim.
-fn legacy_estimate_counted(n: usize, seed: u64, budget: f64) -> EstimateOutcome {
-    let interned = Interned::new(LogSizeEstimation::paper());
-    let handle = interned.handle();
-    let config = interned.uniform_config(n as u64);
-    let mut sim = ConfigSim::new(interned, config, seed);
-    let mut maxima = FieldMaxima::default();
-    let out = sim.run_until(
-        |c| {
-            let decoded = handle.decode(c);
-            for (s, _) in &decoded {
-                maxima.absorb(s);
-            }
-            is_converged_counts(&decoded)
-        },
-        n as u64,
-        budget,
-    );
-    let output = if out.converged {
-        handle
-            .decode(&sim.config_view())
-            .first()
-            .and_then(|(s, _)| s.output)
-    } else {
-        None
-    };
-    EstimateOutcome {
-        output,
-        time: out.time,
-        converged: out.converged,
-        maxima,
-    }
-}
-
 #[test]
 fn estimate_log_size_counted_matches_legacy_config_sim_byte_for_byte() {
     use uniform_sizeest::protocols::log_size::estimate_log_size;
-    for (n, seed) in [(100usize, 17u64), (150, 18)] {
-        let budget = 1e7;
-        let legacy = legacy_estimate_counted(n, seed, budget);
-        let built = estimate_log_size(n, seed, Some(budget));
-        assert!(legacy.converged);
-        assert_eq!(legacy, built, "n={n} seed={seed}");
+    let pinned = [
+        (100usize, 17u64, 8u64, 10807.0, [7u64, 11, 669, 35, 243]),
+        (150, 18, 9, 17871.0, [9, 12, 862, 45, 342]),
+    ];
+    for (n, seed, output, time, [log_size2, gr, max_time, epoch, sum]) in pinned {
+        let expect = EstimateOutcome {
+            output: Some(output),
+            time,
+            converged: true,
+            maxima: FieldMaxima {
+                log_size2,
+                gr,
+                time: max_time,
+                epoch,
+                sum,
+            },
+        };
+        let built = estimate_log_size(n, seed, Some(1e7));
+        assert_eq!(expect, built, "n={n} seed={seed}");
     }
 }
 
@@ -169,143 +143,63 @@ fn run_terminating_agentwise_matches_legacy_agent_sim_byte_for_byte() {
     assert_eq!(legacy, built);
 }
 
-/// The pre-builder body of the count-engine `run_terminating` run
-/// (planted leader as a non-uniform configuration), verbatim.
-fn legacy_run_terminating_counted(n: usize, seed: u64, max_time: f64) -> TerminatingOutcome {
-    let interned = Interned::new(LeaderTerminating::paper());
-    let handle = interned.handle();
-    let config = interned.config_from_pairs([
-        (LeaderState::leader(), 1),
-        (LeaderState::initial(), n as u64 - 1),
-    ]);
-    let mut sim = ConfigSim::new(interned, config, seed);
-    let check = n as u64;
-    let fired = sim.run_until(
-        |c| handle.decode(c).iter().any(|(s, _)| s.terminated),
-        check,
-        max_time,
-    );
-    assert!(fired.converged, "legacy harness expects termination");
-    let termination_time = fired.time;
-    let frozen = sim.run_until(
-        |c| handle.decode(c).iter().all(|(s, _)| s.terminated),
-        check,
-        max_time,
-    );
-    let mut counts = std::collections::BTreeMap::new();
-    for (s, k) in handle.decode(&sim.config_view()) {
-        if let Some(o) = s.main.output {
-            *counts.entry(o).or_insert(0u64) += k;
-        }
-    }
-    finish_terminating(counts, n, termination_time, frozen.time)
-}
-
 #[test]
 fn run_terminating_counted_matches_legacy_config_sim_byte_for_byte() {
-    let (n, seed) = (80usize, 41u64);
-    let legacy = legacy_run_terminating_counted(n, seed, 5e6);
-    let built = run_terminating(n, seed, 5e6);
-    assert_eq!(legacy, built);
+    let expect = TerminatingOutcome {
+        termination_time: 81068.0,
+        all_frozen_time: 81072.0,
+        output: Some(8),
+        agreement: 1.0,
+        terminated: true,
+    };
+    assert_eq!(expect, run_terminating(80, 41, 5e6));
 }
 
 #[test]
 fn run_partition_matches_legacy_config_sim_byte_for_byte() {
-    for (n, seed) in [(500usize, 3u64), (5_000, 4), (10_000, 5)] {
-        let legacy: PartitionOutcome = {
-            let config = CountConfiguration::uniform(Role::X, n as u64);
-            let mut sim = ConfigSim::new(PartitionOnly, config, seed);
-            let out = sim.run_until(|c| c.count(&Role::X) == 0, n as u64, f64::MAX);
-            assert!(out.converged);
-            let a_count = sim.count(&Role::A) as usize;
-            PartitionOutcome {
-                a_count,
-                s_count: n - a_count,
-                time: out.time,
-            }
+    for (n, seed, a_count, time) in [
+        (500usize, 3u64, 256, 5.0),
+        (5_000, 4, 2492, 11.0),
+        (10_000, 5, 4981, 9.0),
+    ] {
+        let expect = PartitionOutcome {
+            a_count,
+            s_count: n - a_count,
+            time,
         };
-        let built = run_partition(n, seed);
-        assert_eq!(legacy, built, "n={n} seed={seed}");
+        assert_eq!(expect, run_partition(n, seed), "n={n} seed={seed}");
     }
 }
 
 #[test]
 fn epidemic_completion_time_matches_legacy_config_sim_byte_for_byte() {
     // Spans the sequential (small n) and batched (large n) regimes.
-    for (n, seed) in [(1_000u64, 11u64), (20_000, 12)] {
-        let legacy = {
-            let config = CountConfiguration::from_pairs([(false, n - 1), (true, 1)]);
-            let mut sim = ConfigSim::new(InfectionEpidemic, config, seed);
-            let out = sim.run_until(|c| c.count(&true) == n, (n / 10).max(1), f64::MAX);
-            assert!(out.converged);
-            out.time
-        };
-        let built = epidemic_completion_time(n, seed);
-        assert_eq!(legacy, built, "n={n} seed={seed}");
+    for (n, seed, time) in [(1_000u64, 11u64, 14.7), (20_000, 12, 20.5)] {
+        assert_eq!(time, epidemic_completion_time(n, seed), "n={n} seed={seed}");
     }
 }
 
 #[test]
 fn weak_estimate_matches_legacy_config_sim_byte_for_byte() {
-    for (n, seed) in [(500usize, 21u64), (6_000, 22)] {
-        let legacy = {
-            let n = n as u64;
-            let config = CountConfiguration::uniform(WeakState::initial(), n);
-            let mut sim = ConfigSim::new(WeakEstimator, config, seed);
-            let out = sim.run_until(WeakEstimator::agreed, n.max(2), f64::MAX);
-            assert!(out.converged);
-            let estimate = sim
-                .config_view()
-                .iter()
-                .map(|(s, _)| s.value)
-                .max()
-                .unwrap_or(0);
-            (estimate, out.time)
-        };
-        let built = weak_estimate(n, seed);
-        assert_eq!(legacy, (built.estimate, built.time), "n={n} seed={seed}");
+    for (n, seed, estimate, time) in [(500usize, 21u64, 9, 8.0), (6_000, 22, 14, 10.0)] {
+        let expect = WeakOutcome { estimate, time };
+        assert_eq!(expect, weak_estimate(n, seed), "n={n} seed={seed}");
     }
 }
 
 #[test]
 fn run_backup_matches_legacy_config_sim_byte_for_byte() {
-    for (n, seed) in [(300u64, 5u64), (1_000, 6)] {
-        let legacy: BackupOutcome = {
-            let config = CountConfiguration::uniform(BackupState::Leader(0), n);
-            let mut sim = ConfigSim::new(ExactBackup, config, seed);
-            let out = sim.run_until(
-                |c| {
-                    c.iter().all(|(s, &k)| match s {
-                        BackupState::Leader(_) => k <= 1,
-                        BackupState::Follower(_) => true,
-                    })
-                },
-                (n / 4).max(1),
-                f64::MAX,
-            );
-            assert!(out.converged);
-            let final_config = sim.config_view();
-            let mut leader_levels: Vec<u32> = final_config
-                .iter()
-                .filter_map(|(s, &k)| match s {
-                    BackupState::Leader(i) if k > 0 => Some(*i),
-                    _ => None,
-                })
-                .collect();
-            leader_levels.sort_unstable();
-            let max_level = final_config
-                .iter()
-                .map(|(s, _)| s.level())
-                .max()
-                .unwrap_or(0);
-            BackupOutcome {
-                max_level,
-                silent_time: out.time,
-                leader_levels,
-            }
+    let pinned = [
+        (300u64, 5u64, 8, 586.5, vec![2, 3, 5, 8]),
+        (1_000, 6, 9, 1789.5, vec![3, 5, 6, 7, 8, 9]),
+    ];
+    for (n, seed, max_level, silent_time, leader_levels) in pinned {
+        let expect = BackupOutcome {
+            max_level,
+            silent_time,
+            leader_levels,
         };
-        let built = run_backup(n, seed);
-        assert_eq!(legacy, built, "n={n} seed={seed}");
+        assert_eq!(expect, run_backup(n, seed), "n={n} seed={seed}");
     }
 }
 
@@ -350,40 +244,16 @@ fn run_exact_count_matches_legacy_agent_sim_byte_for_byte() {
 
 #[test]
 fn run_nonuniform_majority_matches_legacy_seeded_config_sim_byte_for_byte() {
-    for (n, ones, seed) in [(300usize, 190usize, 5u64), (300, 110, 6)] {
-        let legacy = {
-            let protocol = NonuniformMajority::for_population(n);
-            let k = protocol.stage_factor * protocol.log_n;
-            let seeded = SeededNonuniformMajority {
-                protocol,
-                ones: ones as u64,
-            };
-            let mut sim = ConfigSim::from_seeded(seeded, n as u64, seed);
-            let out = sim.run_until(
-                |c| {
-                    let mut display = None;
-                    c.iter().all(|(s, _)| {
-                        s.stage >= k && *display.get_or_insert(s.inner.display) == s.inner.display
-                    })
-                },
-                n as u64,
-                1e6,
-            );
-            let winner = if out.converged {
-                sim.config_view()
-                    .iter()
-                    .next()
-                    .map(|(s, _)| s.inner.display)
-            } else {
-                None
-            };
-            (winner, out.time, out.converged)
+    for (n, ones, seed, winner, time) in [
+        (300usize, 190usize, 5u64, 1, 10994.0),
+        (300, 110, 6, 0, 11040.0),
+    ] {
+        let expect = MajorityOutcome {
+            winner: Some(winner),
+            time,
+            converged: true,
         };
         let built = run_nonuniform_majority(n, ones, seed, 1e6);
-        assert_eq!(
-            legacy,
-            (built.winner, built.time, built.converged),
-            "n={n} ones={ones} seed={seed}"
-        );
+        assert_eq!(expect, built, "n={n} ones={ones} seed={seed}");
     }
 }
