@@ -26,7 +26,6 @@ use pp_engine::batch::DeterministicCountProtocol;
 use pp_engine::count_sim::{CountConfiguration, CountSeededInit};
 use pp_engine::rng::SimRng;
 use pp_engine::{Protocol, Simulation};
-use rand::Rng;
 
 /// Downstream per-agent majority state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -395,11 +394,6 @@ pub fn run_nonuniform_majority_agentwise(
         time: out.time,
         converged: out.converged,
     }
-}
-
-/// Quick sanity RNG helper for doc examples.
-pub fn _rng_demo(rng: &mut SimRng) -> bool {
-    rng.gen()
 }
 
 #[cfg(test)]

@@ -51,8 +51,10 @@
 //!   pinned by `EngineMode::Sequential` / `EngineMode::Batched`.
 //!
 //! Interactions per second and the batched/sequential speedup are recorded
-//! per workload so future PRs have a perf trajectory. Results land in
-//! `BENCH_batch.json` in the current directory.
+//! per workload so future changes have a perf trajectory. Results land in
+//! `BENCH_batch.json` in the current directory. After the rows, a samplers
+//! block prints ns/draw for three fixed-seed `hypergeometric` draws; it is
+//! neither gated nor written to the JSON.
 //!
 //! Usage: `cargo run --release --bin bench_batch [-- --quick] [--gate BASELINE.json]`
 //! (`--quick` drops `n = 10⁷`, whose sequential fixed-time runs take ~10 s
@@ -82,7 +84,7 @@ use pp_core::log_size::LogSizeEstimation;
 use pp_engine::batch::BatchedCountSim;
 use pp_engine::count_sim::{CountConfiguration, CountProtocol, CountSim};
 use pp_engine::epidemic::InfectionEpidemic;
-use pp_engine::rng::derive_seed;
+use pp_engine::rng::{derive_seed, hypergeometric, rng_from_seed};
 use pp_engine::{count_of, EngineMode, Metrics, Protocol, SimMode, Simulation};
 
 struct Measurement {
@@ -304,6 +306,34 @@ fn bench_interned<P: Protocol + Clone>(
         bat,
         counters: metrics.nonzero_counters(),
     });
+}
+
+/// Draws per `hypergeometric` timing in the samplers block.
+const SAMPLER_DRAWS: u32 = 1_000_000;
+
+/// Prints ns/draw for three `hypergeometric` draws the batch fill makes:
+/// a mid-epidemic fill at `n = 10⁶`, a pairing split, and a small-side
+/// row at `n = 10⁷` (3 receivers partnered from a ~2000-sender pool,
+/// drawn item by item). Absolute timings are not machine-normalized, so
+/// the gate does not read them and they stay out of the JSON.
+fn print_sampler_timings() {
+    for (total, successes, draws, seed) in [
+        (1_000_000, 500_000, 626, 13),
+        (626, 313, 300, 17),
+        (2_000, 150, 3, 19),
+    ] {
+        let mut rng = rng_from_seed(seed);
+        let start = Instant::now();
+        let mut sink = 0u64;
+        for _ in 0..SAMPLER_DRAWS {
+            sink = sink.wrapping_add(hypergeometric(total, successes, draws, &mut rng));
+        }
+        std::hint::black_box(sink);
+        eprintln!(
+            "[samplers] hypergeometric({total}, {successes}, {draws}): {:.1} ns/draw",
+            start.elapsed().as_nanos() as f64 / f64::from(SAMPLER_DRAWS)
+        );
+    }
 }
 
 /// Maximum tolerated drop in machine-normalized batched throughput
@@ -538,6 +568,7 @@ fn main() {
     };
     std::fs::write(out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
     println!("{json}");
+    print_sampler_timings();
 
     if let Some(baseline_path) = gate {
         let failures = gate_failures(&load_baseline(&baseline_path), &rows);

@@ -8,39 +8,45 @@
 //!
 //! Default sizes stop at 10⁴ (a 10⁵ trial simulates ~10¹⁰ interactions);
 //! pass `--full` to add 10⁵, or `--sizes`/`--trials` to customize.
+//!
+//! Runs on the sweep registry (`logsize_estimate` experiment): trials fan
+//! out over the seeded worker pool and `--journal PATH` makes runs
+//! resumable.
 
-use pp_bench::{ascii_scatter_logx, fmt, print_table, write_csv, HarnessArgs};
-use pp_core::log_size::estimate_log_size;
-use pp_sweep::trials::run_trials_threaded;
+use pp_bench::{
+    ascii_scatter_logx, experiments, fmt, print_table, run_sweep_or_exit, write_csv, HarnessArgs,
+};
 
 fn main() {
     let mut args = HarnessArgs::parse(&[100, 316, 1000, 3162, 10_000], 10);
     if args.full && !args.sizes.contains(&100_000) {
         args.sizes.push(100_000);
     }
+    let spec = args.sweep_spec("fig2_convergence");
     println!(
         "Figure 2: Log-Size-Estimation convergence time (trials={})",
-        args.trials
+        spec.effective_trials()
     );
     println!("paper: O(log^2 n) time w.p. >= 1 - 1/n^2; estimate within 5.7 of log n (within 2 in practice)\n");
+    let experiments = experiments::build(&["logsize_estimate"]).expect("registered");
+    let report = run_sweep_or_exit(&spec, &experiments);
 
     let mut rows = Vec::new();
     let mut points = Vec::new();
-    for &n in &args.sizes {
-        let outcomes = run_trials_threaded(args.seed ^ n, args.trials, args.threads, |_, seed| {
-            estimate_log_size(n as usize, seed, None)
-        });
-        let times: Vec<f64> = outcomes.iter().map(|o| o.value.time).collect();
-        let errors: Vec<f64> = outcomes.iter().filter_map(|o| o.value.error(n)).collect();
-        let converged = outcomes.iter().filter(|o| o.value.converged).count();
-        let summary = pp_analysis::stats::Summary::of(&times);
-        let max_abs_err = errors.iter().fold(0.0f64, |a, &e| a.max(e.abs()));
-        for &t in &times {
-            points.push((n as f64, t));
-        }
+    let mut means = Vec::new();
+    for point in report.points_for("logsize_estimate") {
+        let n = point.n;
+        let times = point.values("time");
+        let summary = point.summary("time");
+        let max_abs_err = point
+            .values("err")
+            .iter()
+            .fold(0.0f64, |a, &e| a.max(e.abs()));
+        points.extend(times.iter().map(|&t| (n as f64, t)));
+        means.push((n, summary.mean));
         rows.push(vec![
             n.to_string(),
-            converged.to_string(),
+            point.count_true("converged").to_string(),
             fmt(summary.mean),
             fmt(summary.min),
             fmt(summary.max),
@@ -59,12 +65,6 @@ fn main() {
     println!("\n{}", ascii_scatter_logx(&points, 70, 18));
 
     // The paper's scaling claim: time ~ log^2 n fits better than ~ log n.
-    let means: Vec<(u64, f64)> = args
-        .sizes
-        .iter()
-        .zip(rows.iter())
-        .map(|(&n, r)| (n, r[2].parse::<f64>().unwrap_or(0.0)))
-        .collect();
     if means.len() >= 3 {
         let (lin, quad) = pp_analysis::fit::compare_scaling_models(&means);
         println!(

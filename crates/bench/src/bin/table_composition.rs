@@ -4,49 +4,48 @@
 //! restart) should make the nonuniform cancellation/doubling majority and
 //! the coin-tournament leader election *uniform* at a constant-factor time
 //! cost. Measured: correctness of both against the nonuniform reference.
+//!
+//! Runs on the sweep registry (`uniform_majority`, `nonuniform_majority`
+//! and `uniform_election` experiments): trials fan out over the seeded
+//! worker pool and `--journal PATH` makes runs resumable.
 
-use pp_baselines::leader_election::run_uniform_election;
-use pp_baselines::majority::{run_nonuniform_majority, run_uniform_majority};
-use pp_bench::{fmt, print_table, write_csv, HarnessArgs};
-use pp_sweep::trials::run_trials_threaded;
+use pp_bench::{experiments, fmt, print_table, run_sweep_or_exit, write_csv, HarnessArgs};
 
 fn main() {
     let args = HarnessArgs::parse(&[200, 500, 1000], 8);
+    let spec = args.sweep_spec("table_composition");
     println!(
         "Composition framework: uniformized majority and leader election (trials={})",
-        args.trials
+        spec.effective_trials()
     );
+    let experiments = experiments::build(&[
+        "uniform_majority",
+        "nonuniform_majority",
+        "uniform_election",
+    ])
+    .expect("registered");
+    let report = run_sweep_or_exit(&spec, &experiments);
 
     println!("\nMajority with a 60/40 split:");
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     for &n in &args.sizes {
-        let ones = (n as usize) * 3 / 5;
-        let uni = run_trials_threaded(args.seed ^ n, args.trials, args.threads, |_, seed| {
-            run_uniform_majority(n as usize, ones, seed, 1e8)
-        });
-        let non = run_trials_threaded(args.seed ^ n ^ 9, args.trials, args.threads, |_, seed| {
-            run_nonuniform_majority(n as usize, ones, seed, 1e8)
-        });
-        let uni_correct = uni.iter().filter(|o| o.value.winner == Some(1)).count();
-        let non_correct = non.iter().filter(|o| o.value.winner == Some(1)).count();
-        let ut: Vec<f64> = uni.iter().map(|o| o.value.time).collect();
-        let nt: Vec<f64> = non.iter().map(|o| o.value.time).collect();
-        let us = pp_analysis::stats::Summary::of(&ut);
-        let ns = pp_analysis::stats::Summary::of(&nt);
+        let uni = report.point("uniform_majority", n);
+        let non = report.point("nonuniform_majority", n);
+        let (ut, nt) = (uni.mean("time"), non.mean("time"));
         rows.push(vec![
             n.to_string(),
-            format!("{}/{}", uni_correct, uni.len()),
-            format!("{}/{}", non_correct, non.len()),
-            fmt(us.mean),
-            fmt(ns.mean),
-            fmt(us.mean / ns.mean),
+            format!("{}/{}", uni.count_true("correct"), uni.trials.len()),
+            format!("{}/{}", non.count_true("correct"), non.trials.len()),
+            fmt(ut),
+            fmt(nt),
+            fmt(ut / nt),
         ]);
         csv.push(vec![
             n.to_string(),
-            format!("{}", uni_correct as f64 / uni.len() as f64),
-            format!("{}", us.mean),
-            format!("{}", ns.mean),
+            format!("{}", uni.mean("correct")),
+            format!("{ut}"),
+            format!("{nt}"),
         ]);
     }
     print_table(
@@ -63,19 +62,15 @@ fn main() {
 
     println!("\nLeader election (coin tournament):");
     let mut rows2 = Vec::new();
-    for &n in &args.sizes {
-        let outs = run_trials_threaded(args.seed ^ n ^ 21, args.trials, args.threads, |_, seed| {
-            run_uniform_election(n as usize, seed, 1e8)
-        });
-        let unique = outs.iter().filter(|o| o.value.contenders == 1).count();
-        let nonzero = outs.iter().filter(|o| o.value.contenders >= 1).count();
-        let times: Vec<f64> = outs.iter().map(|o| o.value.time).collect();
-        let s = pp_analysis::stats::Summary::of(&times);
+    for point in report.points_for("uniform_election") {
+        let contenders = point.values("contenders");
+        let unique = contenders.iter().filter(|&&c| c == 1.0).count();
+        let nonzero = contenders.iter().filter(|&&c| c >= 1.0).count();
         rows2.push(vec![
-            n.to_string(),
-            format!("{}/{}", unique, outs.len()),
-            format!("{}/{}", nonzero, outs.len()),
-            fmt(s.mean),
+            point.n.to_string(),
+            format!("{}/{}", unique, point.trials.len()),
+            format!("{}/{}", nonzero, point.trials.len()),
+            fmt(point.mean("time")),
         ]);
     }
     print_table(

@@ -6,56 +6,37 @@
 //! Alongside, Lemma 4.2's density claim: every `m-ρ`-producible state
 //! (including the terminated one) occupies a δ-fraction of the population
 //! by a constant time, with δ independent of `n`.
+//!
+//! The signal times run on the sweep registry (`counter_signal`,
+//! `fixed_signal` and `geometric_signal` experiments), so `--journal PATH`
+//! makes them resumable. The density check is one direct call per `n`.
 
-use pp_baselines::naive_terminating::{fixed_signal_time, geometric_signal_time};
-use pp_bench::{fmt, print_table, write_csv, HarnessArgs};
-use pp_sweep::trials::run_trials_threaded;
+use pp_bench::{experiments, fmt, print_table, run_sweep_or_exit, write_csv, HarnessArgs};
 use pp_termination::experiment::{
-    counter_dense_config, counter_protocol, signal_time, verify_density_lemma, COUNTER_T,
+    counter_dense_config, counter_protocol, verify_density_lemma, COUNTER_T,
 };
 
 fn main() {
     let args = HarnessArgs::parse(&[1000, 10_000, 100_000, 1_000_000], 5);
+    let spec = args.sweep_spec("table_termination_impossibility");
     println!(
         "Theorem 4.1: signal times of uniform dense protocols are O(1) in n (trials={})",
-        args.trials
+        spec.effective_trials()
     );
+    let signals = ["counter_signal", "fixed_signal", "geometric_signal"];
+    let experiments = experiments::build(&signals).expect("registered");
+    let report = run_sweep_or_exit(&spec, &experiments);
 
-    let counter = counter_protocol(8);
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     for &n in &args.sizes {
-        let t_counter = run_trials_threaded(args.seed ^ n, args.trials, args.threads, |_, seed| {
-            signal_time(
-                &counter,
-                counter_dense_config(n),
-                |&s| s == COUNTER_T,
-                1e5,
-                seed,
-            )
-            .expect("counter terminates")
-        });
-        let t_fixed =
-            run_trials_threaded(args.seed ^ n ^ 1, args.trials, args.threads, |_, seed| {
-                fixed_signal_time(n, 40, seed)
-            });
-        let t_geo = run_trials_threaded(args.seed ^ n ^ 2, args.trials, args.threads, |_, seed| {
-            geometric_signal_time(n, 10, seed)
-        });
-        let mean = |v: &[pp_sweep::trials::TrialOutcome<f64>]| {
-            v.iter().map(|o| o.value).sum::<f64>() / v.len() as f64
-        };
-        rows.push(vec![
-            n.to_string(),
-            fmt(mean(&t_counter)),
-            fmt(mean(&t_fixed)),
-            fmt(mean(&t_geo)),
-        ]);
+        let [counter, fixed, geo] = signals.map(|name| report.point(name, n).mean("time"));
+        rows.push(vec![n.to_string(), fmt(counter), fmt(fixed), fmt(geo)]);
         csv.push(vec![
             n.to_string(),
-            format!("{}", mean(&t_counter)),
-            format!("{}", mean(&t_fixed)),
-            format!("{}", mean(&t_geo)),
+            format!("{counter}"),
+            format!("{fixed}"),
+            format!("{geo}"),
         ]);
     }
     print_table(

@@ -2,7 +2,7 @@
 //! [`SweepExperiment`].
 //!
 //! This is the binding layer between the protocol crates and the sweep
-//! orchestrator: the migrated `table_*` binaries and the `sweep` CLI both
+//! orchestrator: every `table_*` and `fig*` binary and the `sweep` CLI
 //! resolve experiments here, so a measurement is defined exactly once. A
 //! registry experiment maps one [`pp_sweep::TrialCtx`] — grid population size,
 //! derived seed, engine policy — to a fixed vector of named metrics
@@ -22,14 +22,16 @@ use pp_baselines::alistarh::weak_estimate;
 use pp_baselines::exact_backup::run_backup;
 use pp_baselines::exact_leader::run_exact_count;
 use pp_baselines::intro_functions::{double_time, halve_time};
+use pp_baselines::leader_election::run_uniform_election;
+use pp_baselines::majority::{run_nonuniform_majority, run_uniform_majority};
+use pp_baselines::naive_terminating::{fixed_signal_time, geometric_signal_time};
 use pp_core::leader::terminating_in_mode;
 use pp_core::log_size::{estimate_in_mode, estimate_log_size, estimate_with, LogSizeEstimation};
 use pp_core::partition::run_partition;
 use pp_core::synthetic::estimate_log_size_synthetic;
 use pp_core::upper_bound::estimate_upper_bound;
-use pp_engine::epidemic::{InfectionEpidemic, SubState, SubpopulationEpidemic};
+use pp_engine::epidemic::{epidemic_completion_time_in_mode, subpopulation_epidemic_time_in_mode};
 use pp_engine::rng::rng_from_seed;
-use pp_engine::{count_of, Simulation};
 use pp_sweep::SweepExperiment;
 use pp_termination::experiment::counter_signal_trial;
 
@@ -67,6 +69,11 @@ pub fn names() -> &'static [&'static str] {
         "exact_leader_count",
         "leader_termination",
         "counter_signal",
+        "fixed_signal",
+        "geometric_signal",
+        "uniform_majority",
+        "nonuniform_majority",
+        "uniform_election",
         "logsize2_band",
         "state_bounds",
         "partition",
@@ -83,45 +90,23 @@ pub fn names() -> &'static [&'static str] {
 pub fn experiment(name: &str) -> Option<SweepExperiment> {
     Some(match name {
         // Full-population one-way epidemic (Lemma A.1): completion time.
-        // The spec's engine policy reaches the builder via `.mode(ctx.engine)`.
+        // The spec's engine policy reaches the builder through the
+        // helper's `mode` argument.
         "epidemic_full" => SweepExperiment::new("epidemic_full", &["time"], |ctx| {
-            let n = ctx.n;
-            let (out, _) = Simulation::count_builder(InfectionEpidemic)
-                .config([(false, n - 1), (true, 1)])
-                .seed(ctx.seed)
-                .mode(ctx.engine)
-                .check_every((n / 10).max(1))
-                .until(move |view| count_of(view, &true) == n)
-                .run();
-            debug_assert!(out.converged);
-            vec![out.time]
+            vec![epidemic_completion_time_in_mode(
+                ctx.n, ctx.seed, ctx.engine,
+            )]
         })
         .with_engine_hook(),
         // Epidemic confined to an n/3 subpopulation (Corollary 3.4).
-        // Honors the spec's engine policy through the same builder hook.
+        // Honors the spec's engine policy the same way.
         "epidemic_sub3" => SweepExperiment::new("epidemic_sub3", &["time"], |ctx| {
-            let (n, a) = (ctx.n, ctx.n / 3);
-            let member_inf = SubState {
-                member: true,
-                infected: true,
-            };
-            let member_sus = SubState {
-                member: true,
-                infected: false,
-            };
-            let outsider = SubState {
-                member: false,
-                infected: false,
-            };
-            let (out, _) = Simulation::count_builder(SubpopulationEpidemic)
-                .config([(member_inf, 1), (member_sus, a - 1), (outsider, n - a)])
-                .seed(ctx.seed)
-                .mode(ctx.engine)
-                .check_every((n / 10).max(1))
-                .until(move |view| count_of(view, &member_inf) == a)
-                .run();
-            debug_assert!(out.converged);
-            vec![out.time]
+            vec![subpopulation_epidemic_time_in_mode(
+                ctx.n,
+                ctx.n / 3,
+                ctx.seed,
+                ctx.engine,
+            )]
         })
         .with_engine_hook(),
         // The paper's Log-Size-Estimation protocol (Theorem 3.1): signed
@@ -215,6 +200,40 @@ pub fn experiment(name: &str) -> Option<SweepExperiment> {
         "counter_signal" => SweepExperiment::new("counter_signal", &["time"], |ctx| {
             vec![counter_signal_trial(ctx.n, 8, ctx.seed)]
         }),
+        // Theorem 4.1's other two "terminating" dense protocols: the
+        // threshold-40 fixed counter and the ×10 geometric timer. Their
+        // signal times are flat in n like the counter's.
+        "fixed_signal" => SweepExperiment::new("fixed_signal", &["time"], |ctx| {
+            vec![fixed_signal_time(ctx.n, 40, ctx.seed)]
+        }),
+        "geometric_signal" => SweepExperiment::new("geometric_signal", &["time"], |ctx| {
+            vec![geometric_signal_time(ctx.n, 10, ctx.seed)]
+        }),
+        // §1.1 composition: the uniformized cancellation/doubling majority
+        // and its nonuniform reference on a 60/40 split — whether the
+        // majority opinion 1 won, and the convergence time.
+        "uniform_majority" => {
+            SweepExperiment::new("uniform_majority", &["correct", "time"], |ctx| {
+                let n = ctx.n as usize;
+                let out = run_uniform_majority(n, n * 3 / 5, ctx.seed, 1e8);
+                vec![f64::from(out.winner == Some(1)), out.time]
+            })
+        }
+        "nonuniform_majority" => {
+            SweepExperiment::new("nonuniform_majority", &["correct", "time"], |ctx| {
+                let n = ctx.n as usize;
+                let out = run_nonuniform_majority(n, n * 3 / 5, ctx.seed, 1e8);
+                vec![f64::from(out.winner == Some(1)), out.time]
+            })
+        }
+        // §1.1 composition: the uniformized coin-tournament leader
+        // election — surviving contenders (never 0) and completion time.
+        "uniform_election" => {
+            SweepExperiment::new("uniform_election", &["contenders", "time"], |ctx| {
+                let out = run_uniform_election(ctx.n as usize, ctx.seed, 1e8);
+                vec![out.contenders as f64, out.time]
+            })
+        }
         // Lemma 3.8 logSize2 band, protocol-in-the-loop: the value the
         // full protocol settles on and whether it landed inside
         // `[log n − log ln n, 2 log n + 1]` (the fast Monte-Carlo half of
@@ -383,6 +402,41 @@ mod tests {
             "{err}"
         );
         assert!(build(&Vec::<String>::new()).is_err());
+    }
+
+    #[test]
+    fn signal_and_composition_trials_are_sane() {
+        let names = [
+            "fixed_signal",
+            "geometric_signal",
+            "uniform_majority",
+            "nonuniform_majority",
+            "uniform_election",
+        ];
+        let mut spec = pp_sweep::SweepSpec::new("t", vec![200], 2);
+        spec.master_seed = 7;
+        let report = pp_sweep::run_sweep(&spec, &build(&names).unwrap()).unwrap();
+        for name in names {
+            let point = report.point(name, 200);
+            assert_eq!(point.trials.len(), 2, "{name}");
+            for time in point.raw_values("time") {
+                assert!(time.is_finite() && time > 0.0, "{name} time {time}");
+            }
+        }
+        assert_eq!(report.point("fixed_signal", 200).metrics, ["time"]);
+        assert_eq!(report.point("geometric_signal", 200).metrics, ["time"]);
+        for name in ["uniform_majority", "nonuniform_majority"] {
+            let point = report.point(name, 200);
+            assert_eq!(point.metrics, ["correct", "time"]);
+            for c in point.raw_values("correct") {
+                assert!(c == 0.0 || c == 1.0, "{name} correct {c}");
+            }
+        }
+        let election = report.point("uniform_election", 200);
+        assert_eq!(election.metrics, ["contenders", "time"]);
+        for c in election.raw_values("contenders") {
+            assert!(c >= 1.0, "election left {c} contenders");
+        }
     }
 
     #[test]

@@ -13,10 +13,8 @@
 //! 3. accepts `--sizes n1,n2,...`, `--trials T`, `--seed S`, `--threads W`,
 //!    `--journal PATH`, and `--full` where meaningful.
 //!
-//! The sweep-shaped binaries (`table_epidemic`, `table_time_scaling`,
-//! `table_baseline_estimators`, `table_leader_termination`,
-//! `table_error_band`, `table_prob1_upper`, and the generic `sweep` CLI)
-//! run on the `pp-sweep` orchestration layer: experiments come from the
+//! Every `table_*` and `fig*` binary, and the generic `sweep` CLI, runs
+//! on the `pp-sweep` orchestration layer: experiments come from the
 //! [`experiments`] registry, trials fan out over a seeded worker pool
 //! (output independent of thread count), `--journal` makes runs
 //! resumable — carrying each trial's engine telemetry counters (rendered
@@ -249,7 +247,7 @@ impl HarnessArgs {
 }
 
 /// Runs a sweep and exits with a readable error on failure — the shared
-/// entry point of the migrated `table_*` binaries.
+/// entry point of the `table_*` and `fig*` binaries.
 pub fn run_sweep_or_exit(
     spec: &SweepSpec,
     experiments: &[pp_sweep::SweepExperiment],

@@ -9,7 +9,8 @@
 //! a subpopulation (the role-A agents).
 //!
 //! This module provides the epidemic as a standalone protocol plus direct
-//! measurement helpers used by the `table_epidemic` harness.
+//! measurement helpers; the sweep registry's `epidemic_full` and
+//! `epidemic_sub3` experiments call the `*_in_mode` forms.
 
 use crate::batch::{DeterministicCountProtocol, EngineMode};
 use crate::protocol::Protocol;
@@ -60,10 +61,11 @@ impl DeterministicCountProtocol for InfectionEpidemic {
 /// `n` (the protocol is deterministic), so `n = 10⁷` completes in
 /// milliseconds.
 pub fn epidemic_completion_time(n: u64, seed: u64) -> f64 {
-    completion_time_impl(n, seed, EngineMode::Auto)
+    epidemic_completion_time_in_mode(n, seed, EngineMode::Auto)
 }
 
-fn completion_time_impl(n: u64, seed: u64, mode: EngineMode) -> f64 {
+/// [`epidemic_completion_time`] on the engine `mode` selects.
+pub fn epidemic_completion_time_in_mode(n: u64, seed: u64, mode: EngineMode) -> f64 {
     assert!(n >= 2);
     let (out, _) = Simulation::count_builder(InfectionEpidemic)
         .config([(false, n - 1), (true, 1)])
@@ -115,10 +117,11 @@ impl DeterministicCountProtocol for SubpopulationEpidemic {
 /// size `a` inside a population of size `n` (Corollary 3.4: the slowdown is
 /// the factor `n(n-1)/(a(a-1))` in expectation).
 pub fn subpopulation_epidemic_time(n: u64, a: u64, seed: u64) -> f64 {
-    subpopulation_time_impl(n, a, seed, EngineMode::Auto)
+    subpopulation_epidemic_time_in_mode(n, a, seed, EngineMode::Auto)
 }
 
-fn subpopulation_time_impl(n: u64, a: u64, seed: u64, mode: EngineMode) -> f64 {
+/// [`subpopulation_epidemic_time`] on the engine `mode` selects.
+pub fn subpopulation_epidemic_time_in_mode(n: u64, a: u64, seed: u64, mode: EngineMode) -> f64 {
     assert!(a >= 2 && a <= n);
     let member_inf = SubState {
         member: true,

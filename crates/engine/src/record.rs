@@ -2,7 +2,8 @@
 //!
 //! Experiment harnesses need time series ("count of state s at time t",
 //! "max field value seen so far") rather than just final outcomes. A
-//! [`Trace`] collects user-defined summaries on a fixed parallel-time cadence.
+//! [`Trace`] collects user-defined summaries on a fixed parallel-time cadence;
+//! `pp_core::trace::run_with_trace` fills one from a `Simulation` observer.
 
 /// One sampled point of a trajectory.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,59 +71,9 @@ impl<T> Trace<T> {
     }
 }
 
-/// Records a trace of `summary(states)` from an [`crate::sim::AgentSim`],
-/// sampling every `cadence` units of parallel time up to `max_time`.
-pub fn record_agent_trace<P, T>(
-    sim: &mut crate::sim::AgentSim<P>,
-    cadence: f64,
-    max_time: f64,
-    mut summary: impl FnMut(&[P::State]) -> T,
-) -> Trace<T>
-where
-    P: crate::protocol::Protocol,
-{
-    assert!(cadence > 0.0, "cadence must be positive");
-    let mut trace = Trace::new();
-    trace.push(sim.time(), summary(sim.states()));
-    let mut next = sim.time() + cadence;
-    while next <= max_time {
-        sim.run_for_time(cadence);
-        trace.push(sim.time(), summary(sim.states()));
-        next += cadence;
-    }
-    trace
-}
-
-/// Records a trace of `summary(config)` from a [`crate::count_sim::CountSim`],
-/// sampling every `cadence` units of parallel time up to `max_time`.
-pub fn record_count_trace<P, T>(
-    sim: &mut crate::count_sim::CountSim<P>,
-    cadence: f64,
-    max_time: f64,
-    mut summary: impl FnMut(&crate::count_sim::CountConfiguration<P::State>) -> T,
-) -> Trace<T>
-where
-    P: crate::count_sim::CountProtocol,
-{
-    assert!(cadence > 0.0, "cadence must be positive");
-    let mut trace = Trace::new();
-    trace.push(sim.time(), summary(sim.config()));
-    let mut next = sim.time() + cadence;
-    while next <= max_time {
-        sim.run_for_time(cadence);
-        trace.push(sim.time(), summary(sim.config()));
-        next += cadence;
-    }
-    trace
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::count_sim::{CountConfiguration, CountSim};
-    use crate::epidemic::InfectionEpidemic;
-    use crate::epidemic::MaxEpidemic;
-    use crate::sim::AgentSim;
 
     #[test]
     fn trace_basics() {
@@ -137,38 +88,5 @@ mod tests {
         assert_eq!(t.first_time(|&v| v >= 100), None);
         let doubled = t.map(|v| v * 2);
         assert_eq!(doubled.points()[2].value, 18);
-    }
-
-    #[test]
-    fn count_trace_monotone_infection() {
-        let config = CountConfiguration::from_pairs([(false, 499), (true, 1)]);
-        let mut sim = CountSim::new(InfectionEpidemic, config, 3);
-        let trace = record_count_trace(&mut sim, 1.0, 30.0, |c| c.count(&true));
-        assert!(trace.len() >= 30);
-        // Infection counts never decrease.
-        let mut prev = 0;
-        for p in trace.points() {
-            assert!(p.value >= prev, "infection count decreased");
-            prev = p.value;
-        }
-        assert_eq!(trace.last().unwrap().value, 500);
-    }
-
-    #[test]
-    fn agent_trace_records_convergence_point() {
-        let mut sim = AgentSim::new(MaxEpidemic, 100, 4);
-        sim.set_state(0, 42);
-        let trace = record_agent_trace(&mut sim, 0.5, 40.0, |s| {
-            s.iter().filter(|&&v| v == 42).count()
-        });
-        let t = trace.first_time(|&c| c == 100).expect("should converge");
-        assert!(t > 0.0 && t < 40.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "cadence must be positive")]
-    fn zero_cadence_rejected() {
-        let mut sim = AgentSim::new(MaxEpidemic, 10, 0);
-        record_agent_trace(&mut sim, 0.0, 1.0, |_| 0);
     }
 }

@@ -8,8 +8,9 @@
 //! errors, termination probabilities — is a *sweep*: run `T` independent
 //! trials at each point of a parameter grid (protocol × population size)
 //! and aggregate. This crate is the orchestration layer that executes such
-//! sweeps, replacing the bespoke trial/stats/IO loops the `table_*` harness
-//! binaries used to hand-roll:
+//! sweeps, and it is the only trial runner in the workspace: every
+//! `table_*` and `fig*` harness binary and the `sweep` CLI run their
+//! trials through [`run_sweep`]:
 //!
 //! * **Declarative grids.** A [`SweepSpec`] names the experiments to run,
 //!   the population sizes, the trial count, the engine policy
@@ -101,7 +102,6 @@ pub mod journal;
 pub mod json;
 pub mod run;
 pub mod spec;
-pub mod trials;
 
 pub use agg::{PointResult, SweepReport, TrialRecord};
 pub use run::{
@@ -109,4 +109,3 @@ pub use run::{
     SweepError, SweepExperiment, TrialCtx, TrialEvent,
 };
 pub use spec::SweepSpec;
-pub use trials::{run_trials, run_trials_threaded, TrialOutcome};

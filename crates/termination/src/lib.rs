@@ -29,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod accel;
 pub mod density;
 pub mod experiment;
 pub mod producible;
