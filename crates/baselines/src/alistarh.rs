@@ -10,19 +10,22 @@
 //! main protocol's constant additive error — and also its first stage
 //! (`logSize2`).
 //!
-//! Implemented as a [`CountProtocol`] over the unified count representation:
-//! the occupied state space is only `O(log n)` values, so the protocol runs
-//! on the count engines at millions of agents. It is *randomized* (the first
-//! interaction of each agent draws a geometric), yet still batches: once
-//! both participants have sampled, the pair's outcome is the deterministic
-//! max-merge, which the batched engine bulk-applies; only the short sampling
-//! prefix (unbounded geometric support) falls back to per-interaction
-//! sampling. This is the repository's showcase that randomized paper
-//! protocols now reach batched speed — see `bench_batch`.
+//! Implemented both as a [`CountProtocol`] over the unified count
+//! representation and as a per-agent [`Protocol`] with the same transition.
+//! The occupied state space is only `O(log n)` values, so at millions of
+//! agents the protocol runs on the count engines. It is *randomized* (the
+//! first interaction of each agent draws a geometric), yet still batches:
+//! once both participants have sampled, the pair's outcome is the
+//! deterministic max-merge, which the batched engine bulk-applies; only the
+//! short sampling prefix (unbounded geometric support) falls back to
+//! per-interaction sampling. This is the repository's showcase that
+//! randomized paper protocols reach batched speed — see `bench_batch`.
+//! Below the measured crossover (2¹⁷ agents) [`weak_estimate`] runs the
+//! per-agent engine instead, which is faster there: see `AGENT_MAX_N`.
 
 use pp_engine::count_sim::{CountProtocol, Outcomes};
 use pp_engine::rng::{geometric_half, SimRng};
-use pp_engine::Simulation;
+use pp_engine::{Protocol, SimMode, Simulation};
 
 /// Per-agent state: the sampled/adopted maximum (0 = not yet sampled).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -100,6 +103,18 @@ impl CountProtocol for WeakEstimator {
     }
 }
 
+impl Protocol for WeakEstimator {
+    type State = WeakState;
+
+    fn initial_state(&self) -> WeakState {
+        WeakState::initial()
+    }
+
+    fn interact(&self, rec: &mut WeakState, sen: &mut WeakState, rng: &mut SimRng) {
+        (*rec, *sen) = self.transition(*rec, *sen, rng);
+    }
+}
+
 /// Outcome of one weak-estimation run.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct WeakOutcome {
@@ -109,8 +124,34 @@ pub struct WeakOutcome {
     pub time: f64,
 }
 
-/// Runs the weak estimator to agreement on the count engines (batched at
-/// large populations).
+/// Largest population [`weak_estimate`] runs on the per-agent engine; above
+/// it the count engines (batched) take over.
+///
+/// Set from the measured crossover: median ns per interaction of
+/// `weak_estimate`'s run (build, `check_every = n`,
+/// [`WeakEstimator::agreed_view`], to agreement), count engines under
+/// `EngineMode::Auto` vs `SimMode::Agent`, same seeds, alternating, ~3 s of
+/// trials per cell on a 2-core x86-64 host. The last size where Agent is at
+/// least as fast is 2¹⁷ (three repeats there read 28.9/29.6/28.9 vs
+/// 27.0/26.2/25.0; at 2¹⁸, 21.6/23.9/24.5 vs 26.5/28.6/29.3).
+///
+/// | n | count Auto | Agent |
+/// |---|---|---|
+/// | 10³ | 68.5 | 23.3 |
+/// | 10⁴ | 60.6 | 22.4 |
+/// | 2¹⁵ | 44.0 | 22.6 |
+/// | 2¹⁶ | 36.5 | 23.5 |
+/// | 2¹⁷ | 28.9 | 27.0 |
+/// | 2¹⁸ | 21.6 | 26.5 |
+/// | 2¹⁹ | 18.8 | 31.7 |
+/// | 2²⁰ | 14.7 | 43.2 |
+const AGENT_MAX_N: u64 = 1 << 17;
+
+/// Runs the weak estimator to agreement: on the per-agent engine up to
+/// `AGENT_MAX_N` (2¹⁷) agents, where its array writes beat the count
+/// engines' per-interaction bookkeeping, and on the count engines (batched)
+/// above that measured crossover. Both check agreement every `n`
+/// interactions and report the largest value in the final view.
 ///
 /// ```
 /// use pp_baselines::alistarh::weak_estimate;
@@ -122,13 +163,23 @@ pub struct WeakOutcome {
 /// ```
 pub fn weak_estimate(n: usize, seed: u64) -> WeakOutcome {
     let n = n as u64;
-    let (out, sim) = Simulation::count_builder(WeakEstimator)
-        .size(n)
-        .uniform(WeakState::initial())
-        .seed(seed)
-        .check_every(n.max(2))
-        .until(WeakEstimator::agreed_view)
-        .run();
+    let (out, sim) = if n <= AGENT_MAX_N {
+        Simulation::builder(WeakEstimator)
+            .mode(SimMode::Agent)
+            .size(n)
+            .seed(seed)
+            .check_every(n.max(2))
+            .until(WeakEstimator::agreed_view)
+            .run()
+    } else {
+        Simulation::count_builder(WeakEstimator)
+            .size(n)
+            .uniform(WeakState::initial())
+            .seed(seed)
+            .check_every(n.max(2))
+            .until(WeakEstimator::agreed_view)
+            .run()
+    };
     debug_assert!(out.converged);
     let estimate = sim.view().iter().map(|(s, _)| s.value).max().unwrap_or(0);
     WeakOutcome {
@@ -195,32 +246,52 @@ mod tests {
     #[test]
     fn batched_and_sequential_estimates_agree_statistically() {
         // The mixed sampled/deterministic law structure must not bias the
-        // estimate: compare the batched and sequential estimate means.
+        // estimate, and neither may the engine `weak_estimate` picks:
+        // compare the sequential, batched and per-agent estimate means.
         let n = 30_000u64;
         let trials = 40;
-        let mean = |mode: EngineMode, stream: u64| -> f64 {
+        let mean = |mode: SimMode, stream: u64| -> f64 {
             (0..trials)
                 .map(|t| {
-                    let (out, sim) = Simulation::count_builder(WeakEstimator)
-                        .size(n)
-                        .uniform(WeakState::initial())
-                        .seed(derive_seed(stream, t))
-                        .mode(mode)
-                        .until(WeakEstimator::agreed_view)
-                        .run();
+                    let seed = derive_seed(stream, t);
+                    let (out, sim) = match mode {
+                        SimMode::Agent => Simulation::builder(WeakEstimator)
+                            .mode(mode)
+                            .size(n)
+                            .seed(seed)
+                            .until(WeakEstimator::agreed_view)
+                            .run(),
+                        SimMode::Count(mode) => Simulation::count_builder(WeakEstimator)
+                            .size(n)
+                            .uniform(WeakState::initial())
+                            .seed(seed)
+                            .mode(mode)
+                            .until(WeakEstimator::agreed_view)
+                            .run(),
+                    };
                     assert!(out.converged);
                     sim.view().iter().map(|(s, _)| s.value).max().unwrap() as f64
                 })
                 .sum::<f64>()
                 / trials as f64
         };
-        let m_seq = mean(EngineMode::Sequential, 0x11);
-        let m_bat = mean(EngineMode::Batched, 0x12);
+        let m_seq = mean(EngineMode::Sequential.into(), 0x11);
+        let m_bat = mean(EngineMode::Batched.into(), 0x12);
+        let m_agent = mean(SimMode::Agent, 0x13);
         // Max-of-geometrics has σ ≈ 1.9; means over 40 trials within ~1.2.
-        assert!(
-            (m_seq - m_bat).abs() < 1.2,
-            "estimate means diverge: sequential {m_seq} vs batched {m_bat}"
-        );
+        let means = [
+            ("sequential", m_seq),
+            ("batched", m_bat),
+            ("agent", m_agent),
+        ];
+        for (i, (a, ma)) in means.iter().enumerate() {
+            for (b, mb) in &means[i + 1..] {
+                assert!(
+                    (ma - mb).abs() < 1.2,
+                    "estimate means diverge: {a} {ma} vs {b} {mb}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -133,8 +133,9 @@ pub fn experiment(name: &str) -> Option<SweepExperiment> {
             .with_engine_hook()
         }
         // Alistarh et al.'s max-geometric weak estimator: signed error of
-        // the settled maximum vs log₂ n, and agreement time. Runs on
-        // `ConfigSim` (adaptive).
+        // the settled maximum vs log₂ n, and agreement time. Runs on the
+        // per-agent engine up to 2¹⁷ agents and on the batched count
+        // engine above (`weak_estimate`'s measured crossover).
         "weak_estimator" => SweepExperiment::new("weak_estimator", &["err", "time"], |ctx| {
             let out = weak_estimate(ctx.n as usize, ctx.seed);
             vec![out.estimate as f64 - (ctx.n as f64).log2(), out.time]

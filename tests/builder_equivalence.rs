@@ -18,14 +18,14 @@
 //! (This file is the sanctioned home for direct engine constructions
 //! outside `pp-engine`; everything else goes through the builder.)
 
-use uniform_sizeest::baselines::alistarh::{weak_estimate, WeakOutcome};
+use uniform_sizeest::baselines::alistarh::{weak_estimate, WeakEstimator, WeakOutcome, WeakState};
 use uniform_sizeest::baselines::exact_backup::{run_backup, BackupOutcome};
 use uniform_sizeest::baselines::exact_leader::{
     run_exact_count, CountOutcome, CountState, ExactLeaderCount,
 };
 use uniform_sizeest::baselines::majority::{run_nonuniform_majority, MajorityOutcome};
 use uniform_sizeest::engine::epidemic::epidemic_completion_time;
-use uniform_sizeest::engine::AgentSim;
+use uniform_sizeest::engine::{AgentSim, Simulation};
 use uniform_sizeest::protocols::leader::{
     run_terminating, run_terminating_agentwise, LeaderState, LeaderTerminating, TerminatingOutcome,
 };
@@ -179,9 +179,37 @@ fn epidemic_completion_time_matches_legacy_config_sim_byte_for_byte() {
     }
 }
 
+/// `weak_estimate`'s count-engine body (its path above the per-agent
+/// crossover), built directly so the pin holds at any population size.
+fn weak_estimate_counted(n: usize, seed: u64) -> WeakOutcome {
+    let n = n as u64;
+    let (out, sim) = Simulation::count_builder(WeakEstimator)
+        .size(n)
+        .uniform(WeakState::initial())
+        .seed(seed)
+        .check_every(n)
+        .until(WeakEstimator::agreed_view)
+        .run();
+    assert!(out.converged);
+    WeakOutcome {
+        estimate: sim.view().iter().map(|(s, _)| s.value).max().unwrap(),
+        time: out.time,
+    }
+}
+
 #[test]
-fn weak_estimate_matches_legacy_config_sim_byte_for_byte() {
+fn weak_estimate_count_path_matches_legacy_config_sim_byte_for_byte() {
     for (n, seed, estimate, time) in [(500usize, 21u64, 9, 8.0), (6_000, 22, 14, 10.0)] {
+        let expect = WeakOutcome { estimate, time };
+        assert_eq!(expect, weak_estimate_counted(n, seed), "n={n} seed={seed}");
+    }
+}
+
+/// Below its crossover `weak_estimate` runs the per-agent engine; these
+/// outcomes were recorded when it moved there.
+#[test]
+fn weak_estimate_agent_path_is_pinned() {
+    for (n, seed, estimate, time) in [(500usize, 21u64, 10, 7.0), (6_000, 22, 14, 12.0)] {
         let expect = WeakOutcome { estimate, time };
         assert_eq!(expect, weak_estimate(n, seed), "n={n} seed={seed}");
     }
