@@ -1392,10 +1392,57 @@ pub struct ConfigSim<P: CountProtocol> {
 }
 
 impl<P: CountProtocol> ConfigSim<P> {
-    /// Populations at least this large use the batched engine (when the
-    /// protocol allows). Below it, batches of `Θ(√n)` interactions are too
-    /// short to amortize their `O(k²)` sampling overhead.
-    pub const BATCH_THRESHOLD: u64 = 4096;
+    /// Populations at least this large start on the batched engine (when
+    /// the protocol prefers it), and only from this size may Auto mode
+    /// adapt up to it mid-run. Below it, batches of `Θ(√n)` interactions
+    /// are too short to amortize their `O(k²)` sampling overhead.
+    ///
+    /// The value is the measured crossover (2-core box). Pinned
+    /// `Batched` against pinned `Sequential`, per interaction (median of 5
+    /// alternating passes of ≥ 0.3 s each), batched wins by:
+    ///
+    /// | n    | epidemic | sub3   | partition | halving | counter |
+    /// |------|----------|--------|-----------|---------|---------|
+    /// | 128  | 0.86×    | 1.05×  | 1.95×     | 0.62×   | 0.47×   |
+    /// | 256  | 1.26×    | 1.74×  | 2.87×     | 0.88×   | 0.42×   |
+    /// | 512  | 1.99×    | 2.70×  | 3.76×     | 1.64×   | 0.57×   |
+    /// | 1000 | 2.48×    | 4.23×  | 5.02×     | 2.96×   | 0.59×   |
+    /// | 2048 | 3.66×    | 7.14×  | 6.77×     | 5.63×   | 0.77×   |
+    /// | 4095 | 4.84×    | 12.65× | 6.42×     | 9.82×   | 1.12×   |
+    ///
+    /// 512 is the smallest power of two where every `k ≤ 3` protocol
+    /// (the Lemma A.1 and Corollary 3.4 epidemics, the Lemma 3.2
+    /// partition, the §1 halving) wins. The Section 4 counter relation
+    /// (`k = 11`, checked every `n/100` interactions, which cuts batches
+    /// short) wins only from ~4096.
+    ///
+    /// Auto mode per registry trial (`run_sweep`, one worker, same
+    /// seeds), this threshold against the former 4096, speedup in median
+    /// ms per trial over 5 alternating passes (`nonuniform_majority`: one
+    /// pass of 2 trials; at 10⁴ it costs ~50 s per trial, and both
+    /// thresholds start it on the same engine):
+    ///
+    /// | experiment          | 256   | 512   | 1000  | 2048  | 4095   | 10⁴   |
+    /// |---------------------|-------|-------|-------|-------|--------|-------|
+    /// | epidemic_full       | 0.98× | 1.23× | 1.46× | 1.96× | 3.00×  | 1.01× |
+    /// | epidemic_sub3       | 0.99× | 1.85× | 3.09× | 4.46× | 7.52×  | 1.01× |
+    /// | partition           | 0.93× | 1.87× | 2.44× | 3.78× | 4.85×  | 0.98× |
+    /// | intro_functions     | 0.75× | 1.17× | 1.80× | 6.09× | 11.59× | 0.99× |
+    /// | counter_signal      | 1.01× | 0.60× | 0.63× | 0.69× | 1.01×  | 1.50× |
+    /// | fixed_signal        | 0.98× | 0.92× | 0.94× | 0.96× | 0.92×  | 1.07× |
+    /// | geometric_signal    | 0.94× | 1.02× | 1.01× | 1.01× | 0.99×  | 0.98× |
+    /// | exact_backup        | 1.00× | 1.15× | 0.83× | 0.96× | 0.92×  | 0.91× |
+    /// | nonuniform_majority | 1.24× | 0.94× | 0.96× | 0.91× | 1.03×  | —     |
+    ///
+    /// Cells where both thresholds pick the same engine (n = 256, n = 10⁴
+    /// except the counter, which now batches through its declared law, and
+    /// `geometric_signal`, which never batches) show the timing noise:
+    /// ±10% on most rows, 0.75–1.24× on the few-millisecond
+    /// `intro_functions` and two-trial `nonuniform_majority` cells. The
+    /// signal experiments check every `n/100` interactions, which cuts
+    /// batches short: the counter loses ~35% per trial from 512 to 2048 and
+    /// `fixed_signal` ~6%.
+    pub const BATCH_THRESHOLD: u64 = 512;
 
     /// Chooses the fastest correct engine for this protocol and population,
     /// with adaptive mid-run re-selection ([`EngineMode::Auto`]).
@@ -2208,8 +2255,11 @@ mod tests {
 
     #[test]
     fn facade_dispatches_on_size_and_batching_preference() {
-        let big = CountConfiguration::from_pairs([(0u8, ConfigSim::<Infection>::BATCH_THRESHOLD)]);
+        let threshold = ConfigSim::<Infection>::BATCH_THRESHOLD;
+        let big = CountConfiguration::from_pairs([(0u8, threshold)]);
         assert!(ConfigSim::new(Infection, big, 1).is_batched());
+        let below = CountConfiguration::from_pairs([(0u8, threshold - 1)]);
+        assert!(!ConfigSim::new(Infection, below, 1).is_batched());
         let small = CountConfiguration::from_pairs([(0u8, 100)]);
         assert!(!ConfigSim::new(Infection, small, 1).is_batched());
 

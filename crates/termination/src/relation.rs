@@ -6,10 +6,16 @@
 //! input pair must sum to at most 1; leftover mass is the identity (no
 //! state change), matching the convention that unlisted pairs are null
 //! transitions.
+//!
+//! A relation declares this law exactly ([`CountProtocol::outcomes`]), so
+//! the batched count engine applies a whole batch of one input pair with a
+//! single multinomial split, and Auto mode batches relations at scale like
+//! any other small-support protocol. [`CountProtocol::transition`] samples
+//! the same law one interaction at a time.
 
 use std::collections::BTreeMap;
 
-use pp_engine::count_sim::CountProtocol;
+use pp_engine::count_sim::{CountProtocol, Outcomes};
 use pp_engine::rng::SimRng;
 use rand::Rng;
 
@@ -48,13 +54,13 @@ impl<S> Transition<S> {
 }
 
 /// The outcomes of one input pair: `(receiver', sender', rate)` triples.
-type Outcomes<S> = Vec<(S, S, f64)>;
+type Listed<S> = Vec<(S, S, f64)>;
 
 /// A finite randomized transition relation, executable as a
 /// [`CountProtocol`].
 #[derive(Debug, Clone)]
 pub struct TransitionRelation<S: Copy + Ord + std::hash::Hash> {
-    by_input: BTreeMap<(S, S), Outcomes<S>>,
+    by_input: BTreeMap<(S, S), Listed<S>>,
 }
 
 impl<S: Copy + Ord + std::hash::Hash + std::fmt::Debug> TransitionRelation<S> {
@@ -65,7 +71,7 @@ impl<S: Copy + Ord + std::hash::Hash + std::fmt::Debug> TransitionRelation<S> {
     /// Panics if the rates of any input pair sum to more than 1 (beyond
     /// floating-point slack).
     pub fn new(transitions: impl IntoIterator<Item = Transition<S>>) -> Self {
-        let mut by_input: BTreeMap<(S, S), Outcomes<S>> = BTreeMap::new();
+        let mut by_input: BTreeMap<(S, S), Listed<S>> = BTreeMap::new();
         for t in transitions {
             by_input
                 .entry((t.a, t.b))
@@ -93,8 +99,9 @@ impl<S: Copy + Ord + std::hash::Hash + std::fmt::Debug> TransitionRelation<S> {
             .collect()
     }
 
-    /// The outcomes listed for input pair `(a, b)` (receiver, sender).
-    pub fn outcomes(&self, a: S, b: S) -> &[(S, S, f64)] {
+    /// The outcomes listed for input pair `(a, b)` (receiver, sender),
+    /// without the identity's leftover mass.
+    pub fn listed(&self, a: S, b: S) -> &[(S, S, f64)] {
         self.by_input
             .get(&(a, b))
             .map(|v| v.as_slice())
@@ -129,7 +136,7 @@ impl<S: Copy + Ord + std::hash::Hash + std::fmt::Debug> CountProtocol for Transi
     type State = S;
 
     fn transition(&self, rec: S, sen: S, rng: &mut SimRng) -> (S, S) {
-        let outs = self.outcomes(rec, sen);
+        let outs = self.listed(rec, sen);
         if outs.is_empty() {
             return (rec, sen);
         }
@@ -142,13 +149,40 @@ impl<S: Copy + Ord + std::hash::Hash + std::fmt::Debug> CountProtocol for Transi
         }
         (rec, sen) // leftover mass: identity
     }
+
+    /// The law `transition` samples: an unlisted pair is the identity, a
+    /// single rate-1 outcome is deterministic, and otherwise the listed
+    /// outcomes plus the identity for any leftover mass `1 − Σρ`.
+    fn outcomes(&self, rec: S, sen: S) -> Option<Outcomes<S>> {
+        let law = match self.listed(rec, sen) {
+            [] => Outcomes::Deterministic(rec, sen),
+            &[(c, d, 1.0)] => Outcomes::Deterministic(c, d),
+            outs => {
+                let mut law = outs.to_vec();
+                let leftover = 1.0 - outs.iter().map(|&(_, _, r)| r).sum::<f64>();
+                if leftover > 0.0 {
+                    law.push((rec, sen, leftover));
+                }
+                Outcomes::Random(law)
+            }
+        };
+        Some(law)
+    }
+
+    /// Every pair's law is exact, so batching pays off whenever the
+    /// occupied support stays small; Auto mode's support rule leaves the
+    /// batched engine for relations whose support grows.
+    fn prefers_batching(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::{counter_dense_config, counter_protocol};
     use pp_engine::rng::rng_from_seed;
-    use pp_engine::{count_of, EngineMode, Simulation};
+    use pp_engine::{count_of, ConfigSim, EngineKind, EngineMode, Simulation};
 
     #[test]
     fn deterministic_transition_applies() {
@@ -156,6 +190,9 @@ mod tests {
         let mut rng = rng_from_seed(0);
         assert_eq!(rel.transition(0, 1, &mut rng), (2, 2));
         assert_eq!(rel.transition(1, 0, &mut rng), (1, 0), "unlisted = null");
+        // The declared laws match: a rate-1 outcome and the identity.
+        assert_eq!(rel.outcomes(0, 1), Some(Outcomes::Deterministic(2, 2)));
+        assert_eq!(rel.outcomes(1, 0), Some(Outcomes::Deterministic(1, 0)));
     }
 
     #[test]
@@ -164,16 +201,39 @@ mod tests {
             Transition::with_rate(0u8, 0u8, 1u8, 1u8, 0.25),
             Transition::with_rate(0u8, 0u8, 2u8, 2u8, 0.25),
         ]);
+        // The declared law carries the leftover mass as the identity.
+        let Some(Outcomes::Random(law)) = rel.outcomes(0, 0) else {
+            panic!("a split-rate pair has a random law");
+        };
+        assert_eq!(law, vec![(1, 1, 0.25), (2, 2, 0.25), (0, 0, 0.5)]);
+        assert_eq!(law.iter().map(|&(_, _, p)| p).sum::<f64>(), 1.0);
+        // `transition` samples that law: ~10k, ~10k, ~20k of 40k draws.
         let mut rng = rng_from_seed(1);
         let mut counts = [0u32; 3];
         for _ in 0..40_000 {
-            let (c, _) = rel.transition(0, 0, &mut rng);
+            let (c, d) = rel.transition(0, 0, &mut rng);
+            assert_eq!(c, d);
             counts[c as usize] += 1;
         }
-        // Expect ~10k, ~10k, ~20k (identity from leftover mass).
-        assert!((counts[1] as f64 - 10_000.0).abs() < 700.0, "{counts:?}");
-        assert!((counts[2] as f64 - 10_000.0).abs() < 700.0, "{counts:?}");
-        assert!((counts[0] as f64 - 20_000.0).abs() < 1000.0, "{counts:?}");
+        for (c, _, p) in law {
+            let slack = if c == 0 { 1000.0 } else { 700.0 };
+            let got = counts[c as usize] as f64;
+            assert!((got - 40_000.0 * p).abs() < slack, "{counts:?}");
+        }
+    }
+
+    #[test]
+    fn counter_batches_from_the_threshold_in_auto() {
+        let n = ConfigSim::<TransitionRelation<u16>>::BATCH_THRESHOLD;
+        let kind = |n: u64| {
+            Simulation::count_builder(counter_protocol(8))
+                .initial(counter_dense_config(n))
+                .seed(3)
+                .build()
+                .engine_kind()
+        };
+        assert_eq!(kind(n), EngineKind::Batched);
+        assert_eq!(kind(n - 1), EngineKind::Sequential);
     }
 
     #[test]

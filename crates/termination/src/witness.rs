@@ -66,7 +66,7 @@ pub fn extract_witness<S: Copy + Ord + std::hash::Hash + std::fmt::Debug>(
                 .iter()
                 .map(|&(a, b, c, d)| {
                     relation
-                        .outcomes(a, b)
+                        .listed(a, b)
                         .iter()
                         .find(|&&(oc, od, _)| (oc, od) == (c, d))
                         .map(|&(_, _, r)| r)

@@ -8,10 +8,11 @@
 //! paper's basic information-spreading primitive; Lemma A.1 pins its
 //! completion at `~ln n` parallel time. A sequential simulator pays for all
 //! `Θ(n log n)` interactions one by one — at `n = 10⁷` that is a few
-//! hundred million pair draws. The batched engine ([`ConfigSim`] picks it
-//! automatically for deterministic protocols at this scale) samples `Θ(√n)`
+//! hundred million pair draws. The batched engine samples `Θ(√n)`
 //! interactions per hypergeometric batch and skips null-dominated phases in
-//! O(1) per infection, so the same run takes milliseconds.
+//! O(1) per infection, so the same run takes milliseconds. [`ConfigSim`]
+//! picks it automatically for protocols with small, declared outcome laws
+//! from its measured crossover `BATCH_THRESHOLD = 512` agents on.
 
 use std::time::Instant;
 
@@ -31,7 +32,7 @@ fn main() {
         .until(move |view| count_of(view, &true) == n)
         .build();
     println!(
-        "engine: {:?} (EngineMode::Auto picks batched for deterministic protocols at n ≥ {})\n",
+        "engine: {:?} (EngineMode::Auto picks batched for small-support protocols at n ≥ {})\n",
         sim.engine_kind(),
         ConfigSim::<InfectionEpidemic>::BATCH_THRESHOLD,
     );

@@ -7,10 +7,10 @@
 //! frequencies, whole final configurations — must agree up to sampling
 //! noise. These tests hold the two engines to that with KS-style bounds on
 //! 200 seeded trials at `n = 10⁴` (epidemic completion times, approximate-
-//! majority outcomes) plus a total-variation check on the full final-
-//! configuration distribution at tiny `n`, where every code path (batch
-//! fill, collision interaction, null skipping, state discovery) fires
-//! constantly.
+//! majority outcomes, the Section 4 counter relation's signal times) plus a
+//! total-variation check on the full final-configuration distribution at
+//! tiny `n`, where every code path (batch fill, collision interaction, null
+//! skipping, state discovery) fires constantly.
 
 use uniform_sizeest::engine::batch::{BatchedCountSim, DeterministicCountProtocol};
 use uniform_sizeest::engine::count_sim::{CountConfiguration, CountSim};
@@ -18,6 +18,7 @@ use uniform_sizeest::engine::epidemic::InfectionEpidemic;
 use uniform_sizeest::engine::rng::derive_seed;
 use uniform_sizeest::engine::simulation::{count_of, Simulation};
 use uniform_sizeest::engine::EngineMode;
+use uniform_sizeest::termination::experiment::{counter_dense_config, counter_protocol, COUNTER_T};
 
 mod common;
 use common::{eq_trials, ks_statistic, ks_threshold};
@@ -51,6 +52,43 @@ fn epidemic_completion_times_agree() {
     assert!(
         d < crit,
         "completion-time distributions diverge: KS {d:.4} ≥ {crit:.4}"
+    );
+}
+
+/// Parallel time until the threshold-8 Figure-1 counter, started dense on
+/// `n` agents, raises its first termination signal under `mode`, checked
+/// every `n / 100` interactions like `signal_time`.
+fn counter_signal(n: u64, mode: EngineMode, seed: u64) -> f64 {
+    let (out, _) = Simulation::count_builder(counter_protocol(8))
+        .initial(counter_dense_config(n))
+        .seed(seed)
+        .mode(mode)
+        .check_every(n / 100)
+        .max_time(1e5)
+        .until(|view| count_of(view, &COUNTER_T) > 0)
+        .run();
+    assert!(out.converged);
+    out.time
+}
+
+#[test]
+fn counter_signal_times_agree() {
+    // A `TransitionRelation` batches through its declared law; its signal
+    // times must match the sequential engine's, which samples the relation
+    // one interaction at a time.
+    let n = 10_000u64;
+    let trials = eq_trials(200);
+    let mut seq: Vec<f64> = (0..trials)
+        .map(|t| counter_signal(n, EngineMode::Sequential, derive_seed(0xC0, t)))
+        .collect();
+    let mut bat: Vec<f64> = (0..trials)
+        .map(|t| counter_signal(n, EngineMode::Batched, derive_seed(0xC1, t)))
+        .collect();
+    let d = ks_statistic(&mut seq, &mut bat);
+    let crit = ks_threshold(trials as usize, trials as usize);
+    assert!(
+        d < crit,
+        "counter signal-time distributions diverge: KS {d:.4} ≥ {crit:.4}"
     );
 }
 
