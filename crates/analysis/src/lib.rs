@@ -20,9 +20,6 @@
 //!   sums (Lemma D.3, Lemma D.8) and the additive-error corollaries
 //!   (Corollary D.9 / D.10) that justify the protocol's `±4.7` averaging
 //!   error.
-//! * [`chernoff`] — binomial Chernoff bounds used by Lemma 3.2 (role
-//!   partition), Lemma 3.6 (per-agent interaction counts, the basis of the
-//!   leaderless phase clock) and Corollary 3.4 (subpopulation epidemics).
 //! * [`balls_bins`] — the timer lemma of Appendix E: analytic bounds E.1/E.2
 //!   and Corollary E.3, plus the balls-into-bins simulator that validates
 //!   them.
@@ -34,8 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod balls_bins;
-pub mod chernoff;
-pub mod coupon;
 pub mod fit;
 pub mod geometric;
 pub mod harmonic;

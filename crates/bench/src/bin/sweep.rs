@@ -3,14 +3,14 @@
 //!
 //! ```text
 //! sweep <spec.toml|spec.json> [--threads N] [--trials T] [--seed S]
-//!                             [--max-retries R] [--fault kill@N]
+//!                             [--fault kill@N]
 //!                             [--shard k/N] [--merge a.jsonl b.jsonl ...]
 //! sweep --list
 //! ```
 //!
-//! `--max-retries R` retries a panicking trial up to `R` times (with
-//! backoff) before recording it as failed; a sweep with failed trials
-//! still completes and reports the failure count. `--fault kill@N` arms
+//! A panicking trial is recorded as failed; a sweep with failed trials
+//! still completes, reports the failure count, and re-runs them on the
+//! next resume. `--fault kill@N` arms
 //! the deterministic fault-injection harness: the process aborts (like a
 //! SIGKILL) after `N` trials complete — re-running the same spec then
 //! resumes from the journal, and the final outputs are byte-identical to
@@ -64,7 +64,6 @@ fn main() {
     let mut threads = None;
     let mut trials = None;
     let mut seed = None;
-    let mut max_retries = None;
     let mut fault = None;
     let mut shard: Option<Shard> = None;
     let mut merge: Option<Vec<PathBuf>> = None;
@@ -82,10 +81,6 @@ fn main() {
             "--seed" => {
                 i += 1;
                 seed = Some(parse_num(&args, i, "--seed"));
-            }
-            "--max-retries" => {
-                i += 1;
-                max_retries = Some(parse_num(&args, i, "--max-retries"));
             }
             "--fault" => {
                 i += 1;
@@ -123,7 +118,7 @@ fn main() {
             }
             other => die(&format!(
                 "unknown argument {other}; usage: sweep <spec.toml|spec.json> \
-                 [--threads N] [--trials T] [--seed S] [--max-retries R] [--fault kill@N] \
+                 [--threads N] [--trials T] [--seed S] [--fault kill@N] \
                  [--shard k/N] [--merge a.jsonl b.jsonl ...] | sweep --list"
             )),
         }
@@ -145,9 +140,6 @@ fn main() {
     }
     if let Some(seed) = seed {
         spec.master_seed = seed;
-    }
-    if let Some(max_retries) = max_retries {
-        spec.max_retries = max_retries as usize;
     }
     if let Some(fault) = fault {
         spec.fault = Some(fault);

@@ -224,11 +224,6 @@ const NULL_SKIP_FACTOR: f64 = 6.0;
 pub struct BatchedCountSim<P: CountProtocol> {
     protocol: P,
     rng: SimRng,
-    /// RNG handed to `transition` while probing laws of protocols that
-    /// report [`CountProtocol::is_deterministic`] without enumerating
-    /// outcomes; such transitions never read it, and it is separate from
-    /// `rng` so the simulation stream does not depend on law fill order.
-    table_rng: SimRng,
     n: u64,
     interactions: u64,
     /// Discovered states, id-indexed.
@@ -300,7 +295,6 @@ impl<P: CountProtocol> BatchedCountSim<P> {
         Self {
             protocol,
             rng: rng_from_seed(seed),
-            table_rng: rng_from_seed(seed ^ 0x7461_626c_655f_726e), // "table_rn"
             n,
             interactions: 0,
             states,
@@ -328,16 +322,11 @@ impl<P: CountProtocol> BatchedCountSim<P> {
     pub(crate) fn from_parts(
         protocol: P,
         config: CountConfiguration<P::State>,
-        mut rng: SimRng,
+        rng: SimRng,
         interactions: u64,
     ) -> Self {
-        // The table RNG only probes transitions that never read it; derive
-        // it from the carried stream so the whole run stays a deterministic
-        // function of the original seed.
-        let table_seed: u64 = rng.gen();
         let mut sim = Self::new(protocol, config, 0);
         sim.rng = rng;
-        sim.table_rng = rng_from_seed(table_seed);
         sim.interactions = interactions;
         sim
     }
@@ -352,18 +341,16 @@ impl<P: CountProtocol> BatchedCountSim<P> {
 
     /// Rebuilds a batched simulator from checkpoint parts. Unlike
     /// [`BatchedCountSim::from_parts`] — which re-canonicalizes the slot
-    /// order and draws a fresh table seed from the simulation stream —
-    /// this restores the *internal* discovery-order slot layout and both
-    /// RNG streams verbatim, consuming nothing: a restored simulator
-    /// continues byte-for-byte identically to the snapshotted one. The
-    /// law table is rebuilt lazily, which is trajectory-neutral because
-    /// law probing only ever reads `table_rng`.
+    /// order — this restores the *internal* discovery-order slot layout and
+    /// the RNG stream verbatim: a restored simulator continues
+    /// byte-for-byte identically to the snapshotted one. The law table is
+    /// rebuilt lazily, which is trajectory-neutral because law analysis
+    /// never reads the RNG.
     pub(crate) fn from_snapshot_parts(
         protocol: P,
         states: Vec<P::State>,
         counts: Vec<u64>,
         rng: SimRng,
-        table_rng: SimRng,
         interactions: u64,
     ) -> Self {
         assert_eq!(states.len(), counts.len(), "snapshot slot tables disagree");
@@ -389,7 +376,6 @@ impl<P: CountProtocol> BatchedCountSim<P> {
         Self {
             protocol,
             rng,
-            table_rng,
             n,
             interactions,
             states,
@@ -411,13 +397,13 @@ impl<P: CountProtocol> BatchedCountSim<P> {
     }
 
     /// Checkpoint accessor: the internal discovery-order slot tables plus
-    /// both RNG streams. The returned counts are padded to the state-table
+    /// the RNG stream. The returned counts are padded to the state-table
     /// length (they can transiently lag it by construction), so the two
     /// vectors always pair up slot for slot.
-    pub(crate) fn snapshot_parts(&self) -> (&[P::State], Vec<u64>, &SimRng, &SimRng) {
+    pub(crate) fn snapshot_parts(&self) -> (&[P::State], Vec<u64>, &SimRng) {
         let mut counts = self.counts.clone();
         counts.resize(self.states.len(), 0);
-        (&self.states, counts, &self.rng, &self.table_rng)
+        (&self.states, counts, &self.rng)
     }
 
     /// Number of *occupied* states (non-zero counts) — the `k` that drives
@@ -928,7 +914,7 @@ impl<P: CountProtocol> BatchedCountSim<P> {
     }
 
     /// Builds the [`PairLaw`] for `(a, b)` from the protocol's outcome
-    /// enumeration (or a deterministic probe, or the shared sampled law).
+    /// enumeration (or the shared sampled law).
     fn analyze_pair(&mut self, a: usize, b: usize) -> u32 {
         let (sa, sb) = (self.states[a], self.states[b]);
         let law = match self.protocol.outcomes(sa, sb) {
@@ -938,13 +924,6 @@ impl<P: CountProtocol> BatchedCountSim<P> {
                 PairLaw::Det(ci, di)
             }
             Some(Outcomes::Random(support)) => self.analyze_random(support),
-            None if self.protocol.is_deterministic() => {
-                // Deterministic without enumeration: one probe fixes the law.
-                let (c, d) = self.protocol.transition(sa, sb, &mut self.table_rng);
-                let ci = self.intern(c) as u32;
-                let di = self.intern(d) as u32;
-                PairLaw::Det(ci, di)
-            }
             None => return LAW_SAMPLED,
         };
         self.laws.push(law);
@@ -2488,11 +2467,38 @@ mod tests {
         tally
     }
 
+    /// Declares each pair of the interned [`EpochJump`] as
+    /// [`Outcomes::Deterministic`] through one transition probe, so the
+    /// batched engine bulk-applies certified laws. Sound only because
+    /// `EpochJump` never reads its RNG.
+    struct CertifiedEpochJump(crate::interned::Interned<EpochJump>);
+
+    impl CountProtocol for CertifiedEpochJump {
+        type State = u32;
+
+        fn transition(&self, rec: u32, sen: u32, rng: &mut SimRng) -> (u32, u32) {
+            self.0.transition(rec, sen, rng)
+        }
+
+        fn outcomes(&self, rec: u32, sen: u32) -> Option<Outcomes<u32>> {
+            let (c, d) = self.0.transition(rec, sen, &mut rng_from_seed(0));
+            Some(Outcomes::Deterministic(c, d))
+        }
+
+        fn table_len(&self) -> Option<usize> {
+            self.0.table_len()
+        }
+
+        fn collect_table(&self, live: &[u32]) -> Option<Vec<(u32, u32)>> {
+            self.0.collect_table(live)
+        }
+    }
+
     #[test]
     fn null_flags_match_laws_across_growth_and_collection() {
-        let interned = crate::interned::Interned::deterministic(EpochJump);
+        let interned = crate::interned::Interned::new(EpochJump);
         let config = interned.uniform_config(4_096);
-        let mut sim = BatchedCountSim::new(interned, config, 5);
+        let mut sim = BatchedCountSim::new(CertifiedEpochJump(interned), config, 5);
         assert_eq!(sim.cap, 4);
         sim.steps(200_000);
         assert!(sim.cap > 4, "the run never grew the law table");

@@ -78,10 +78,11 @@
 //! The wrapped `interact` receives the simulation RNG, so randomized
 //! protocols are simulated faithfully. Because an arbitrary `interact`
 //! cannot enumerate its outcome distribution, `Interned` reports
-//! [`CountProtocol::outcomes`] `None` and stays on the sequential engine by
-//! default; wrap with [`Interned::deterministic`] to certify that the
-//! protocol never reads the RNG, which enables the batched engine through
-//! one transition probe per state pair.
+//! [`CountProtocol::outcomes`] `None`, so Auto mode keeps it on the
+//! sequential engine; a run pinned to the batched engine samples every
+//! pair per interaction, which is exact but not amortized. Whether a pair
+//! read any random bits is checked pair by pair: only outcomes that left
+//! the RNG untouched enter the pair cache.
 //!
 //! ## Garbage collection
 //!
@@ -466,15 +467,6 @@ impl<S> Clone for InternerHandle<S> {
 }
 
 impl<S: Clone + Eq + Hash> InternerHandle<S> {
-    /// The state behind `id` (clone).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` has not been assigned (or was evicted by a GC pass).
-    pub fn state_of(&self, id: u32) -> S {
-        self.table.borrow().get(id).clone()
-    }
-
     /// The id *currently* assigned to `state`, if it is in the table.
     /// Ids are only stable within one [`InternerHandle::generation`]: a GC
     /// pass renumbers the survivors, so look ids up per query instead of
@@ -532,7 +524,6 @@ where
     cache: RefCell<PairCache>,
     /// Dense-lane scratch (see [`LaneBuffers`]); snapshots skip it too.
     lane: RefCell<LaneBuffers<P::State>>,
-    deterministic: bool,
 }
 
 impl<P: Protocol> Interned<P>
@@ -540,40 +531,14 @@ where
     P::State: Eq + Hash,
 {
     /// Wraps `protocol` for the count engines. The adapter assumes the
-    /// transition may read the RNG (always correct); use
-    /// [`Interned::deterministic`] to enable batching for RNG-free
-    /// protocols.
+    /// transition may read the RNG, which is always correct.
     pub fn new(protocol: P) -> Self {
         Self {
             protocol,
             table: Rc::new(RefCell::new(StateTable::new())),
             cache: RefCell::new(PairCache::new()),
             lane: RefCell::default(),
-            deterministic: false,
         }
-    }
-
-    /// Wraps a protocol whose `interact` is certified to never read the
-    /// RNG: pair outcomes are then probed once and bulk-applied by the
-    /// batched engine.
-    ///
-    /// Certifying a protocol that *does* read the RNG silently freezes each
-    /// pair's first sampled outcome into the law table — statistically
-    /// wrong, so only use this for genuinely deterministic transitions.
-    pub fn deterministic(protocol: P) -> Self {
-        Self {
-            deterministic: true,
-            ..Self::new(protocol)
-        }
-    }
-
-    /// Pair-cache telemetry: `(hits, misses)` since construction. A miss
-    /// is any probe that fell through to the full decode/interact path
-    /// (including randomized pairs, which are never admitted).
-    #[doc(hidden)]
-    pub fn pair_cache_stats(&self) -> (u64, u64) {
-        let cache = self.cache.borrow();
-        (cache.hits, cache.misses)
     }
 
     /// The dense lane's agent buffer as `(address, capacity)`, for tests
@@ -608,16 +573,11 @@ where
     }
 
     /// Checkpoint accessor: `(id-ordered states, generation,
-    /// total_interned, deterministic)` — everything a snapshot needs to
-    /// rebuild the adapter exactly.
-    pub(crate) fn snapshot_parts(&self) -> (Vec<P::State>, u64, u64, bool) {
+    /// total_interned)` — everything a snapshot needs to rebuild the
+    /// adapter exactly.
+    pub(crate) fn snapshot_parts(&self) -> (Vec<P::State>, u64, u64) {
         let table = self.table.borrow();
-        (
-            table.states.clone(),
-            table.generation,
-            table.total_interned,
-            self.deterministic,
-        )
+        (table.states.clone(), table.generation, table.total_interned)
     }
 
     /// Rebuilds an adapter from checkpoint parts (see
@@ -629,7 +589,6 @@ where
         states: Vec<P::State>,
         generation: u64,
         total_interned: u64,
-        deterministic: bool,
     ) -> Self {
         let mut cache = PairCache::new();
         cache.generation = generation;
@@ -642,7 +601,6 @@ where
             ))),
             cache: RefCell::new(cache),
             lane: RefCell::default(),
-            deterministic,
         }
     }
 
@@ -691,13 +649,13 @@ where
             let table = self.table.borrow();
             (table.get(rec).clone(), table.get(sen).clone())
         };
-        // For protocols not certified deterministic, capture the RNG state:
-        // if `interact` leaves it untouched it consumed zero random bits
-        // (xoshiro256++ advances on every draw), so this pair's transition
-        // is a pure function of the inputs and its outcome is cacheable.
-        let rng_before = (!self.deterministic).then(|| rng.state());
+        // Capture the RNG state: if `interact` leaves it untouched it
+        // consumed zero random bits (xoshiro256++ advances on every draw),
+        // so this pair's transition is a pure function of the inputs and
+        // its outcome is cacheable.
+        let rng_before = rng.state();
         self.protocol.interact(&mut r, &mut s, rng);
-        let read_rng = rng_before.is_some_and(|before| rng.state() != before);
+        let read_rng = rng.state() != rng_before;
         let out = {
             // Null fast path: an interaction that changed neither state
             // (settled epidemics, frozen terminated pairs) keeps its input
@@ -719,10 +677,6 @@ where
             cache.put(key, out);
         }
         out
-    }
-
-    fn is_deterministic(&self) -> bool {
-        self.deterministic
     }
 
     fn table_len(&self) -> Option<usize> {
@@ -964,22 +918,10 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_marker_enables_batching() {
-        let interned = Interned::deterministic(MaxRecord);
-        let config = interned.uniform_config(100_000);
-        let sim = ConfigSim::new(interned, config, 1);
-        assert!(sim.is_batched());
-
-        let interned = Interned::new(MaxRecord);
-        let config = interned.uniform_config(100_000);
-        let sim = ConfigSim::new(interned, config, 1);
-        assert!(!sim.is_batched());
-    }
-
-    #[test]
     fn batched_interned_run_matches_sequential_statistically() {
         // Completion-time means of the interned max epidemic must agree
-        // between engines within sampling error.
+        // between engines within sampling error; the batched engine runs it
+        // on sampled per-interaction laws.
         let n = 20_000u64;
         let trials = 30;
         let mean = |mode: EngineMode, stream: u64| -> f64 {
@@ -989,7 +931,6 @@ mod tests {
                         .size(n)
                         .seed(derive_seed(stream, t))
                         .mode(mode)
-                        .deterministic()
                         .init_planted([(
                             Record {
                                 value: 1,
@@ -1389,9 +1330,9 @@ mod tests {
     /// Epoch counter with a *bounded* live support: equal-valued pairs
     /// advance the receiver by one, unequal pairs max-merge, so the
     /// population tracks the maximum closely (live support stays a handful
-    /// of values) while the table accrues one dead entry per epoch. The
-    /// deterministic marker keeps it on the batched engine, exercising the
-    /// law-table reset half of collection.
+    /// of values) while the table accrues one dead entry per epoch. Pinned
+    /// to the batched engine, it exercises the law-table reset half of
+    /// collection.
     struct EpochMax;
 
     impl Protocol for EpochMax {
@@ -1417,7 +1358,7 @@ mod tests {
 
     #[test]
     fn batched_engine_collects_and_resets_its_law_table() {
-        let interned = Interned::deterministic(EpochMax);
+        let interned = Interned::new(EpochMax);
         let handle = interned.handle();
         let config = interned.uniform_config(4_096);
         let mut sim = ConfigSim::batched(interned, config, 5);

@@ -896,7 +896,6 @@ where
     protocol: P,
     n: u64,
     mode: SimMode,
-    deterministic: bool,
     init: InitSpec<'a, P::State>,
     policy: Policy<'a, P::State>,
     encode: Option<AgentEncoders<P>>,
@@ -911,7 +910,6 @@ where
             protocol,
             n: 0,
             mode: SimMode::Agent,
-            deterministic: false,
             init: InitSpec::Uniform,
             policy: Policy::default(),
             encode: None,
@@ -929,15 +927,6 @@ where
     /// `.mode(ctx.engine)`) for the interned count engines.
     pub fn mode(mut self, mode: impl Into<SimMode>) -> Self {
         self.mode = mode.into();
-        self
-    }
-
-    /// Certifies that [`Protocol::interact`] never reads its RNG, enabling
-    /// batched bulk application under the count modes (see
-    /// [`Interned::deterministic`] — certifying a randomized protocol is
-    /// statistically wrong).
-    pub fn deterministic(mut self) -> Self {
-        self.deterministic = true;
         self
     }
 
@@ -997,7 +986,7 @@ where
     /// Resumes a simulation from a snapshot written by a checkpointing
     /// run of the same protocol. The engine state (population, mode,
     /// RNG stream, interaction clock) comes entirely from the snapshot —
-    /// `size`/`mode`/`init`/`deterministic` settings on this builder are
+    /// `size`/`mode`/`init` settings on this builder are
     /// ignored — while run policy (predicate, observers, budgets,
     /// checkpoint cadence and destination) is taken from this builder,
     /// so a resumed run can keep checkpointing.
@@ -1090,11 +1079,7 @@ where
                 })
             }
             SimMode::Count(engine_mode) => {
-                let interned = if self.deterministic {
-                    Interned::deterministic(self.protocol)
-                } else {
-                    Interned::new(self.protocol)
-                };
+                let interned = Interned::new(self.protocol);
                 let handle = interned.handle();
                 let config = match self.init {
                     InitSpec::Uniform => interned.uniform_config(n),

@@ -7,11 +7,13 @@
 //! slot layout — the restored engine draws the same random pairs and
 //! realizes the same trajectory as if the process had never died.
 //!
-//! ## Format guarantees (`SnapshotV1`)
+//! ## Format guarantees
 //!
 //! * **Versioning.** Every file starts with the magic `PPSNAP1\0` and a
-//!   little-endian `u32` format version (currently 1). Unknown magic or
+//!   little-endian `u32` format version (currently 2). Unknown magic or
 //!   version is a structured [`SnapshotError`], never a misparse.
+//!   Version 2 dropped two fields of version 1's bodies: the interned
+//!   engine's determinism flag and the batched engine's second RNG stream.
 //! * **Checksum.** The header carries a CRC-32 (IEEE) over the engine tag,
 //!   the body length, and the body bytes. A flipped bit anywhere in the
 //!   payload is detected at [`Snapshot::read`] time and reported as
@@ -46,7 +48,7 @@ use crate::sim::AgentSim;
 const MAGIC: [u8; 8] = *b"PPSNAP1\0";
 
 /// Current snapshot format version.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Engine tag: [`AgentSim`].
 pub(crate) const KIND_AGENT: u8 = 1;
@@ -117,7 +119,7 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Serializes to the `SnapshotV1` on-disk layout:
+    /// Serializes to the on-disk layout:
     /// `magic | version | kind | body_len | crc32(kind‖body_len‖body) | body`.
     fn to_bytes(&self) -> Vec<u8> {
         let mut checked = Vec::with_capacity(9 + self.body.len());
@@ -140,7 +142,7 @@ impl Snapshot {
         (16 + 9 + self.body.len()) as u64
     }
 
-    /// Parses and validates the `SnapshotV1` layout (magic, version,
+    /// Parses and validates the on-disk layout (magic, version,
     /// length, checksum).
     fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         if bytes.len() < 16 + 9 {
@@ -493,9 +495,8 @@ where
     if let Some(b) = sim.inner_batched() {
         KIND_BATCHED.encode(out);
         b.interactions().encode(out);
-        let (states, counts, rng, table_rng) = b.snapshot_parts();
+        let (states, counts, rng) = b.snapshot_parts();
         encode_rng(rng, out);
-        encode_rng(table_rng, out);
         encode_seq(states, out);
         encode_seq(&counts, out);
     } else {
@@ -538,7 +539,6 @@ where
         (true, KIND_BATCHED) => {
             let interactions = u64::decode(buf)?;
             let rng = decode_rng(buf)?;
-            let table_rng = decode_rng(buf)?;
             let states: Vec<P::State> = decode_seq(buf)?;
             let counts: Vec<u64> = decode_seq(buf)?;
             if states.len() != counts.len() {
@@ -548,14 +548,8 @@ where
                     counts.len()
                 )));
             }
-            let inner = BatchedCountSim::from_snapshot_parts(
-                protocol,
-                states,
-                counts,
-                rng,
-                table_rng,
-                interactions,
-            );
+            let inner =
+                BatchedCountSim::from_snapshot_parts(protocol, states, counts, rng, interactions);
             Ok(ConfigSim::from_restored_batched(
                 inner,
                 adaptive,
@@ -590,15 +584,14 @@ where
     }
 }
 
-/// Interned-engine body: the interner table (id order), its counters, the
-/// deterministic certification flag, then the slot-id [`ConfigSim`] body.
+/// Interned-engine body: the interner's counters and table (id order),
+/// then the slot-id [`ConfigSim`] body.
 pub(crate) fn encode_interned<P: Protocol>(sim: &ConfigSim<Interned<P>>) -> Snapshot
 where
     P::State: Eq + std::hash::Hash + Clone + SnapshotState,
 {
     let mut body = Vec::new();
-    let (states, generation, total_interned, deterministic) = sim.protocol().snapshot_parts();
-    deterministic.encode(&mut body);
+    let (states, generation, total_interned) = sim.protocol().snapshot_parts();
     generation.encode(&mut body);
     total_interned.encode(&mut body);
     encode_seq(&states, &mut body);
@@ -624,12 +617,10 @@ where
     P::State: Eq + std::hash::Hash + Clone + SnapshotState,
 {
     let buf = &mut body;
-    let deterministic = bool::decode(buf)?;
     let generation = u64::decode(buf)?;
     let total_interned = u64::decode(buf)?;
     let states: Vec<P::State> = decode_seq(buf)?;
-    let interned =
-        Interned::from_snapshot_parts(protocol, states, generation, total_interned, deterministic);
+    let interned = Interned::from_snapshot_parts(protocol, states, generation, total_interned);
     let handle = interned.handle();
     let sim = decode_config_sim_body(interned, buf)?;
     expect_empty(buf)?;
@@ -661,6 +652,26 @@ mod tests {
         let back = Snapshot::from_bytes(&bytes).expect("round trip");
         assert_eq!(back.kind, KIND_AGENT);
         assert_eq!(back.body, vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn version_one_snapshot_is_refused() {
+        let snap = Snapshot {
+            kind: KIND_INTERNED,
+            body: vec![0; 40],
+        };
+        let mut bytes = snap.to_bytes();
+        // The CRC covers the tag and body, not the header, so this file
+        // passes every check but the version.
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        match Snapshot::from_bytes(&bytes) {
+            Err(SnapshotError::Corrupt(msg)) => {
+                assert!(msg.contains("version 1"), "{msg}");
+                assert!(msg.contains(&format!("version {VERSION}")), "{msg}");
+            }
+            Err(e) => panic!("wrong error for a version-1 file: {e}"),
+            Ok(_) => panic!("a version-1 file was accepted"),
+        }
     }
 
     #[test]

@@ -48,12 +48,13 @@
 //!   error, not a silent restart.
 //!
 //! * **Panic isolation and fault injection.** A panicking trial no
-//!   longer poisons the sweep: it is caught, retried up to
-//!   [`SweepSpec::max_retries`] times with backoff, and — if it keeps
-//!   failing — journaled as a failed trial (re-run on the next resume)
-//!   while the rest of the grid completes.
+//!   longer poisons the sweep: it is caught and journaled as a failed
+//!   trial while the rest of the grid completes. A trial is a pure
+//!   function of its coordinates, so it is not retried in the same run
+//!   (that would replay the same panic); failed trials re-run on the next
+//!   resume, after the cause is fixed.
 //!   [`SweepReport::failed_trials`](agg::SweepReport::failed_trials)
-//!   counts the permanent failures. [`SweepSpec::fault`] (`"kill@N"`,
+//!   counts the failures. [`SweepSpec::fault`] (`"kill@N"`,
 //!   also the `sweep --fault` flag and the engine-level `PP_FAULT`
 //!   variable) arms the deterministic fault-injection harness used by CI
 //!   to prove that kill + resume reproduces an uninterrupted run byte

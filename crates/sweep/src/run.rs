@@ -10,7 +10,6 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::Duration;
 
 use parking_lot::Mutex;
 use pp_analysis::stats::Running;
@@ -141,11 +140,6 @@ impl SweepExperiment {
     pub fn with_engine_hook(mut self) -> Self {
         self.engine_aware = true;
         self
-    }
-
-    /// Whether the experiment declared that it honors the engine policy.
-    pub fn is_engine_aware(&self) -> bool {
-        self.engine_aware
     }
 
     /// Experiment name.
@@ -555,10 +549,10 @@ impl RunState {
 /// [`SweepSpec::worker_threads`] workers. With a journal configured,
 /// already-recorded trials are loaded instead of re-run.
 ///
-/// A trial that panics is retried up to [`SweepSpec::max_retries`] times
-/// (with exponential backoff) and then recorded as failed — it does not
-/// abort the sweep. Failed trials are absent from their point's records,
-/// and the report carries their count in
+/// A trial that panics is recorded as failed — it does not abort the
+/// sweep, and it is not retried, since a trial is a pure function of its
+/// [`TrialCtx`] and would panic again. Failed trials are absent from their
+/// point's records, and the report carries their count in
 /// [`SweepReport::failed_trials`].
 pub fn run_sweep(
     spec: &SweepSpec,
@@ -773,47 +767,34 @@ fn execute(
             seed: trial_seed(spec.master_seed, point, trial),
             engine: spec.engine,
         };
-        // Panic isolation: one panicking trial must not poison the
-        // sweep. Retry with exponential backoff up to the spec's cap,
-        // then record the failure and move on.
-        let attempts = spec.max_retries + 1;
-        let mut outcome: Result<(Vec<f64>, Vec<(String, u64)>), String> = Err(String::new());
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                std::thread::sleep(Duration::from_millis(10u64 << (attempt - 1).min(6)));
+        // A fresh per-trial registry, installed as the ambient one so any
+        // engine the closure builds records into it without the experiment
+        // signature knowing about telemetry. Hooks are observation-only, so
+        // the trajectory — and therefore `values` — is byte-identical
+        // either way. Panic isolation: one panicking trial must not poison
+        // the sweep, so its failure is recorded and the worker moves on.
+        let metrics = pp_telemetry::Metrics::new();
+        let outcome = match catch_unwind(AssertUnwindSafe(|| {
+            let _ambient = metrics.install_current();
+            (exp.run)(&ctx)
+        })) {
+            Ok(values) => {
+                let counters: Vec<(String, u64)> = metrics
+                    .nonzero_counters()
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v))
+                    .collect();
+                Ok((values, counters))
             }
-            // A fresh per-trial registry, installed as the ambient one so
-            // any engine the closure builds records into it without the
-            // experiment signature knowing about telemetry. Fresh per
-            // attempt: a panicked attempt's counters must not leak into
-            // its retry. Hooks are observation-only, so the trajectory —
-            // and therefore `values` — is byte-identical either way.
-            let metrics = pp_telemetry::Metrics::new();
-            match catch_unwind(AssertUnwindSafe(|| {
-                let _ambient = metrics.install_current();
-                (exp.run)(&ctx)
-            })) {
-                Ok(values) => {
-                    let counters = metrics
-                        .nonzero_counters()
-                        .into_iter()
-                        .map(|(k, v)| (k.to_string(), v))
-                        .collect();
-                    outcome = Ok((values, counters));
-                    break;
-                }
-                Err(payload) => {
-                    let msg = panic_message(payload.as_ref());
-                    eprintln!(
-                        "[sweep] {} n={} trial {trial} panicked (attempt {}/{attempts}): {msg}",
-                        exp.name,
-                        gp.n,
-                        attempt + 1,
-                    );
-                    outcome = Err(msg);
-                }
+            Err(payload) => {
+                let msg = panic_message(payload.as_ref());
+                eprintln!(
+                    "[sweep] {} n={} trial {trial} panicked: {msg}",
+                    exp.name, gp.n
+                );
+                Err(msg)
             }
-        }
+        };
         let mut guard = state.lock();
         if guard.error.is_some() {
             return; // drain: stop picking up work after a failure
@@ -969,25 +950,6 @@ mod tests {
         let point = report.point("exploding", 100);
         assert_eq!(point.trials.len(), 4);
         assert!(point.trials.iter().all(|t| t.trial != 2));
-    }
-
-    #[test]
-    fn retries_recover_flaky_trials() {
-        use std::sync::atomic::AtomicUsize;
-        let mut spec = SweepSpec::new("t", vec![100], 4);
-        spec.threads = 1;
-        spec.max_retries = 2;
-        let attempts = AtomicUsize::new(0);
-        let flaky = SweepExperiment::new("flaky", &["x"], move |ctx| {
-            // Trial 1 panics on its first attempt only.
-            if ctx.trial == 1 && attempts.fetch_add(1, Ordering::Relaxed) == 0 {
-                panic!("transient failure");
-            }
-            vec![ctx.trial as f64]
-        });
-        let report = run_sweep(&spec, &[flaky]).unwrap();
-        assert_eq!(report.failed_trials, 0);
-        assert_eq!(report.point("flaky", 100).trials.len(), 4);
     }
 
     #[test]

