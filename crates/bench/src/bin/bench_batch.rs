@@ -35,7 +35,17 @@
 //!   cadence `Simulation::run` checks at, and so one dense-lane episode
 //!   (expand, run, collapse) per `n` interactions. The `fixed_time` rows
 //!   run one episode per trial, so only this row lets the gate see the
-//!   per-episode bracket.
+//!   per-episode bracket. Its agent side never builds a view, so the row
+//!   compares the lane against an agent engine that skips the per-`n`
+//!   checkpoint cost every real run pays.
+//! * **`logsize_estimation` / `converged`** — the paper's estimate at
+//!   `n = 2000` as every experiment runs it: `estimate_in_mode`, that is
+//!   `Simulation::run` with the paper's `FieldMaxima` observer and
+//!   convergence predicate, checked every `n` interactions, until the
+//!   population agrees. `SimMode::Agent` fills the "sequential" column and
+//!   Auto the "batched" one, so both sides pay for their checkpoint views
+//!   and the ratio is the one that decides which engine the estimate
+//!   should run on.
 //!
 //! Two workloads per protocol:
 //!
@@ -58,7 +68,7 @@
 //!
 //! Usage: `cargo run --release --bin bench_batch [-- --quick] [--gate BASELINE.json]`
 //! (`--quick` drops `n = 10⁷`, whose sequential fixed-time runs take ~10 s
-//! each).
+//! each, and runs the `converged` row for one trial instead of three).
 //!
 //! `--gate BASELINE.json` turns the run into a **regression gate**: every
 //! measured row whose `(protocol, n, workload)` appears in the baseline
@@ -80,7 +90,7 @@ use std::time::Instant;
 
 use pp_baselines::alistarh::{WeakEstimator, WeakState};
 use pp_core::leader::{LeaderState, LeaderTerminating};
-use pp_core::log_size::LogSizeEstimation;
+use pp_core::log_size::{estimate_in_mode, LogSizeEstimation};
 use pp_engine::batch::BatchedCountSim;
 use pp_engine::count_sim::{CountConfiguration, CountProtocol, CountSim};
 use pp_engine::epidemic::InfectionEpidemic;
@@ -293,6 +303,54 @@ fn bench_interned<P: Protocol + Clone>(
     } else {
         "fixed_time"
     };
+    push_agent_row(name, n, workload, seq, bat, &metrics, rows);
+}
+
+/// Agent engine vs Auto on the paper's estimate run to convergence through
+/// `estimate_in_mode` (the `converged` workload; see the module docs).
+/// Auto records into the row's counters through the ambient registry,
+/// since `estimate_in_mode` takes no metrics handle.
+fn bench_estimate(n: u64, trials: u64, rows: &mut Vec<Row>) {
+    let metrics = Metrics::new();
+    let measure = |mode: SimMode| -> Measurement {
+        let start = Instant::now();
+        let mut interactions = 0;
+        for t in 0..trials {
+            let _ambient = (mode != SimMode::Agent).then(|| metrics.install_current());
+            let seed = derive_seed(0xB0BC, t);
+            let out = estimate_in_mode(LogSizeEstimation::paper(), n as usize, seed, None, mode);
+            assert!(out.converged, "the paper's estimate must converge");
+            interactions += (out.time * n as f64).round() as u64;
+        }
+        Measurement {
+            trials,
+            interactions,
+            seconds: start.elapsed().as_secs_f64(),
+        }
+    };
+    let seq = measure(SimMode::Agent);
+    let bat = measure(EngineMode::Auto.into());
+    push_agent_row(
+        "logsize_estimation",
+        n,
+        "converged",
+        seq,
+        bat,
+        &metrics,
+        rows,
+    );
+}
+
+/// Prints and records one agent-vs-counted row.
+fn push_agent_row(
+    name: &'static str,
+    n: u64,
+    workload: &'static str,
+    seq: Measurement,
+    bat: Measurement,
+    metrics: &Metrics,
+    rows: &mut Vec<Row>,
+) {
     eprintln!(
         "{name:>18} n = {n:>9} {workload:>12}: agent {:>12.0} int/s ({:.3}s) | counted {:>13.0} int/s ({:.3}s) | ratio {:.2}x",
         seq.rate(),
@@ -539,6 +597,10 @@ fn main() {
         true,
         &mut rows,
     );
+    // The same protocol and size to convergence, views and observer
+    // included: the workload the `checkpointed` row stands in for. One
+    // trial runs ~5 s a side.
+    bench_estimate(2_000, if quick { 1 } else { 3 }, &mut rows);
 
     let mut json = String::from(
         "{\n  \"benchmark\": \"sequential_vs_batched\",\n  \"unit\": \"interactions_per_second\",\n  \

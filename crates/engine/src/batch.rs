@@ -112,7 +112,9 @@ use std::collections::BTreeMap;
 use pp_telemetry::{Counter, Hist, Metrics, TraceValue};
 use rand::Rng;
 
-use crate::count_sim::{AdapterStats, CountConfiguration, CountProtocol, CountSim, Outcomes};
+use crate::count_sim::{
+    occupied_in_state_order, AdapterStats, CountConfiguration, CountProtocol, CountSim, Outcomes,
+};
 use crate::rng::{geometric, hypergeometric, multinomial_conditional, rng_from_seed, SimRng};
 use crate::scheduler::parallel_time;
 use crate::slot_index::{fnv_hash, SlotIndex, SlotIndexStats};
@@ -513,6 +515,12 @@ impl<P: CountProtocol> BatchedCountSim<P> {
     /// Count of agents currently in `state`.
     pub fn count(&self, state: &P::State) -> u64 {
         self.slot_lookup(state).map_or(0, |id| self.counts[id])
+    }
+
+    /// Writes the occupied `(state, count)` pairs into `out` in state
+    /// order (see [`ConfigSim::view_into`]).
+    pub(crate) fn view_into(&self, out: &mut Vec<(P::State, u64)>) {
+        occupied_in_state_order(&self.states, &self.counts, out);
     }
 
     /// Materializes the current configuration (O(k log k)).
@@ -1407,8 +1415,8 @@ impl<P: CountProtocol> ConfigSim<P> {
     /// | epidemic_sub3       | 0.99× | 1.85× | 3.09× | 4.46× | 7.52×  | 1.01× |
     /// | partition           | 0.93× | 1.87× | 2.44× | 3.78× | 4.85×  | 0.98× |
     /// | intro_functions     | 0.75× | 1.17× | 1.80× | 6.09× | 11.59× | 0.99× |
-    /// | counter_signal      | 1.01× | 0.60× | 0.63× | 0.69× | 1.01×  | 1.50× |
-    /// | fixed_signal        | 0.98× | 0.92× | 0.94× | 0.96× | 0.92×  | 1.07× |
+    /// | counter_signal      | 1.01× | 0.81× | 0.80× | 0.83× | 1.01×  | 1.50× |
+    /// | fixed_signal        | 0.98× | 0.95× | 0.96× | 1.05× | 0.92×  | 1.07× |
     /// | geometric_signal    | 0.94× | 1.02× | 1.01× | 1.01× | 0.99×  | 0.98× |
     /// | exact_backup        | 1.00× | 1.15× | 0.83× | 0.96× | 0.92×  | 0.91× |
     /// | nonuniform_majority | 1.24× | 0.94× | 0.96× | 0.91× | 1.03×  | —     |
@@ -1417,10 +1425,17 @@ impl<P: CountProtocol> ConfigSim<P> {
     /// except the counter, which now batches through its declared law, and
     /// `geometric_signal`, which never batches) show the timing noise:
     /// ±10% on most rows, 0.75–1.24× on the few-millisecond
-    /// `intro_functions` and two-trial `nonuniform_majority` cells. The
-    /// signal experiments check every `n/100` interactions, which cuts
-    /// batches short: the counter loses ~35% per trial from 512 to 2048 and
-    /// `fixed_signal` ~6%.
+    /// `intro_functions` and two-trial `nonuniform_majority` cells.
+    ///
+    /// The signal experiments check every `n/100` interactions, which cuts
+    /// batches short. Their cells from 512 to 2048 were re-measured once
+    /// checkpoint views stopped copying the configuration: Auto against
+    /// pinned `Sequential` (what the former threshold ran there), median
+    /// of 5 alternating passes of ~0.1–0.4 s each. That took the counter
+    /// from 0.60–0.69× to 0.80–0.83× (0.25 against 0.20 ms per trial at
+    /// 512, 0.65 against 0.54 ms at 2048), and `fixed_signal` is now level
+    /// within noise. The counter's remaining loss is the cut batches, not
+    /// the views.
     pub const BATCH_THRESHOLD: u64 = 512;
 
     /// Chooses the fastest correct engine for this protocol and population,
@@ -1727,11 +1742,23 @@ impl<P: CountProtocol> ConfigSim<P> {
         }
     }
 
-    /// Materializes the current configuration.
+    /// Materializes the current configuration: a full copy, for callers
+    /// that need a [`CountConfiguration`] rather than a checkpoint view.
     pub fn config_view(&self) -> CountConfiguration<P::State> {
         match self.eng() {
             Engine::Sequential(s) => s.config().clone(),
             Engine::Batched(b) => b.config_view(),
+        }
+    }
+
+    /// The checkpoint view: replaces `out` with the occupied `(state,
+    /// count)` pairs in state order — the pairs `config_view().iter()`
+    /// yields — read in one pass over the active engine's slot tables,
+    /// with no configuration copy or index rebuild.
+    pub fn view_into(&self, out: &mut Vec<(P::State, u64)>) {
+        match self.eng() {
+            Engine::Sequential(s) => s.config().view_into(out),
+            Engine::Batched(b) => b.view_into(out),
         }
     }
 

@@ -506,6 +506,13 @@ impl<S: Copy + Ord + Hash + std::fmt::Debug> CountConfiguration<S> {
             .map(move |&slot| (&self.states[slot], &self.counts[slot]))
     }
 
+    /// Writes the occupied `(state, count)` pairs into `out` in state
+    /// order: the pairs [`Self::iter`] yields, in one pass over the slot
+    /// tables, without a slot buffer.
+    pub(crate) fn view_into(&self, out: &mut Vec<(S, u64)>) {
+        occupied_in_state_order(&self.states, &self.counts, out);
+    }
+
     /// Fills `slots` with the occupied slots in state order.
     fn sort_occupied(&self, slots: &mut Vec<usize>) {
         slots.clear();
@@ -693,6 +700,25 @@ impl<S: Copy + Ord + Hash + std::fmt::Debug> CountConfiguration<S> {
         self.add(rec2, 1);
         self.add(sen2, 1);
     }
+}
+
+/// Replaces `out` with the slot tables' occupied `(state, count)` pairs,
+/// sorted by state: the checkpoint view of both count engines. States are
+/// unique per table, so the unstable sort is deterministic.
+pub(crate) fn occupied_in_state_order<S: Copy + Ord>(
+    states: &[S],
+    counts: &[u64],
+    out: &mut Vec<(S, u64)>,
+) {
+    out.clear();
+    out.extend(
+        states
+            .iter()
+            .zip(counts)
+            .filter(|&(_, &c)| c > 0)
+            .map(|(&s, &c)| (s, c)),
+    );
+    out.sort_unstable_by_key(|&(s, _)| s);
 }
 
 /// Rebuilds `tree` as the 1-indexed Fenwick tree over `counts`, bottom-up

@@ -494,6 +494,17 @@ impl<S: Clone + Eq + Hash> InternerHandle<S> {
         self.table.borrow().generation
     }
 
+    /// Replaces `out` with `ids` decoded to `(state, count)` pairs, in the
+    /// same order.
+    pub(crate) fn decode_into(&self, ids: &[(u32, u64)], out: &mut Vec<(S, u64)>) {
+        let table = self.table.borrow();
+        out.clear();
+        out.extend(
+            ids.iter()
+                .map(|&(id, count)| (table.get(id).clone(), count)),
+        );
+    }
+
     /// Decodes a slot-id configuration into `(state, count)` pairs.
     pub fn decode(&self, config: &CountConfiguration<u32>) -> Vec<(S, u64)> {
         let table = self.table.borrow();

@@ -39,13 +39,24 @@
 //! ## The observation surface
 //!
 //! All engines report the population as a **decoded multiset**: a slice of
-//! `(state, count)` pairs covering every occupied state. Per-agent engines
-//! group equal states (first-seen order: the pair holding agent 0's state
-//! comes first); count engines decode their configuration (state order for
-//! native count protocols, discovery order for interned ones). Convergence
-//! is a property of the occupied support, so every predicate in this
-//! repository — "all agents infected", "all outputs agree", "no X left" —
-//! is expressible against this view, on any engine.
+//! `(state, count)` pairs covering every occupied state. Each engine builds
+//! it in one pass, straight into the output:
+//!
+//! * count engines, sequential and batched, read the occupied
+//!   `(state, count)` pairs off their slot tables and sort them by state;
+//! * the interned engine does the same over slot ids, so its pairs come in
+//!   id (discovery) order, then decodes each id;
+//! * the per-agent engine groups equal states in first-seen order (the
+//!   pair holding agent 0's state comes first), one hash lookup per agent.
+//!
+//! A view costs `O(k log k)` for `k` occupied states on the count engines
+//! and `O(n)` on the per-agent engine; no engine copies its configuration
+//! or rebuilds an index to build one. The run driver's checkpoints reuse
+//! one view buffer across a run.
+//!
+//! Convergence is a property of the occupied support, so every predicate
+//! in this repository — "all agents infected", "all outputs agree", "no X
+//! left" — is expressible against this view, on any engine.
 //!
 //! ## Observer contract
 //!
@@ -120,10 +131,10 @@ pub(crate) trait Engine<S> {
     /// overshoot `budget`, so the driver lands checkpoints exactly.
     fn advance(&mut self, budget: u64) -> u64;
 
-    /// The decoded occupied-state multiset: `(state, count)` pairs with
-    /// positive counts summing to `n`. See the [module docs](self) for
-    /// per-engine ordering.
-    fn view(&self) -> Vec<(S, u64)>;
+    /// Replaces `out` with the decoded occupied-state multiset:
+    /// `(state, count)` pairs with positive counts summing to `n`, built in
+    /// one pass. See the [module docs](self) for per-engine ordering.
+    fn view_into(&self, out: &mut Vec<(S, u64)>);
 
     /// The concrete simulator currently executing interactions.
     fn kind(&self) -> EngineKind;
@@ -181,22 +192,18 @@ where
 
     /// Groups equal agent states; pairs appear in first-seen agent-index
     /// order, so the first pair always holds agent 0's state. The map only
-    /// indexes `pairs`, so its hasher cannot change the output.
-    fn view(&self) -> Vec<(P::State, u64)> {
-        let states = self.states();
+    /// indexes `out`, so its hasher cannot change the output.
+    fn view_into(&self, out: &mut Vec<(P::State, u64)>) {
+        out.clear();
         let mut index: HashMap<&P::State, usize, BuildHasherDefault<FnvHasher>> =
             HashMap::with_capacity_and_hasher(16, BuildHasherDefault::default());
-        let mut pairs: Vec<(&P::State, u64)> = Vec::new();
-        for s in states {
-            match index.entry(s) {
-                std::collections::hash_map::Entry::Occupied(e) => pairs[*e.get()].1 += 1,
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(pairs.len());
-                    pairs.push((s, 1));
-                }
-            }
+        for s in self.states() {
+            let group = *index.entry(s).or_insert_with(|| {
+                out.push((s.clone(), 0));
+                out.len() - 1
+            });
+            out[group].1 += 1;
         }
-        pairs.into_iter().map(|(s, c)| (s.clone(), c)).collect()
     }
 
     fn kind(&self) -> EngineKind {
@@ -221,8 +228,8 @@ impl<P: CountProtocol> Engine<P::State> for ConfigSim<P> {
         ConfigSim::advance(self, budget)
     }
 
-    fn view(&self) -> Vec<(P::State, u64)> {
-        self.config_view().iter().map(|(&s, &c)| (s, c)).collect()
+    fn view_into(&self, out: &mut Vec<(P::State, u64)>) {
+        ConfigSim::view_into(self, out);
     }
 
     fn kind(&self) -> EngineKind {
@@ -270,8 +277,11 @@ where
         self.sim.advance(budget)
     }
 
-    fn view(&self) -> Vec<(P::State, u64)> {
-        self.handle.decode(&self.sim.config_view())
+    /// The occupied `(id, count)` pairs in id order, then decoded.
+    fn view_into(&self, out: &mut Vec<(P::State, u64)>) {
+        let mut ids = Vec::new();
+        self.sim.view_into(&mut ids);
+        self.handle.decode_into(&ids, out);
     }
 
     fn kind(&self) -> EngineKind {
@@ -310,8 +320,8 @@ impl<S, E: Engine<S>> Engine<S> for Checkpointed<E> {
         self.engine.advance(budget)
     }
 
-    fn view(&self) -> Vec<(S, u64)> {
-        self.engine.view()
+    fn view_into(&self, out: &mut Vec<(S, u64)>) {
+        self.engine.view_into(out);
     }
 
     fn kind(&self) -> EngineKind {
@@ -549,6 +559,9 @@ pub struct Simulation<'a, S> {
     /// `PP_TRACE`, gated by `PP_METRICS`). The engine holds a clone; this
     /// copy serves the run driver's snapshot-write instrumentation.
     metrics: Option<Metrics>,
+    /// The checkpoint view, rebuilt in place at every checkpoint of
+    /// [`Simulation::drive`] so its allocation is reused.
+    view: Vec<(S, u64)>,
 }
 
 impl<'a, S: Clone> Simulation<'a, S> {
@@ -610,6 +623,7 @@ impl<'a, S: Clone> Simulation<'a, S> {
                 last: 0,
             }),
             metrics,
+            view: Vec::new(),
         }
     }
 
@@ -665,7 +679,9 @@ impl<'a, S: Clone> Simulation<'a, S> {
     /// The decoded occupied-state multiset (see the [module docs](self)
     /// for its ordering).
     pub fn view(&self) -> Vec<(S, u64)> {
-        self.engine.view()
+        let mut view = Vec::new();
+        self.engine.view_into(&mut view);
+        view
     }
 
     /// Count of agents currently in `state`.
@@ -673,7 +689,7 @@ impl<'a, S: Clone> Simulation<'a, S> {
     where
         S: PartialEq,
     {
-        count_of(&self.engine.view(), state)
+        count_of(&self.view(), state)
     }
 
     /// The concrete simulator currently executing interactions.
@@ -774,10 +790,11 @@ impl<'a, S: Clone> Simulation<'a, S> {
         let max_interactions = (max_time * n as f64).ceil() as u64;
         let fault = crate::env::fault_plan();
         loop {
-            let view = self.engine.view();
+            self.engine.view_into(&mut self.view);
+            let view = &self.view;
             let (time, interactions) = (self.engine.time(), self.engine.interactions());
             for obs in &mut self.observers {
-                obs(time, interactions, &view);
+                obs(time, interactions, view);
             }
             let exhausted = interactions >= max_interactions;
             if let Some(cp) = &mut self.checkpoint {
@@ -827,7 +844,7 @@ impl<'a, S: Clone> Simulation<'a, S> {
                     std::process::abort();
                 }
             }
-            if predicate(&view) {
+            if predicate(view) {
                 self.trace_final_counters();
                 return RunOutcome {
                     converged: true,
@@ -1576,6 +1593,140 @@ mod tests {
         assert_eq!(view_population(&view), 10);
         assert_eq!(count_of(&view, &1), 6);
         assert_eq!(count_of(&view, &2), 0);
+    }
+
+    /// A count protocol that churns through 16 states, so slots empty,
+    /// get freed and get recycled all the time.
+    struct Churn;
+
+    impl crate::batch::DeterministicCountProtocol for Churn {
+        type State = u8;
+
+        fn transition_det(&self, rec: u8, sen: u8) -> (u8, u8) {
+            ((5 * rec + sen + 3) % 16, (rec ^ (sen + 1)) % 16)
+        }
+    }
+
+    /// The view the count engines built before one-pass views: a full
+    /// configuration copy, iterated in state order.
+    fn materialised<P: CountProtocol>(sim: &ConfigSim<P>) -> Vec<(P::State, u64)> {
+        sim.config_view().iter().map(|(&s, &c)| (s, c)).collect()
+    }
+
+    #[test]
+    fn sequential_view_matches_the_materialised_view_across_slot_recycling() {
+        let mut sim =
+            ConfigSim::sequential(Churn, CountConfiguration::from_pairs([(0, 30), (7, 10)]), 3);
+        // One buffer for the whole run, as the run driver keeps it; it
+        // starts dirty so a stale pair would show.
+        let mut view = vec![(99, 1)];
+        let (mut freed, mut recycled) = (false, false);
+        let mut seen_slots: Vec<u8> = Vec::new();
+        for _ in 0..300 {
+            sim.view_into(&mut view);
+            assert_eq!(view, materialised(&sim));
+            let (states, counts, free) = sim.inner_sequential().unwrap().config().snapshot_parts();
+            freed |= !free.is_empty();
+            for (slot, (&state, &count)) in states.iter().zip(counts).enumerate() {
+                if count > 0 {
+                    match seen_slots.get(slot) {
+                        Some(&old) => recycled |= old != state,
+                        None => seen_slots.push(state),
+                    }
+                    seen_slots[slot] = state;
+                }
+            }
+            sim.steps(7);
+        }
+        assert!(freed && recycled, "the run must free and recycle slots");
+    }
+
+    #[test]
+    fn batched_view_matches_the_materialised_view_as_the_table_grows() {
+        let mut sim = ConfigSim::batched(Churn, CountConfiguration::uniform(0, 600), 5);
+        let mut view = vec![(99, 1)];
+        for _ in 0..200 {
+            sim.view_into(&mut view);
+            assert_eq!(view, materialised(&sim));
+            sim.steps(37);
+        }
+        let (discovered, _, _) = sim.inner_batched().unwrap().snapshot_parts();
+        assert!(
+            discovered.len() > 8,
+            "the state table must grow past its start"
+        );
+    }
+
+    #[test]
+    fn interned_view_matches_the_decoded_configuration_across_gc() {
+        /// Churning record states, so GC has dead ids to drop.
+        struct Mix;
+        impl Protocol for Mix {
+            type State = u64;
+            fn initial_state(&self) -> u64 {
+                0
+            }
+            fn interact(&self, rec: &mut u64, sen: &mut u64, _rng: &mut SimRng) {
+                let r = *rec;
+                *rec = (7 * r + *sen + 1) % 97;
+                *sen = (*sen + r + 2) % 97;
+            }
+        }
+        let interned = Interned::new(Mix);
+        let handle = interned.handle();
+        let config = interned.uniform_config(80);
+        let mut engine = InternedEngine {
+            sim: ConfigSim::sequential(interned, config, 9),
+            handle,
+        };
+        let mut view = vec![(99, 1)];
+        let mut passes = 0;
+        for round in 0..120 {
+            engine.view_into(&mut view);
+            assert_eq!(view, engine.handle.decode(&engine.sim.config_view()));
+            if round % 10 == 9 && engine.sim.collect_now() {
+                passes += 1;
+                engine.view_into(&mut view);
+                assert_eq!(view, engine.handle.decode(&engine.sim.config_view()));
+            }
+            engine.sim.steps(40);
+        }
+        assert!(passes > 0 && engine.handle.generation() > 0, "GC must run");
+    }
+
+    #[test]
+    fn agent_view_groups_runs_and_distinct_states_in_first_seen_order() {
+        /// The grouping the per-agent view must reproduce: one linear scan
+        /// per record, first-seen order.
+        fn first_seen(states: &[u64]) -> Vec<(u64, u64)> {
+            let mut groups: Vec<(u64, u64)> = Vec::new();
+            for &s in states {
+                match groups.iter_mut().find(|(g, _)| *g == s) {
+                    Some(group) => group.1 += 1,
+                    None => groups.push((s, 1)),
+                }
+            }
+            groups
+        }
+        let pattern = [5u64, 5, 5, 2, 2, 9, 5, 5, 1, 2, 2, 2, 9, 7, 5];
+        let mut sim = AgentSim::new(MaxRecord, pattern.len(), 1);
+        for (i, &s) in pattern.iter().enumerate() {
+            sim.set_state(i, s);
+        }
+        let mut view = vec![(99, 1)];
+        sim.view_into(&mut view);
+        assert_eq!(view, vec![(5, 6), (2, 5), (9, 2), (1, 1), (7, 1)]);
+        // A shuffled population mid-run, where runs are short.
+        let mut sim = AgentSim::new(MaxRecord, 500, 4);
+        for i in 0..500 {
+            sim.set_state(i, (i as u64 * 7919) % 13);
+        }
+        for _ in 0..20 {
+            sim.view_into(&mut view);
+            assert_eq!(view, first_seen(sim.states()));
+            assert_eq!(view[0].0, sim.states()[0]);
+            sim.steps(50);
+        }
     }
 
     #[test]
