@@ -20,7 +20,7 @@
 //! short sampling prefix (unbounded geometric support) falls back to
 //! per-interaction sampling. This is the repository's showcase that
 //! randomized paper protocols reach batched speed — see `bench_batch`.
-//! Below the measured crossover (2¹⁷ agents) [`weak_estimate`] runs the
+//! Below the measured crossover (2¹⁸ agents) [`weak_estimate`] runs the
 //! per-agent engine instead, which is faster there: see `AGENT_MAX_N`.
 
 use pp_engine::count_sim::{CountProtocol, Outcomes};
@@ -130,25 +130,28 @@ pub struct WeakOutcome {
 /// Set from the measured crossover: median ns per interaction of
 /// `weak_estimate`'s run (build, `check_every = n`,
 /// [`WeakEstimator::agreed_view`], to agreement), count engines under
-/// `EngineMode::Auto` vs `SimMode::Agent`, same seeds, alternating, ~3 s of
-/// trials per cell on a 2-core x86-64 host. The last size where Agent is at
-/// least as fast is 2¹⁷ (three repeats there read 28.9/29.6/28.9 vs
-/// 27.0/26.2/25.0; at 2¹⁸, 21.6/23.9/24.5 vs 26.5/28.6/29.3).
+/// `EngineMode::Auto` vs `SimMode::Agent`, same seeds, alternating, 3–4 s
+/// of trials per cell on a 2-core x86-64 host; each cell is the median
+/// over its repeats (two, five at 2¹⁷–2¹⁹). The last size where Agent is
+/// at least as fast is 2¹⁸: its five repeats read
+/// 24.9/27.7/22.0/17.6/24.9 vs 25.6/23.9/20.9/17.8/17.0, Agent ahead in
+/// three; at 2¹⁹, 22.6/21.7/15.0/14.4/14.9 vs 23.7/28.0/20.1/20.3/19.7,
+/// count ahead in all five.
 ///
 /// | n | count Auto | Agent |
 /// |---|---|---|
-/// | 10³ | 68.5 | 23.3 |
-/// | 10⁴ | 60.6 | 22.4 |
-/// | 2¹⁵ | 44.0 | 22.6 |
-/// | 2¹⁶ | 36.5 | 23.5 |
-/// | 2¹⁷ | 28.9 | 27.0 |
-/// | 2¹⁸ | 21.6 | 26.5 |
-/// | 2¹⁹ | 18.8 | 31.7 |
-/// | 2²⁰ | 14.7 | 43.2 |
-const AGENT_MAX_N: u64 = 1 << 17;
+/// | 10³ | 58.1 | 14.9 |
+/// | 10⁴ | 57.8 | 13.4 |
+/// | 2¹⁵ | 39.0 | 15.0 |
+/// | 2¹⁶ | 34.4 | 16.1 |
+/// | 2¹⁷ | 26.3 | 21.5 |
+/// | 2¹⁸ | 24.9 | 20.9 |
+/// | 2¹⁹ | 15.0 | 20.3 |
+/// | 2²⁰ | 14.9 | 29.8 |
+const AGENT_MAX_N: u64 = 1 << 18;
 
 /// Runs the weak estimator to agreement: on the per-agent engine up to
-/// `AGENT_MAX_N` (2¹⁷) agents, where its array writes beat the count
+/// `AGENT_MAX_N` (2¹⁸) agents, where its array writes beat the count
 /// engines' per-interaction bookkeeping, and on the count engines (batched)
 /// above that measured crossover. Both check agreement every `n`
 /// interactions and report the largest value in the final view.

@@ -25,11 +25,14 @@
 //!   "batched" column is the interned `ConfigSim` under
 //!   `EngineMode::Auto` with GC on. Once the occupied support crosses
 //!   the dense-lane floor, the count engine runs these churners through
-//!   the per-agent lane — the agent simulator's exact interaction loop
-//!   bracketed by an `O(n)` expand/collapse — so the gated ratio sits
-//!   near 1 instead of the ~0.14 the pre-lane intern-per-interaction
-//!   path managed, and a regression in the lane, the slot index, or the
-//!   GC'd count path trips the gate.
+//!   the per-agent lane: the agent engine's own interaction loop (one
+//!   shared function) bracketed by an `O(n)` expand/collapse. The two
+//!   columns thus share their interaction loop and differ only in what
+//!   surrounds it: the lane's bracket and the count-path phases on one
+//!   side, the agent engine's views (where a row builds them) on the
+//!   other. The gated ratio sits near 1 instead of the ~0.14 the
+//!   pre-lane intern-per-interaction path managed, and a regression in
+//!   the lane, the slot index, or the GC'd count path trips the gate.
 //! * **`logsize_estimation` / `checkpointed`** — the same fixed parallel
 //!   time at `n = 2000`, advanced `n` interactions at a time: the
 //!   cadence `Simulation::run` checks at, and so one dense-lane episode

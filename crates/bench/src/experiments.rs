@@ -134,7 +134,7 @@ pub fn experiment(name: &str) -> Option<SweepExperiment> {
         }
         // Alistarh et al.'s max-geometric weak estimator: signed error of
         // the settled maximum vs log₂ n, and agreement time. Runs on the
-        // per-agent engine up to 2¹⁷ agents and on the batched count
+        // per-agent engine up to 2¹⁸ agents and on the batched count
         // engine above (`weak_estimate`'s measured crossover).
         "weak_estimator" => SweepExperiment::new("weak_estimator", &["err", "time"], |ctx| {
             let out = weak_estimate(ctx.n as usize, ctx.seed);

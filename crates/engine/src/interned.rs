@@ -133,7 +133,7 @@
 //!   per-interaction interning economy altogether: once the occupied
 //!   support crosses the dense-lane floor, the adapter expands the
 //!   configuration into one record per agent, runs the agent
-//!   simulator's exact interaction loop in place, and re-interns the
+//!   simulator's own interaction loop on it in place, and re-interns the
 //!   survivors once at the end (see `advance_dense`). The lane keeps
 //!   its buffers between episodes, so a warm episode allocates nothing.
 //!   The count engine thereby matches the agent simulator's throughput
@@ -170,11 +170,10 @@ use std::fmt::Debug;
 use std::hash::Hash;
 use std::rc::Rc;
 
-use rand::Rng;
-
 use crate::count_sim::{AdapterStats, CountConfiguration, CountProtocol, CountSeededInit};
 use crate::protocol::{Protocol, SeededInit};
 use crate::rng::SimRng;
+use crate::sim::run_pairs;
 use crate::slot_index::{fnv_hash, SlotIndex};
 
 pub use crate::slot_index::FnvHasher;
@@ -352,10 +351,12 @@ struct PairCache {
 }
 
 impl PairCache {
+    /// An empty cache that allocates nothing: the tables are allocated by
+    /// the first [`PairCache::put`], and until then every probe misses.
     fn new() -> Self {
         Self {
-            keys: vec![PAIR_EMPTY; 1 << PAIR_CACHE_BITS],
-            outs: vec![(0, 0); 1 << PAIR_CACHE_BITS],
+            keys: Vec::new(),
+            outs: Vec::new(),
             generation: 0,
             hits: 0,
             misses: 0,
@@ -372,11 +373,15 @@ impl PairCache {
     #[inline]
     fn get(&self, key: u64) -> Option<(u32, u32)> {
         let slot = Self::slot(key);
-        (self.keys[slot] == key).then(|| self.outs[slot])
+        (self.keys.get(slot) == Some(&key)).then(|| self.outs[slot])
     }
 
     #[inline]
     fn put(&mut self, key: u64, out: (u32, u32)) {
+        if self.keys.is_empty() {
+            self.keys = vec![PAIR_EMPTY; 1 << PAIR_CACHE_BITS];
+            self.outs = vec![(0, 0); 1 << PAIR_CACHE_BITS];
+        }
         let slot = Self::slot(key);
         self.keys[slot] = key;
         self.outs[slot] = out;
@@ -728,14 +733,13 @@ where
     ///   configuration entry's state `count` times, in ascending id order
     ///   (GC compaction and snapshot restore both preserve relative id
     ///   order, so this is invariant across their id drift).
-    /// * **Run**: execute the whole budget as the agent simulator would —
-    ///   draw a uniform ordered pair of distinct agent indices (two RNG
-    ///   words, the same draw law as
-    ///   [`PairScheduler::next_pair`](crate::scheduler::PairScheduler::next_pair)),
-    ///   split
-    ///   the slice, and run [`Protocol::interact`] *in place*. No clones,
-    ///   no equality probes, no interning — the interaction loop is
-    ///   byte-for-byte the agent simulator's.
+    /// * **Run**: hand the agent array to the agent simulator's own
+    ///   interaction loop (`sim::run_pairs`, which `AgentSim::steps` runs
+    ///   too): per interaction, a uniform ordered pair of distinct agent
+    ///   indices from two RNG words, drawn as
+    ///   [`PairScheduler::next_pair`](crate::scheduler::PairScheduler::next_pair)
+    ///   draws it, and [`Protocol::interact`] *in place* on the two
+    ///   records. No clones, no equality probes, no interning.
     /// * **Collapse**: scan the agent array once; each *record value*
     ///   gets the next rank at its first occurrence (a [`SlotIndex`]
     ///   dedupes). The ranks are the new ids `0..k`, so
@@ -751,12 +755,14 @@ where
     /// allocates nothing once warm: the agent array, the dedupe buffers,
     /// and the table's previous storage are kept in `LaneBuffers` and
     /// reused. Measured with `Log-Size-Estimation` records at `n = 2000`
-    /// on a shared 2-vCPU x86-64 VM, it costs 13–18 ns per agent (3–4 to
-    /// expand, 9–14 to dedupe, under 1 to install), next to 30–35 ns per
-    /// interaction for the loop itself. Under `Simulation::run`'s default
-    /// cadence of one checkpoint every `n` interactions — one episode
-    /// each — the bracket is therefore about a third of the lane's time;
-    /// longer budgets amortize it further.
+    /// (the paper's estimate run to convergence, a timer around each
+    /// phase, 9 runs of 3–4 trials) on a shared 2-core x86-64 host, it
+    /// costs 18–25 ns per agent (3.5–5 to expand, 14–20 to dedupe and
+    /// install), next to 27–35 ns per interaction for the loop itself.
+    /// Under `Simulation::run`'s default cadence of one checkpoint every
+    /// `n` interactions — one episode each — the bracket is therefore
+    /// about two fifths of the lane's time; longer budgets amortize it
+    /// further.
     ///
     /// Determinism across engine histories: table ids don't even exist
     /// during an episode — the trajectory is computed on records, as the
@@ -797,23 +803,7 @@ where
             let k = usize::try_from(k).expect("lane population fits usize");
             agents.resize(agents.len() + k, table.states[id as usize].clone());
         }
-        for _ in 0..budget {
-            // The agent simulator's draw: a uniform ordered pair of
-            // distinct agent indices from two RNG words.
-            let a = rng.gen_range(0..n) as usize;
-            let mut b = rng.gen_range(0..n - 1) as usize;
-            if b >= a {
-                b += 1;
-            }
-            let (lo, hi) = (a.min(b), a.max(b));
-            let (left, right) = agents.split_at_mut(hi);
-            let (first, second) = (&mut left[lo], &mut right[0]);
-            if a < b {
-                self.protocol.interact(first, second, rng);
-            } else {
-                self.protocol.interact(second, first, rng);
-            }
-        }
+        run_pairs(&self.protocol, agents, rng, budget);
         // Collapse: rank record values by first occurrence in the agent
         // scan; the index dedupes value-equal records onto one rank, and
         // since ranks are the new ids the table adopts it as is. Sized at
@@ -1159,6 +1149,27 @@ mod tests {
             interned.table.borrow().generation,
             "cache was not re-stamped for the new generation"
         );
+    }
+
+    #[test]
+    fn pair_cache_allocates_on_its_first_put() {
+        let interned = Interned::new(MaxRecord);
+        assert_eq!(interned.cache.borrow().keys.capacity(), 0);
+        assert_eq!(interned.cache.borrow().get(pair_key(0, 1)), None);
+        let touched = |value| Record {
+            value,
+            touched: true,
+        };
+        interned.intern_state(touched(10));
+        interned.intern_state(touched(2));
+        let mut rng = crate::rng::rng_from_seed(1);
+        // A miss probes the unallocated cache; the deterministic outcome
+        // is then memoized, which allocates it, and the repeat hits.
+        assert_eq!(interned.transition(0, 1, &mut rng), (0, 0));
+        assert_eq!(interned.cache.borrow().keys.len(), 1 << PAIR_CACHE_BITS);
+        assert_eq!(interned.transition(0, 1, &mut rng), (0, 0));
+        let cache = interned.cache.borrow();
+        assert_eq!((cache.hits, cache.misses), (1, 1));
     }
 
     #[test]

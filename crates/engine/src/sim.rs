@@ -3,10 +3,42 @@
 //! Stores one state struct per agent and applies interactions drawn from the
 //! uniform pair scheduler. This is the simulator used for the paper's main
 //! protocols, whose states are records of `O(log log n)`-bit counters.
+//! Its interaction loop, `run_pairs`, is also the interned count engine's
+//! dense lane: one loop runs every per-agent interaction in the crate.
 
 use crate::protocol::{Protocol, SeededInit};
 use crate::rng::{rng_from_seed, SimRng};
 use crate::scheduler::{parallel_time, PairScheduler};
+
+/// The per-agent interaction loop: runs `budget` interactions on `agents`
+/// in place. Shared by [`AgentSim`] and the interned adapter's dense lane,
+/// so both execute one trajectory law with one loop.
+///
+/// Each interaction draws `(rec, sen)` with
+/// [`PairScheduler::next_pair`] (two RNG words) and hands the two agents to
+/// [`Protocol::interact`] in that order. `get_disjoint_mut` borrows both at
+/// once, so no branch on which index is lower; `rng` and `agents` are
+/// separate borrows, so the RNG state can stay in registers.
+///
+/// # Panics
+///
+/// Panics if `agents` has fewer than 2 agents.
+#[inline]
+pub(crate) fn run_pairs<P: Protocol>(
+    protocol: &P,
+    agents: &mut [P::State],
+    rng: &mut SimRng,
+    budget: u64,
+) {
+    let scheduler = PairScheduler::new(agents.len());
+    for _ in 0..budget {
+        let pair = scheduler.next_pair(rng);
+        let [rec, sen] = agents
+            .get_disjoint_mut([pair.receiver, pair.sender])
+            .expect("the scheduler draws two distinct in-range agents");
+        protocol.interact(rec, sen, rng);
+    }
+}
 
 /// Outcome of running a simulation until a predicate holds (or a budget ends).
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -23,7 +55,6 @@ pub struct RunOutcome {
 pub struct AgentSim<P: Protocol> {
     protocol: P,
     states: Vec<P::State>,
-    scheduler: PairScheduler,
     rng: SimRng,
     interactions: u64,
 }
@@ -31,15 +62,13 @@ pub struct AgentSim<P: Protocol> {
 impl<P: Protocol> AgentSim<P> {
     /// Creates a population of `n` agents, all in the protocol's initial
     /// state, with all randomness derived from `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n < 2`; a single agent can never interact.
     pub fn new(protocol: P, n: usize, seed: u64) -> Self {
         let states = vec![protocol.initial_state(); n];
-        Self {
-            protocol,
-            states,
-            scheduler: PairScheduler::new(n),
-            rng: rng_from_seed(seed),
-            interactions: 0,
-        }
+        Self::from_snapshot_parts(protocol, states, rng_from_seed(seed), 0)
     }
 
     /// Creates a population whose initial states come from
@@ -49,17 +78,11 @@ impl<P: Protocol> AgentSim<P> {
         P: SeededInit,
     {
         let states = (0..n).map(|i| protocol.init_state(i, n)).collect();
-        Self {
-            protocol,
-            states,
-            scheduler: PairScheduler::new(n),
-            rng: rng_from_seed(seed),
-            interactions: 0,
-        }
+        Self::from_snapshot_parts(protocol, states, rng_from_seed(seed), 0)
     }
 
-    /// Rebuilds a simulator from checkpoint parts. The pair scheduler is
-    /// stateless (rebuilt from the population size), so `(states, rng,
+    /// Rebuilds a simulator from checkpoint parts. The pair draw is a
+    /// function of the population size alone, so `(states, rng,
     /// interactions)` is the simulator's entire mutable state: a restored
     /// run continues byte-for-byte identically to the snapshotted one.
     pub(crate) fn from_snapshot_parts(
@@ -73,7 +96,6 @@ impl<P: Protocol> AgentSim<P> {
         Self {
             protocol,
             states,
-            scheduler: PairScheduler::new(n),
             rng,
             interactions,
         }
@@ -117,35 +139,19 @@ impl<P: Protocol> AgentSim<P> {
 
     /// Executes a single interaction.
     pub fn step(&mut self) {
-        let pair = self.scheduler.next_pair(&mut self.rng);
-        // Split the slice so we can hold two disjoint mutable references.
-        let (lo, hi) = (
-            pair.receiver.min(pair.sender),
-            pair.receiver.max(pair.sender),
-        );
-        let (left, right) = self.states.split_at_mut(hi);
-        let (first, second) = (&mut left[lo], &mut right[0]);
-        if pair.receiver < pair.sender {
-            self.protocol.interact(first, second, &mut self.rng);
-        } else {
-            self.protocol.interact(second, first, &mut self.rng);
-        }
-        self.interactions += 1;
+        self.steps(1);
     }
 
     /// Executes `k` interactions.
     pub fn steps(&mut self, k: u64) {
-        for _ in 0..k {
-            self.step();
-        }
+        run_pairs(&self.protocol, &mut self.states, &mut self.rng, k);
+        self.interactions += k;
     }
 
     /// Runs until `k` interactions total have been executed (no-op if already
     /// past `k`).
     pub fn run_until_interactions(&mut self, k: u64) {
-        while self.interactions < k {
-            self.step();
-        }
+        self.steps(k.saturating_sub(self.interactions));
     }
 
     /// Runs until parallel time `t` has elapsed.
@@ -359,6 +365,152 @@ mod tests {
         };
         assert_eq!(run(3), run(3));
         assert_ne!(run(3), run(4));
+    }
+
+    /// Asymmetric and randomized: the receiver records its partner and
+    /// counts its receptions; the sender sometimes flips a coin bit. Any
+    /// swap of the two roles, or any shift of the RNG stream, shows.
+    struct RecordPartner;
+
+    #[derive(Clone, Debug, PartialEq)]
+    struct Tagged {
+        id: usize,
+        partner: usize,
+        received: u32,
+        coin: bool,
+    }
+
+    impl Protocol for RecordPartner {
+        type State = Tagged;
+
+        fn initial_state(&self) -> Tagged {
+            Tagged {
+                id: 0,
+                partner: usize::MAX,
+                received: 0,
+                coin: false,
+            }
+        }
+
+        fn interact(&self, rec: &mut Tagged, sen: &mut Tagged, rng: &mut SimRng) {
+            rec.partner = sen.id;
+            rec.received += 1;
+            if rec.received % 3 == 0 {
+                sen.coin ^= rng.gen::<bool>();
+            }
+        }
+    }
+
+    impl SeededInit for RecordPartner {
+        fn init_state(&self, index: usize, _n: usize) -> Tagged {
+            Tagged {
+                id: index,
+                ..self.initial_state()
+            }
+        }
+    }
+
+    /// The interaction loop `AgentSim` and the dense lane each ran before
+    /// they shared [`run_pairs`]: split the slice at the higher index and
+    /// branch on which of the pair is the receiver.
+    fn split_and_branch<P: Protocol>(
+        protocol: &P,
+        agents: &mut [P::State],
+        rng: &mut SimRng,
+        budget: u64,
+    ) {
+        let scheduler = PairScheduler::new(agents.len());
+        for _ in 0..budget {
+            let pair = scheduler.next_pair(rng);
+            let (lo, hi) = (
+                pair.receiver.min(pair.sender),
+                pair.receiver.max(pair.sender),
+            );
+            let (left, right) = agents.split_at_mut(hi);
+            let (first, second) = (&mut left[lo], &mut right[0]);
+            if pair.receiver < pair.sender {
+                protocol.interact(first, second, rng);
+            } else {
+                protocol.interact(second, first, rng);
+            }
+        }
+    }
+
+    #[test]
+    fn run_pairs_matches_the_split_and_branch_loop() {
+        for n in [2usize, 3, 4, 7, 64, 1000] {
+            for seed in 0..4u64 {
+                let start: Vec<Tagged> = (0..n).map(|i| RecordPartner.init_state(i, n)).collect();
+                let budget = 20 * n as u64;
+                let (mut kernel, mut reference) = (start.clone(), start);
+                let mut kernel_rng = rng_from_seed(seed);
+                let mut reference_rng = rng_from_seed(seed);
+                run_pairs(&RecordPartner, &mut kernel, &mut kernel_rng, budget);
+                split_and_branch(&RecordPartner, &mut reference, &mut reference_rng, budget);
+                assert_eq!(kernel, reference, "states differ at n = {n}, seed {seed}");
+                assert_eq!(
+                    kernel_rng.state(),
+                    reference_rng.state(),
+                    "RNG position differs at n = {n}, seed {seed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn steps_equal_repeated_single_steps() {
+        for (n, seed) in [(2usize, 1u64), (5, 2), (300, 3)] {
+            let mut batched = AgentSim::with_inputs(RecordPartner, n, seed);
+            let mut single = AgentSim::with_inputs(RecordPartner, n, seed);
+            batched.steps(1_234);
+            for _ in 0..1_234 {
+                single.step();
+            }
+            assert_eq!(batched.states(), single.states());
+            assert_eq!(batched.rng().state(), single.rng().state());
+            assert_eq!(batched.interactions(), single.interactions());
+        }
+    }
+
+    /// Logs every `(rec, sen)` pair it sees; the state is the agent's index.
+    struct PairLog(std::cell::RefCell<Vec<(usize, usize)>>);
+
+    impl Protocol for PairLog {
+        type State = usize;
+
+        fn initial_state(&self) -> usize {
+            0
+        }
+
+        fn interact(&self, rec: &mut usize, sen: &mut usize, _rng: &mut SimRng) {
+            self.0.borrow_mut().push((*rec, *sen));
+        }
+    }
+
+    #[test]
+    fn run_pairs_draws_the_schedulers_pairs() {
+        for n in [2usize, 3, 10, 513] {
+            let log = PairLog(std::cell::RefCell::default());
+            let mut agents: Vec<usize> = (0..n).collect();
+            let mut rng = rng_from_seed(n as u64);
+            run_pairs(&log, &mut agents, &mut rng, 5_000);
+            let scheduler = PairScheduler::new(n);
+            let mut stream = rng_from_seed(n as u64);
+            let expected: Vec<(usize, usize)> = (0..5_000)
+                .map(|_| {
+                    let pair = scheduler.next_pair(&mut stream);
+                    (pair.receiver, pair.sender)
+                })
+                .collect();
+            assert_eq!(log.0.into_inner(), expected);
+            assert_eq!(rng.state(), stream.state());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 2 agents")]
+    fn rejects_a_single_agent() {
+        AgentSim::new(Epidemic, 1, 0);
     }
 
     #[test]
