@@ -194,10 +194,9 @@ pub fn weak_estimate(n: usize, seed: u64) -> WeakOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pp_engine::batch::ConfigSim;
     use pp_engine::count_sim::CountConfiguration;
     use pp_engine::rng::derive_seed;
-    use pp_engine::EngineMode;
+    use pp_engine::{ConfigSim, EngineMode};
 
     #[test]
     fn estimate_in_multiplicative_band() {
@@ -300,7 +299,7 @@ mod tests {
     #[test]
     fn facade_batches_at_scale() {
         let config = CountConfiguration::uniform(WeakState::initial(), 100_000);
-        let sim = ConfigSim::new(WeakEstimator, config, 1);
+        let sim = ConfigSim::with_mode(WeakEstimator, config, 1, EngineMode::Auto);
         assert!(sim.is_batched(), "weak estimator should batch at n = 10^5");
     }
 }

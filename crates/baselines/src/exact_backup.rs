@@ -115,8 +115,9 @@ pub fn expected_kex(n: u64) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pp_engine::batch::ConfigSim;
     use pp_engine::count_sim::CountConfiguration;
+    use pp_engine::simulation::view_population;
+    use pp_engine::{ConfigSim, EngineMode};
 
     #[test]
     fn expected_kex_is_floor_log2() {
@@ -179,8 +180,10 @@ mod tests {
     #[test]
     fn population_is_conserved_through_merges() {
         let config = CountConfiguration::uniform(BackupState::Leader(0), 500);
-        let mut sim = ConfigSim::new(ExactBackup, config, 3);
+        let mut sim = ConfigSim::with_mode(ExactBackup, config, 3, EngineMode::Auto);
         sim.steps(10_000);
-        assert_eq!(sim.config_view().population_size(), 500);
+        let mut view = Vec::new();
+        sim.view_into(&mut view);
+        assert_eq!(view_population(&view), 500);
     }
 }

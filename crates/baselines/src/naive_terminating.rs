@@ -230,8 +230,8 @@ pub fn geometric_signal_time(n: u64, scale: u16, seed: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pp_engine::batch::ConfigSim;
     use pp_engine::count_sim::CountConfiguration;
+    use pp_engine::{ConfigSim, EngineMode};
 
     use pp_analysis::stats::Summary;
 
@@ -290,12 +290,11 @@ mod tests {
         // Targets cap at 32·scale, so the state space stays small even on
         // long runs (needed for CountSim efficiency).
         let config = CountConfiguration::uniform(GeoState::Fresh, 10_000);
-        let mut sim = ConfigSim::new(GeometricTimer { scale: 10 }, config, 4);
+        let mut sim =
+            ConfigSim::with_mode(GeometricTimer { scale: 10 }, config, 4, EngineMode::Auto);
         sim.run_for_time(3.0);
-        assert!(
-            sim.config_view().support_size() < 400,
-            "support {} too large",
-            sim.config_view().support_size()
-        );
+        let mut view = Vec::new();
+        sim.view_into(&mut view);
+        assert!(view.len() < 400, "support {} too large", view.len());
     }
 }

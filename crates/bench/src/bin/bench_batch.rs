@@ -260,47 +260,36 @@ fn bench_interned<P: Protocol + Clone>(
     P::State: Eq + std::hash::Hash + Clone,
 {
     let metrics = Metrics::new();
-    let measure = |agent: bool| -> Measurement {
-        let start = Instant::now();
-        let mut interactions = 0;
-        for t in 0..trials {
-            let mode = if agent {
-                SimMode::Agent
-            } else {
-                EngineMode::Auto.into()
-            };
-            let mut builder = Simulation::builder(protocol.clone())
-                .size(n)
-                .seed(derive_seed(0xB0BB, t))
-                .mode(mode);
-            if !agent {
-                // Only the gated (counted) engine records: the agent
-                // engine is the machine normalizer, and the row's
-                // counters should describe the engine under test.
-                builder = builder.metrics(&metrics);
-            }
-            if let Some(state) = planted.clone() {
-                builder = builder.init_planted([(state, 1)]);
-            }
-            let mut sim = builder.build();
-            if checkpointed {
-                let total = (sim_time * n as f64).ceil() as u64;
-                while sim.interactions() < total {
-                    sim.steps(n.min(total - sim.interactions()));
-                }
-            } else {
-                sim.run_for_time(sim_time);
-            }
-            interactions += sim.interactions();
+    let (seq, bat) = alternate(trials, |agent, t| {
+        let mode = if agent {
+            SimMode::Agent
+        } else {
+            EngineMode::Auto.into()
+        };
+        let mut builder = Simulation::builder(protocol.clone())
+            .size(n)
+            .seed(derive_seed(0xB0BB, t))
+            .mode(mode);
+        if !agent {
+            // Only the gated (counted) engine records: the agent engine is
+            // the machine normalizer, and the row's counters should
+            // describe the engine under test.
+            builder = builder.metrics(&metrics);
         }
-        Measurement {
-            trials,
-            interactions,
-            seconds: start.elapsed().as_secs_f64(),
+        if let Some(state) = planted.clone() {
+            builder = builder.init_planted([(state, 1)]);
         }
-    };
-    let seq = measure(true);
-    let bat = measure(false);
+        let mut sim = builder.build();
+        if checkpointed {
+            let total = (sim_time * n as f64).ceil() as u64;
+            while sim.interactions() < total {
+                sim.steps(n.min(total - sim.interactions()));
+            }
+        } else {
+            sim.run_for_time(sim_time);
+        }
+        sim.interactions()
+    });
     let workload = if checkpointed {
         "checkpointed"
     } else {
@@ -315,24 +304,18 @@ fn bench_interned<P: Protocol + Clone>(
 /// since `estimate_in_mode` takes no metrics handle.
 fn bench_estimate(n: u64, trials: u64, rows: &mut Vec<Row>) {
     let metrics = Metrics::new();
-    let measure = |mode: SimMode| -> Measurement {
-        let start = Instant::now();
-        let mut interactions = 0;
-        for t in 0..trials {
-            let _ambient = (mode != SimMode::Agent).then(|| metrics.install_current());
-            let seed = derive_seed(0xB0BC, t);
-            let out = estimate_in_mode(LogSizeEstimation::paper(), n as usize, seed, None, mode);
-            assert!(out.converged, "the paper's estimate must converge");
-            interactions += (out.time * n as f64).round() as u64;
-        }
-        Measurement {
-            trials,
-            interactions,
-            seconds: start.elapsed().as_secs_f64(),
-        }
-    };
-    let seq = measure(SimMode::Agent);
-    let bat = measure(EngineMode::Auto.into());
+    let (seq, bat) = alternate(trials, |agent, t| {
+        let mode = if agent {
+            SimMode::Agent
+        } else {
+            EngineMode::Auto.into()
+        };
+        let _ambient = (!agent).then(|| metrics.install_current());
+        let seed = derive_seed(0xB0BC, t);
+        let out = estimate_in_mode(LogSizeEstimation::paper(), n as usize, seed, None, mode);
+        assert!(out.converged, "the paper's estimate must converge");
+        (out.time * n as f64).round() as u64
+    });
     push_agent_row(
         "logsize_estimation",
         n,
@@ -342,6 +325,27 @@ fn bench_estimate(n: u64, trials: u64, rows: &mut Vec<Row>) {
         &metrics,
         rows,
     );
+}
+
+/// Times `trials` trials on each of the agent engine and the counted one,
+/// alternating them trial by trial (agent first) so a slow spell on the
+/// host lands on both columns. `trial(agent, t)` runs trial `t` and returns
+/// its interaction count. Returns the (agent, counted) measurements.
+fn alternate(trials: u64, mut trial: impl FnMut(bool, u64) -> u64) -> (Measurement, Measurement) {
+    let zero = || Measurement {
+        trials,
+        interactions: 0,
+        seconds: 0.0,
+    };
+    let (mut agent, mut counted) = (zero(), zero());
+    for t in 0..trials {
+        for (side, is_agent) in [(&mut agent, true), (&mut counted, false)] {
+            let start = Instant::now();
+            side.interactions += trial(is_agent, t);
+            side.seconds += start.elapsed().as_secs_f64();
+        }
+    }
+    (agent, counted)
 }
 
 /// Prints and records one agent-vs-counted row.

@@ -187,7 +187,7 @@ fn render_journal(path: &str, docs: &[Value]) {
     );
 
     if points.values().all(|acc| acc.instrumented == 0) {
-        println!("(no per-trial counters — pre-telemetry journal or PP_METRICS=off)");
+        println!("(no per-trial counters — pre-telemetry journal)");
         return;
     }
     println!("== counters");

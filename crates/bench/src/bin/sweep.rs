@@ -210,8 +210,8 @@ fn main() {
         ("sweep.json", emit::to_json(&report)),
     ];
     // Per-point telemetry aggregates ride along whenever trials carried
-    // counters (PP_METRICS=off or replaying a pre-telemetry journal
-    // leaves the file list exactly as it always was).
+    // counters (replaying a pre-telemetry journal leaves the file list
+    // exactly as it always was).
     if report.has_counters() {
         outputs.push(("counters.csv", emit::counters_csv(&report)));
     }

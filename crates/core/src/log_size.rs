@@ -661,23 +661,29 @@ mod tests {
         // interaction, even after convergence), so without GC the interned
         // table grows without bound. With GC it must stay within a small
         // multiple of the live support, for as long as the run continues.
-        use pp_engine::batch::ConfigSim;
-        use pp_engine::Interned;
+        use pp_engine::{ConfigSim, EngineMode, Interned};
+
+        /// The decoded checkpoint view.
+        fn decoded(sim: &ConfigSim<Interned<LogSizeEstimation>>) -> Vec<(MainState, u64)> {
+            let (mut ids, mut view) = (Vec::new(), Vec::new());
+            sim.view_into(&mut ids);
+            sim.protocol().decode_into(&ids, &mut view);
+            view
+        }
 
         let n = 200usize;
         let interned = Interned::new(LogSizeEstimation::paper());
-        let handle = interned.handle();
         let config = interned.uniform_config(n as u64);
-        let mut sim = ConfigSim::new(interned, config, 42);
+        let mut sim = ConfigSim::with_mode(interned, config, 42, EngineMode::Auto);
         // Sub-`n` advance budgets keep the dense per-agent lane (which
         // compacts the table itself, masking GC) disengaged, so this run
         // exercises the per-interaction interning path the GC serves;
         // the lane-active bound is covered by the `dense_lane_*` tests
         // in pp-engine.
-        // (The test reads the interner handle and GC tally, which a built
+        // (The test reads the interner table and GC tally, which a built
         // `Simulation` hides, so it advances the facade itself.)
         let budget = default_time_budget(n as u64) * n as f64;
-        while !is_converged_counts(&handle.decode(&sim.config_view())) {
+        while !is_converged_counts(&decoded(&sim)) {
             assert!((sim.interactions() as f64) < budget, "run never converged");
             sim.steps((n / 2) as u64);
         }
@@ -686,8 +692,8 @@ mod tests {
         for _ in 0..sim.interactions() / (n as u64) {
             sim.steps((n / 2) as u64);
         }
-        let live = sim.config_view().support_size();
-        let table = handle.discovered();
+        let live = decoded(&sim).len();
+        let table = sim.protocol().discovered();
         assert!(
             sim.gc_collections() >= 1,
             "a full Log-Size-Estimation run must trigger interner GC"
@@ -700,9 +706,9 @@ mod tests {
             "interned table ({table} slots) not bounded by live support ({live})"
         );
         assert!(
-            (handle.total_interned() as usize) > 2 * table,
+            (sim.protocol().total_interned() as usize) > 2 * table,
             "workload minted too few dead states ({} total) to prove the bound",
-            handle.total_interned()
+            sim.protocol().total_interned()
         );
     }
 

@@ -97,7 +97,7 @@ pub trait CountProtocol {
         false
     }
 
-    /// Whether [`crate::batch::ConfigSim::new`] should pick the batched
+    /// Whether [`crate::ConfigSim`]'s Auto mode should pick the batched
     /// engine at large populations. Batching pays off when the *occupied*
     /// state count stays far below `√n` (per-batch work grows with the
     /// square of the occupied support); protocols with large or unbounded
@@ -113,7 +113,7 @@ pub trait CountProtocol {
     /// marks self-contained state types, which never need garbage
     /// collection.
     ///
-    /// [`crate::batch::ConfigSim`] polls this at its adaptive checkpoints:
+    /// [`crate::ConfigSim`] polls this at its adaptive checkpoints:
     /// once the table holds several times more slots than the live support
     /// it triggers [`CountProtocol::collect_table`], keeping
     /// counter-churning protocols (whose dead interned states would
@@ -170,7 +170,7 @@ pub trait CountProtocol {
     /// (the [`crate::interned::Interned`] adapter's pair cache and interner
     /// index). `None` — the default — for self-contained protocols.
     ///
-    /// [`crate::batch::ConfigSim`] polls this at its adaptive checkpoints
+    /// [`crate::ConfigSim`] polls this at its adaptive checkpoints
     /// and flushes the *deltas* into the attached
     /// [`pp_telemetry::Metrics`] registry, so reading it must be cheap and
     /// must observe nothing the trajectory depends on.
@@ -207,7 +207,7 @@ pub struct AdapterStats {
 /// multiset (agents are exchangeable), the count-space counterpart is simply
 /// the multiset itself. Majority input splits, planted-leader starts
 /// (Theorem 3.13), and seeded-value populations all express their inputs
-/// here and run on [`crate::batch::ConfigSim`] instead of being forced onto
+/// here and run on [`crate::ConfigSim`] instead of being forced onto
 /// the agent simulator. This is harness-level initialization (choosing the
 /// protocol's *input*), not part of the transition algorithm, so it does not
 /// violate uniformity.
@@ -785,24 +785,13 @@ impl<P: CountProtocol> CountSim<P> {
     /// `u32::MAX` agents (the single-draw ordered-pair sampling needs
     /// `n(n-1)` to fit in a `u64`).
     pub fn new(protocol: P, config: CountConfiguration<P::State>, seed: u64) -> Self {
-        let n = config.population_size();
-        assert!(n >= 2, "population must have at least 2 agents, got {n}");
-        assert!(
-            n <= u32::MAX as u64,
-            "pair-index arithmetic requires n(n-1) to fit in u64, got n = {n}"
-        );
-        Self {
-            protocol,
-            config,
-            rng: rng_from_seed(seed),
-            interactions: 0,
-            n,
-        }
+        Self::from_parts(protocol, config, rng_from_seed(seed), 0)
     }
 
     /// Rebuilds a simulator mid-run from its constituent parts, carrying the
     /// RNG stream and interaction clock across an engine switch (see
-    /// [`crate::batch::ConfigSim`]'s adaptive re-selection).
+    /// [`crate::ConfigSim`]'s adaptive re-selection) or a snapshot restore.
+    /// Panics like [`CountSim::new`].
     pub(crate) fn from_parts(
         protocol: P,
         config: CountConfiguration<P::State>,
@@ -811,6 +800,10 @@ impl<P: CountProtocol> CountSim<P> {
     ) -> Self {
         let n = config.population_size();
         assert!(n >= 2, "population must have at least 2 agents, got {n}");
+        assert!(
+            n <= u32::MAX as u64,
+            "pair-index arithmetic requires n(n-1) to fit in u64, got n = {n}"
+        );
         Self {
             protocol,
             config,

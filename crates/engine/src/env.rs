@@ -12,10 +12,9 @@
 //!   arms the deterministic fault-injection harness. A set-but-invalid
 //!   value is a hard error — a fault harness that silently disarms is
 //!   worse than none.
-//! * **Telemetry** ([`metrics_enabled`], [`trace_path`]): `PP_METRICS=off`
-//!   is the kill switch for counter collection (on by default — counters
-//!   are near-free and trajectory-neutral); `PP_TRACE=path.jsonl` attaches
-//!   a structured event trace to every simulation built while it is set.
+//! * **Trace destination** ([`trace_path`]): `PP_TRACE=path.jsonl`
+//!   attaches a structured event trace to every simulation built while it
+//!   is set.
 
 /// Reads a boolean knob: unset ⇒ `default`; `off`/`0`/`false` ⇒ `false`;
 /// any other value ⇒ `true`.
@@ -59,19 +58,10 @@ pub fn parse_fault(spec: &str) -> Result<FaultPlan, String> {
     Ok(FaultPlan { kill_at })
 }
 
-/// Whether telemetry counters may be attached to newly built simulations:
-/// on unless `PP_METRICS` says `off`/`0`/`false`. Counters never perturb
-/// the trajectory either way (`tests/telemetry_neutrality.rs`); the knob
-/// exists so the byte-identity suites can compare both settings and so a
-/// paranoid production run can shed even the relaxed-atomic cost.
-pub fn metrics_enabled() -> bool {
-    flag("PP_METRICS", true)
-}
-
 /// Reads the `PP_TRACE` trace-destination knob: `Some(path)` when set to a
 /// non-empty value, with the standard `off`/`0`/`false` literals (and the
 /// empty string) meaning disabled. Honored by `Simulation` builders at
-/// build time; ignored entirely under `PP_METRICS=off`.
+/// build time.
 pub fn trace_path() -> Option<std::path::PathBuf> {
     pp_telemetry::trace_path_from_env()
 }
@@ -112,11 +102,9 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_knobs_default_on_and_unset() {
-        // `cargo test` runs without PP_METRICS / PP_TRACE set; the set
-        // paths share [`flag`]'s parse (covered above) and
-        // `pp_telemetry::trace_path_from_env`'s own suite.
-        assert!(metrics_enabled());
+    fn trace_knob_is_unset() {
+        // `cargo test` runs without PP_TRACE set; the set path is covered
+        // by `pp_telemetry::trace_path_from_env`'s own suite.
         assert!(trace_path().is_none());
     }
 }

@@ -12,7 +12,8 @@
 //! measurement helpers; the sweep registry's `epidemic_full` and
 //! `epidemic_sub3` experiments call the `*_in_mode` forms.
 
-use crate::batch::{DeterministicCountProtocol, EngineMode};
+use crate::batch::DeterministicCountProtocol;
+use crate::config_sim::EngineMode;
 use crate::protocol::Protocol;
 use crate::rng::SimRng;
 use crate::simulation::{count_of, Simulation};
@@ -146,48 +147,9 @@ pub fn subpopulation_epidemic_time_in_mode(n: u64, a: u64, seed: u64, mode: Engi
     out.time
 }
 
-/// Assigns each of `n` agents an independent value from `sampler` and
-/// measures the parallel time until the max-epidemic delivers the global
-/// maximum to every agent. Returns `(max_value, completion_time)`.
-///
-/// This is exactly the first stage of `Log-Size-Estimation` (generate
-/// `logSize2`, propagate the max), measured in isolation.
-pub fn max_propagation_time(
-    n: usize,
-    seed: u64,
-    mut sampler: impl FnMut(&mut SimRng) -> u64,
-) -> (u64, f64) {
-    let mut init_rng = crate::rng::rng_from_seed(crate::rng::derive_seed(seed, 1));
-    let values: Vec<u64> = (0..n).map(|_| sampler(&mut init_rng)).collect();
-    let max = values.iter().copied().max().unwrap_or(0);
-    let (out, _) = Simulation::builder(MaxEpidemic)
-        .size(n as u64)
-        .seed(seed)
-        .init_with(move |i, _| values[i])
-        .until(move |view| view.iter().all(|&(v, _)| v == max))
-        .run();
-    debug_assert!(out.converged);
-    (max, out.time)
-}
-
-/// Expected epidemic completion time from Lemma A.1:
-/// `E[T] = (n-1)/n * H_{n-1}`.
-pub fn expected_epidemic_time(n: u64) -> f64 {
-    let h: f64 = (1..n).map(|k| 1.0 / k as f64).sum();
-    (n - 1) as f64 / n as f64 * h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
-
-    #[test]
-    fn expected_time_matches_harmonic() {
-        // H_9 = 2.828968...
-        let e = expected_epidemic_time(10);
-        assert!((e - 0.9 * 2.828_968_254).abs() < 1e-6, "{e}");
-    }
 
     #[test]
     fn completion_time_near_expectation() {
@@ -197,7 +159,9 @@ mod tests {
             .map(|t| epidemic_completion_time(n, 42 + t))
             .sum::<f64>()
             / trials as f64;
-        let expected = expected_epidemic_time(n);
+        // Lemma A.1: E[T] = (n-1)/n · H_{n-1}.
+        let harmonic: f64 = (1..n).map(|k| 1.0 / k as f64).sum();
+        let expected = (n - 1) as f64 / n as f64 * harmonic;
         // One-way single-source epidemic takes ~2 ln n (ln n to reach half,
         // ln n to cover the tail); Lemma A.1's H_{n-1} form is for its
         // specific two-way variant. Accept a generous band around ln n.
@@ -227,24 +191,5 @@ mod tests {
         // within-subpopulation interaction, but completion is over a smaller
         // population (ln(n/3) < ln n); expect between 2x and 20x.
         assert!(third < 20.0 * full, "third {third} vs full {full}");
-    }
-
-    #[test]
-    fn max_propagation_finds_true_max() {
-        let (max, time) = max_propagation_time(300, 11, |rng| rng.gen_range(0..1000));
-        assert!(max < 1000);
-        assert!(time > 0.0);
-    }
-
-    #[test]
-    fn max_propagation_of_geometrics() {
-        // The max of n geometric(1/2) RVs should be near log2(n).
-        let n = 4096;
-        let (max, _) = max_propagation_time(n, 13, crate::rng::geometric_half);
-        let logn = (n as f64).log2();
-        assert!(
-            (max as f64) > logn - 4.0 && (max as f64) < 2.5 * logn,
-            "max {max} vs log n {logn}"
-        );
     }
 }

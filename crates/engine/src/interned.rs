@@ -3,7 +3,7 @@
 //!
 //! The count engines ([`CountSim`](crate::count_sim::CountSim),
 //! [`crate::batch::BatchedCountSim`], and the
-//! [`ConfigSim`](crate::batch::ConfigSim) facade) require a `Copy + Ord`
+//! [`ConfigSim`](crate::ConfigSim) facade) require a `Copy + Ord`
 //! state type because they index configurations by state value. The paper's
 //! protocols instead use rich record states (`MainState` and friends) behind
 //! the agent-level [`Protocol`] trait. [`Interned`] closes the gap without
@@ -22,19 +22,21 @@
 //!
 //! ## Decoding
 //!
-//! The id ↔ state mapping lives behind an [`InternerHandle`] (shared `Rc`),
-//! so a caller can keep a handle while the simulator owns the protocol and
-//! translate ids back into protocol states. The
-//! [`Simulation::builder`](crate::Simulation::builder) count modes do
-//! exactly that, so their views, predicates and observers see protocol
-//! states:
+//! The adapter is the one owner of its id ↔ state table, so ids decode
+//! through the adapter wherever it sits — inside a simulator, through
+//! [`ConfigSim::protocol`](crate::ConfigSim::protocol).
+//! [`Interned::decode_into`] turns `(id, count)` pairs into `(state,
+//! count)` pairs, and [`Interned::id_of`] looks up a state's current id.
+//! The [`Simulation::builder`](crate::Simulation::builder) count modes
+//! decode every checkpoint view that way, so their views, predicates and
+//! observers see protocol states:
 //!
 //! ```
 //! use pp_engine::interned::Interned;
 //! use pp_engine::protocol::Protocol;
 //! use pp_engine::rng::SimRng;
 //! use pp_engine::simulation::{count_of, Simulation};
-//! use pp_engine::EngineMode;
+//! use pp_engine::{ConfigSim, EngineMode};
 //!
 //! struct Epidemic;
 //! impl Protocol for Epidemic {
@@ -48,11 +50,16 @@
 //! }
 //!
 //! let interned = Interned::new(Epidemic);
-//! let handle = interned.handle();
 //! let config = interned.config_from_pairs([(false, 999), (true, 1)]);
-//! // Look states up through the handle per query — raw ids are
-//! // invalidated whenever a GC pass compacts the table (see below).
-//! assert_eq!(handle.count_of(&config, &true), 1);
+//! // Look ids up per query — a GC pass renumbers them (see below).
+//! assert_eq!(config.count(&interned.id_of(&true).unwrap()), 1);
+//!
+//! let mut sim = ConfigSim::with_mode(interned, config, 7, EngineMode::Sequential);
+//! sim.steps(20_000);
+//! let (mut ids, mut view) = (Vec::new(), Vec::new());
+//! sim.view_into(&mut ids);
+//! sim.protocol().decode_into(&ids, &mut view);
+//! assert_eq!(count_of(&view, &true), 1000);
 //!
 //! let (out, _) = Simulation::builder(Epidemic)
 //!     .size(1000)
@@ -67,11 +74,11 @@
 //!
 //! ## Non-uniform starts
 //!
-//! [`Interned`] implements [`CountSeededInit`] whenever the wrapped protocol
-//! implements [`SeededInit`], by collapsing the per-index assignment into
-//! its multiset (agents are exchangeable, so the interaction process depends
-//! on initial states only through their counts). Majority input splits and
-//! planted-leader starts thus no longer force the agent simulator.
+//! The builder's `init_seeded` / `init_with` collapse a per-index
+//! [`SeededInit`](crate::protocol::SeededInit) assignment into its multiset
+//! before interning it (agents are exchangeable, so the interaction process
+//! depends on initial states only through their counts). Majority input
+//! splits and planted-leader starts thus run on the count engines too.
 //!
 //! ## Randomness and batching
 //!
@@ -92,7 +99,7 @@
 //! *dead* entries — states no agent holds any more — without bound on
 //! long runs. `Interned` therefore implements the engine GC hooks
 //! ([`CountProtocol::table_len`] / [`CountProtocol::collect_table`]):
-//! when [`crate::batch::ConfigSim`] observes the table holding several
+//! when [`ConfigSim`](crate::ConfigSim) observes the table holding several
 //! times more slots than the live support at one of its adaptive
 //! checkpoints, it asks the adapter to evict every state absent from the
 //! configuration and compact the survivors into a dense id prefix,
@@ -107,10 +114,9 @@
 //! slot layout and relative id order, and no randomness is consumed, so a
 //! run with GC is **trajectory-identical** to the same seed without it.
 //! The one observable consequence: raw ids obtained from
-//! [`InternerHandle::id_of`] are invalidated by a pass (detectable via
-//! [`InternerHandle::generation`]). Hold *states* across checkpoints and
-//! look ids up per query ([`InternerHandle::count_of`] does exactly
-//! that); don't cache raw ids.
+//! [`Interned::id_of`] are invalidated by a pass (detectable via
+//! [`Interned::generation`]). Hold *states* across checkpoints and look
+//! ids up per query; don't cache raw ids.
 //!
 //! ## The hot path: slot index, pair cache, dense lane
 //!
@@ -144,7 +150,7 @@
 //!
 //! The adapter maintains cumulative tallies at its own decision points and
 //! exposes them through [`CountProtocol::telemetry_stats`]; the
-//! [`ConfigSim`](crate::batch::ConfigSim) facade flushes deltas into any
+//! [`ConfigSim`](crate::ConfigSim) facade flushes deltas into any
 //! attached [`pp_telemetry::Metrics`] registry. Counters and the decision
 //! points they observe:
 //!
@@ -168,10 +174,9 @@
 use std::cell::RefCell;
 use std::fmt::Debug;
 use std::hash::Hash;
-use std::rc::Rc;
 
-use crate::count_sim::{AdapterStats, CountConfiguration, CountProtocol, CountSeededInit};
-use crate::protocol::{Protocol, SeededInit};
+use crate::count_sim::{AdapterStats, CountConfiguration, CountProtocol};
+use crate::protocol::Protocol;
 use crate::rng::SimRng;
 use crate::sim::run_pairs;
 use crate::slot_index::{fnv_hash, SlotIndex};
@@ -452,80 +457,6 @@ impl<S> Default for LaneBuffers<S> {
     }
 }
 
-/// A cloneable handle onto an [`Interned`] adapter's id ↔ state table.
-///
-/// Lets a caller decode slot ids at observation points while the simulator
-/// owns the protocol (both share the table through an `Rc`); the
-/// [`Simulation::builder`](crate::Simulation::builder) count modes decode
-/// every view through one.
-#[derive(Debug)]
-pub struct InternerHandle<S> {
-    table: Rc<RefCell<StateTable<S>>>,
-}
-
-impl<S> Clone for InternerHandle<S> {
-    fn clone(&self) -> Self {
-        Self {
-            table: Rc::clone(&self.table),
-        }
-    }
-}
-
-impl<S: Clone + Eq + Hash> InternerHandle<S> {
-    /// The id *currently* assigned to `state`, if it is in the table.
-    /// Ids are only stable within one [`InternerHandle::generation`]: a GC
-    /// pass renumbers the survivors, so look ids up per query instead of
-    /// caching them across run checkpoints.
-    pub fn id_of(&self, state: &S) -> Option<u32> {
-        self.table.borrow().id_of(state)
-    }
-
-    /// Number of distinct states currently in the table (live slots after
-    /// the last GC pass, plus everything discovered since).
-    pub fn discovered(&self) -> usize {
-        self.table.borrow().states.len()
-    }
-
-    /// Total states ever assigned an id, across GC passes. The gap to
-    /// [`InternerHandle::discovered`] is how much dead weight collection
-    /// has reclaimed.
-    pub fn total_interned(&self) -> u64 {
-        self.table.borrow().total_interned
-    }
-
-    /// The table's GC generation: bumped by every collection pass, so
-    /// harness code holding raw ids can detect that they went stale.
-    pub fn generation(&self) -> u64 {
-        self.table.borrow().generation
-    }
-
-    /// Replaces `out` with `ids` decoded to `(state, count)` pairs, in the
-    /// same order.
-    pub(crate) fn decode_into(&self, ids: &[(u32, u64)], out: &mut Vec<(S, u64)>) {
-        let table = self.table.borrow();
-        out.clear();
-        out.extend(
-            ids.iter()
-                .map(|&(id, count)| (table.get(id).clone(), count)),
-        );
-    }
-
-    /// Decodes a slot-id configuration into `(state, count)` pairs.
-    pub fn decode(&self, config: &CountConfiguration<u32>) -> Vec<(S, u64)> {
-        let table = self.table.borrow();
-        config
-            .iter()
-            .map(|(&id, &count)| (table.get(id).clone(), count))
-            .collect()
-    }
-
-    /// The count of agents in `state` within a slot-id configuration
-    /// (0 if the state was never discovered).
-    pub fn count_of(&self, config: &CountConfiguration<u32>, state: &S) -> u64 {
-        self.id_of(state).map_or(0, |id| config.count(&id))
-    }
-}
-
 /// Adapter exposing an agent-level [`Protocol`] as a [`CountProtocol`] over
 /// dense `u32` state ids. See the [module docs](self) for the full story.
 #[derive(Debug)]
@@ -534,7 +465,8 @@ where
     P::State: Eq + Hash,
 {
     protocol: P,
-    table: Rc<RefCell<StateTable<P::State>>>,
+    /// The id ↔ state table; the adapter is its only owner.
+    table: RefCell<StateTable<P::State>>,
     /// Pair-outcome memo (see [`PairCache`]); derivable state, so snapshots
     /// skip it and restores start cold.
     cache: RefCell<PairCache>,
@@ -551,7 +483,7 @@ where
     pub fn new(protocol: P) -> Self {
         Self {
             protocol,
-            table: Rc::new(RefCell::new(StateTable::new())),
+            table: RefCell::new(StateTable::new()),
             cache: RefCell::new(PairCache::new()),
             lane: RefCell::default(),
         }
@@ -565,13 +497,6 @@ where
         (lane.agents.as_ptr() as usize, lane.agents.capacity())
     }
 
-    /// A handle for decoding slot ids back into protocol states.
-    pub fn handle(&self) -> InternerHandle<P::State> {
-        InternerHandle {
-            table: Rc::clone(&self.table),
-        }
-    }
-
     /// The wrapped protocol.
     pub fn protocol(&self) -> &P {
         &self.protocol
@@ -580,6 +505,45 @@ where
     /// Interns `state` (idempotent) and returns its id.
     pub fn intern_state(&self, state: P::State) -> u32 {
         self.table.borrow_mut().intern(state)
+    }
+
+    /// The id *currently* assigned to `state`, if it is in the table.
+    /// Ids are only stable within one [`Interned::generation`]: a GC pass
+    /// renumbers the survivors, so look ids up per query instead of
+    /// caching them across run checkpoints.
+    pub fn id_of(&self, state: &P::State) -> Option<u32> {
+        self.table.borrow().id_of(state)
+    }
+
+    /// Replaces `out` with `ids` decoded to `(state, count)` pairs, in the
+    /// same order.
+    pub fn decode_into(&self, ids: &[(u32, u64)], out: &mut Vec<(P::State, u64)>) {
+        let table = self.table.borrow();
+        out.clear();
+        out.extend(
+            ids.iter()
+                .map(|&(id, count)| (table.get(id).clone(), count)),
+        );
+    }
+
+    /// Number of distinct states currently in the table (live slots after
+    /// the last GC pass, plus everything discovered since).
+    pub fn discovered(&self) -> usize {
+        self.table.borrow().states.len()
+    }
+
+    /// Total states ever assigned an id, across GC passes. The gap to
+    /// [`Interned::discovered`] is how much dead weight collection has
+    /// reclaimed.
+    pub fn total_interned(&self) -> u64 {
+        self.table.borrow().total_interned
+    }
+
+    /// The table's GC generation: bumped by every collection pass (and
+    /// every dense-lane collapse), so code holding raw ids can detect that
+    /// they went stale.
+    pub fn generation(&self) -> u64 {
+        self.table.borrow().generation
     }
 
     /// The all-agents-identical initial configuration of `n` agents in
@@ -610,11 +574,11 @@ where
         cache.generation = generation;
         Self {
             protocol,
-            table: Rc::new(RefCell::new(StateTable::from_snapshot_parts(
+            table: RefCell::new(StateTable::from_snapshot_parts(
                 states,
                 generation,
                 total_interned,
-            ))),
+            )),
             cache: RefCell::new(cache),
             lane: RefCell::default(),
         }
@@ -696,7 +660,7 @@ where
     }
 
     fn table_len(&self) -> Option<usize> {
-        Some(self.table.borrow().states.len())
+        Some(self.discovered())
     }
 
     fn collect_table(&self, live: &[u32]) -> Option<Vec<(u32, u32)>> {
@@ -837,36 +801,15 @@ where
     }
 }
 
-impl<P: Protocol + SeededInit> CountSeededInit for Interned<P>
-where
-    P::State: Eq + Hash,
-{
-    /// Collapses the per-index [`SeededInit`] assignment into its multiset:
-    /// agents are exchangeable, so the interaction process depends on the
-    /// initial states only through their counts. Slots are registered in
-    /// id (= first-seen) order, so the configuration layout — and with it
-    /// the whole seeded trajectory — is deterministic across processes
-    /// (a `HashMap` iteration here would randomize slot order per run).
-    fn initial_config(&self, n: u64) -> CountConfiguration<u32> {
-        let n_usize = usize::try_from(n).expect("population exceeds usize");
-        let mut counts: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
-        for i in 0..n_usize {
-            let id = self.intern_state(self.protocol.init_state(i, n_usize));
-            *counts.entry(id).or_insert(0) += 1;
-        }
-        CountConfiguration::from_pairs(counts)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::ConfigSim;
+    use crate::config_sim::{ConfigSim, EngineMode};
     use crate::count_sim::CountSim;
+    use crate::protocol::SeededInit;
     use crate::rng::derive_seed;
     use crate::sim::AgentSim;
-    use crate::simulation::Simulation;
-    use crate::EngineMode;
+    use crate::simulation::{view_population, Simulation};
     use rand::Rng;
 
     /// Max-propagation epidemic with a record state (not `Copy`).
@@ -978,13 +921,11 @@ mod tests {
     #[test]
     fn randomized_interned_protocol_stays_sequential_and_runs() {
         let interned = Interned::new(CoinFlip);
-        let handle = interned.handle();
         let config = interned.uniform_config(10_000);
-        let mut sim = ConfigSim::new(interned, config, 11);
+        let mut sim = ConfigSim::with_mode(interned, config, 11, EngineMode::Auto);
         assert!(!sim.is_batched());
         sim.steps(40_000);
-        let decoded = handle.decode(&sim.config_view());
-        let ones: u64 = decoded
+        let ones: u64 = sorted_view(&sim)
             .iter()
             .filter(|(s, _)| s.value == 1)
             .map(|(_, c)| c)
@@ -1030,11 +971,26 @@ mod tests {
         }
     }
 
-    fn sorted_decode(
-        handle: &InternerHandle<Record>,
+    /// `config` decoded through `interned`, sorted by record.
+    fn sorted_decode<P: Protocol<State = Record>>(
+        interned: &Interned<P>,
         config: &CountConfiguration<u32>,
     ) -> Vec<(Record, u64)> {
-        let mut view = handle.decode(config);
+        let ids: Vec<(u32, u64)> = config.iter().map(|(&id, &c)| (id, c)).collect();
+        let mut view = Vec::new();
+        interned.decode_into(&ids, &mut view);
+        view.sort_by_key(|(s, _)| (s.value, s.touched));
+        view
+    }
+
+    /// `sim`'s checkpoint view decoded through its adapter, sorted by
+    /// record.
+    fn sorted_view<P: Protocol<State = Record>>(
+        sim: &ConfigSim<Interned<P>>,
+    ) -> Vec<(Record, u64)> {
+        let (mut ids, mut view) = (Vec::new(), Vec::new());
+        sim.view_into(&mut ids);
+        sim.protocol().decode_into(&ids, &mut view);
         view.sort_by_key(|(s, _)| (s.value, s.touched));
         view
     }
@@ -1042,25 +998,24 @@ mod tests {
     #[test]
     fn collection_preserves_decoded_multiset_and_compacts_the_table() {
         let interned = Interned::new(Churner);
-        let handle = interned.handle();
         let config = interned.uniform_config(2_000);
         let mut sim = CountSim::new(interned, config, 9);
         sim.steps(400_000); // per-agent counts ≈ Poisson(200): heavy churn
-        let before = sorted_decode(&handle, sim.config());
-        let table_before = handle.discovered();
+        let before = sorted_decode(sim.protocol(), sim.config());
+        let table_before = sim.protocol().discovered();
         assert!(sim.collect_table(), "interned adapter must collect");
-        assert_eq!(handle.generation(), 1);
+        assert_eq!(sim.protocol().generation(), 1);
         assert_eq!(
-            sorted_decode(&handle, sim.config()),
+            sorted_decode(sim.protocol(), sim.config()),
             before,
             "collection changed the decoded multiset"
         );
         assert!(
-            handle.discovered() < table_before / 2,
+            sim.protocol().discovered() < table_before / 2,
             "table {} of {table_before} slots survived a full collection",
-            handle.discovered()
+            sim.protocol().discovered()
         );
-        assert_eq!(handle.total_interned(), table_before as u64);
+        assert_eq!(sim.protocol().total_interned(), table_before as u64);
         // The run continues seamlessly on the compacted ids.
         sim.steps(50_000);
         assert_eq!(sim.config().population_size(), 2_000);
@@ -1078,25 +1033,21 @@ mod tests {
         // counterpart is `dense_lane_is_trajectory_neutral_under_gc`.
         let run = |gc: bool| {
             let interned = Interned::new(Churner);
-            let handle = interned.handle();
             let config = interned.uniform_config(1_000);
-            let mut sim = ConfigSim::new(interned, config, 77);
+            let mut sim = ConfigSim::with_mode(interned, config, 77, EngineMode::Auto);
             sim.set_gc(gc);
             let mut log = Vec::new();
             for _ in 0..40 {
                 for _ in 0..100 {
                     sim.steps(500);
                 }
-                log.push((
-                    sim.interactions(),
-                    sorted_decode(&handle, &sim.config_view()),
-                ));
+                log.push((sim.interactions(), sorted_view(&sim)));
             }
             (
                 log,
                 sim.gc_collections(),
-                handle.discovered(),
-                handle.total_interned(),
+                sim.protocol().discovered(),
+                sim.protocol().total_interned(),
             )
         };
         let (log_off, collections_off, table_off, total_off) = run(false);
@@ -1182,19 +1133,16 @@ mod tests {
         // so the decoded checkpoints must stay byte-identical.
         let run = |gc: bool| {
             let interned = Interned::new(Churner);
-            let handle = interned.handle();
             let config = interned.uniform_config(1_000);
-            let mut sim = ConfigSim::new(interned, config, 77);
+            let mut sim = ConfigSim::with_mode(interned, config, 77, EngineMode::Auto);
             sim.set_gc(gc);
             let mut log = Vec::new();
             for _ in 0..40 {
                 sim.steps(50_000);
-                log.push((
-                    sim.interactions(),
-                    sorted_decode(&handle, &sim.config_view()),
-                ));
+                log.push((sim.interactions(), sorted_view(&sim)));
             }
-            (log, handle.discovered(), handle.total_interned())
+            let table = sim.protocol();
+            (log, table.discovered(), table.total_interned())
         };
         let (log_off, table_off, total_off) = run(false);
         let (log_on, table_on, total_on) = run(true);
@@ -1224,9 +1172,8 @@ mod tests {
         // and GC passes. Metrics are attached so the subtraction itself
         // runs under the test profile's overflow checks.
         let interned = Interned::new(Churner);
-        let handle = interned.handle();
         let config = interned.uniform_config(1_000);
-        let mut sim = ConfigSim::new(interned, config, 31);
+        let mut sim = ConfigSim::with_mode(interned, config, 31, EngineMode::Auto);
         sim.set_metrics(pp_telemetry::Metrics::new());
         let stats = |sim: &ConfigSim<Interned<Churner>>| {
             let s = sim.protocol().telemetry_stats().expect("adapter reports");
@@ -1255,14 +1202,17 @@ mod tests {
         // once the per-agent counts have spread past the floor.
         sim.steps(400_000);
         check(&sim, "warm-up");
-        assert!(sim.config_view().support_size() >= LANE_MIN_SUPPORT);
-        let generation = handle.generation();
+        assert!(sorted_view(&sim).len() >= LANE_MIN_SUPPORT);
+        let generation = sim.protocol().generation();
         let before = check(&sim, "lane");
         for _ in 0..5 {
             sim.steps(1_000);
         }
         let after = check(&sim, "lane episodes");
-        assert!(handle.generation() >= generation + 5, "the lane never ran");
+        assert!(
+            sim.protocol().generation() >= generation + 5,
+            "the lane never ran"
+        );
         assert_eq!(
             after[5], before[5],
             "a lane collapse rebuilt the table index"
@@ -1293,11 +1243,11 @@ mod tests {
                 n / 100,
             )
         }));
-        let mut sim = ConfigSim::new(interned, config, 5);
+        let mut sim = ConfigSim::with_mode(interned, config, 5, EngineMode::Auto);
         sim.steps(n);
         let (address, capacity) = sim.protocol().lane_agents_buffer();
         assert!(capacity >= n as usize, "the lane never expanded");
-        assert!(sim.config_view().support_size() >= LANE_MIN_SUPPORT);
+        assert!(sorted_view(&sim).len() >= LANE_MIN_SUPPORT);
         sim.steps(n);
         assert_eq!(
             sim.protocol().lane_agents_buffer(),
@@ -1305,7 +1255,7 @@ mod tests {
             "a warm lane episode reallocated its agent buffer"
         );
         sim.steps(20 * n);
-        assert!(sim.config_view().support_size() < LANE_MIN_SUPPORT);
+        assert!(sorted_view(&sim).len() < LANE_MIN_SUPPORT);
         assert_eq!(
             sim.protocol().lane_agents_buffer().1,
             0,
@@ -1338,12 +1288,20 @@ mod tests {
         }
 
         let interned = Interned::new(Churner);
-        let handle = interned.handle();
-        let config = interned.initial_config(n);
-        let mut sim = ConfigSim::new(interned, config, 4242);
+        // `Churner`'s seeded init, collapsed in first-seen order.
+        let config = interned.config_from_pairs((0..n / 8).map(|value| {
+            (
+                Record {
+                    value,
+                    touched: false,
+                },
+                8,
+            )
+        }));
+        let mut sim = ConfigSim::with_mode(interned, config, 4242, EngineMode::Auto);
         sim.steps(steps);
         assert_eq!(
-            sorted_decode(&handle, &sim.config_view()),
+            sorted_view(&sim),
             expect,
             "dense lane diverged from the agent simulator"
         );
@@ -1381,68 +1339,23 @@ mod tests {
     #[test]
     fn batched_engine_collects_and_resets_its_law_table() {
         let interned = Interned::new(EpochMax);
-        let handle = interned.handle();
         let config = interned.uniform_config(4_096);
-        let mut sim = ConfigSim::batched(interned, config, 5);
+        let mut sim = ConfigSim::with_mode(interned, config, 5, EngineMode::Batched);
         sim.steps(6_000_000);
         assert!(sim.is_batched(), "pinned engine must not switch");
+        let (discovered, total) = (sim.protocol().discovered(), sim.protocol().total_interned());
         assert!(
             sim.gc_collections() >= 1,
-            "epoch churn never triggered a batched collection (table {}, total {})",
-            handle.discovered(),
-            handle.total_interned()
+            "epoch churn never triggered a batched collection (table {discovered}, total {total})"
         );
-        let view = sim.config_view();
-        assert_eq!(view.population_size(), 4_096);
+        assert_eq!(view_population(&sorted_view(&sim)), 4_096);
+        assert!(total > 1_024, "workload too small to exercise GC");
         assert!(
-            handle.total_interned() > 1_024,
-            "workload too small to exercise GC"
-        );
-        assert!(
-            handle.discovered() < handle.total_interned() as usize / 2,
-            "batched GC reclaimed too little: {} of {}",
-            handle.discovered(),
-            handle.total_interned()
+            discovered < total as usize / 2,
+            "batched GC reclaimed too little: {discovered} of {total}"
         );
         // The compacted run keeps simulating correctly.
         sim.steps(100_000);
-        assert_eq!(sim.config_view().population_size(), 4_096);
-    }
-
-    #[test]
-    fn seeded_init_collapses_to_multiset() {
-        struct Split;
-        impl Protocol for Split {
-            type State = Record;
-            fn initial_state(&self) -> Record {
-                Record {
-                    value: 0,
-                    touched: false,
-                }
-            }
-            fn interact(&self, _r: &mut Record, _s: &mut Record, _rng: &mut SimRng) {}
-        }
-        impl SeededInit for Split {
-            fn init_state(&self, index: usize, n: usize) -> Record {
-                Record {
-                    value: u64::from(index < n / 4),
-                    touched: false,
-                }
-            }
-        }
-        let interned = Interned::new(Split);
-        let handle = interned.handle();
-        let config = interned.initial_config(1000);
-        assert_eq!(config.population_size(), 1000);
-        assert_eq!(
-            handle.count_of(
-                &config,
-                &Record {
-                    value: 1,
-                    touched: false
-                }
-            ),
-            250
-        );
+        assert_eq!(view_population(&sorted_view(&sim)), 4_096);
     }
 }

@@ -84,9 +84,9 @@
 //!   null-skip mode for null-dominated phases. `o(1)` amortized work per
 //!   interaction; tens to hundreds of times faster than `CountSim` at
 //!   `n = 10⁶`–`10⁷` (see `BENCH_batch.json`).
-//! * [`batch::ConfigSim`] — the adaptive facade: starts on the engine the
-//!   protocol prefers, re-evaluates occupied support vs batch length
-//!   mid-run ([`batch::EngineMode::Auto`]), and switches batched ↔
+//! * [`config_sim::ConfigSim`] — the adaptive facade: starts on the engine
+//!   the protocol prefers, re-evaluates occupied support vs batch length
+//!   mid-run ([`config_sim::EngineMode::Auto`]), and switches batched ↔
 //!   sequential carrying protocol, configuration, RNG stream, and
 //!   interaction clock across.
 //!
@@ -133,7 +133,7 @@
 //!   Gillespie null-skip step and the span it skipped;
 //! * `mode_switches` (`switches_to_batched` / `switches_to_sequential`)
 //!   plus the `adapt_support` / `adapt_mean_batch` histograms — the
-//!   Auto-mode re-selection checkpoint in [`batch::ConfigSim`];
+//!   Auto-mode re-selection checkpoint in [`config_sim::ConfigSim`];
 //! * `gc_passes` / `gc_evicted` / `gc_table_len` / `gc_live` — each
 //!   interner-GC pass at those same checkpoints;
 //! * `dense_lane_episodes` / `dense_lane_interactions` / `dense_lane_n`
@@ -151,8 +151,8 @@
 //! and none touches the RNG, so a run with telemetry on is byte-for-byte
 //! identical to the same run with it off —
 //! `tests/telemetry_neutrality.rs` holds all four engines to that, GC,
-//! dense lane, and snapshot/resume included. `PP_METRICS=off` is the kill
-//! switch; `PP_TRACE=path.jsonl` additionally appends a CRC-checked JSONL
+//! dense lane, and snapshot/resume included. `PP_TRACE=path.jsonl`
+//! additionally appends a CRC-checked JSONL
 //! event trace (mode switches, GC passes, lane episodes, checkpoints, and
 //! a final counters line) that `pp-report` renders into a summary table.
 //!
@@ -178,6 +178,7 @@
 #![warn(missing_docs)]
 
 pub mod batch;
+pub mod config_sim;
 pub mod count_sim;
 pub mod env;
 pub mod epidemic;
@@ -191,9 +192,10 @@ pub mod simulation;
 pub mod slot_index;
 pub mod snapshot;
 
-pub use batch::{BatchedCountSim, ConfigSim, DeterministicCountProtocol, EngineMode};
+pub use batch::{BatchedCountSim, DeterministicCountProtocol};
+pub use config_sim::{ConfigSim, EngineMode};
 pub use count_sim::{CountConfiguration, CountProtocol, CountSeededInit, CountSim, Outcomes};
-pub use interned::{Interned, InternerHandle};
+pub use interned::Interned;
 pub use protocol::{Protocol, SeededInit};
 pub use record::{Trace, TracePoint};
 pub use rng::{derive_seed, SimRng};

@@ -85,15 +85,16 @@
 //! `crates/engine/tests/engine_conformance.rs` holds every mode of both
 //! builders to the same advance/view/clock contract.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash};
 use std::path::{Path, PathBuf};
 
 use pp_telemetry::{Counter, Hist, Metrics, TraceValue};
 
-use crate::batch::{ConfigSim, EngineMode};
+use crate::config_sim::{ConfigSim, EngineMode};
 use crate::count_sim::{CountConfiguration, CountProtocol, CountSeededInit};
-use crate::interned::{Interned, InternerHandle};
+use crate::interned::Interned;
 use crate::protocol::{Protocol, SeededInit};
 use crate::sim::{AgentSim, RunOutcome};
 use crate::slot_index::FnvHasher;
@@ -246,15 +247,29 @@ impl<P: CountProtocol> Engine<P::State> for ConfigSim<P> {
 }
 
 /// An agent-level protocol running interned on the count engines, decoding
-/// slot ids back to protocol states at the observation boundary. This is
-/// what [`SimulationBuilder`] builds for every non-[`SimMode::Agent`]
-/// mode.
+/// slot ids back to protocol states at the observation boundary through
+/// the simulator's own adapter. This is what [`SimulationBuilder`] builds
+/// for every non-[`SimMode::Agent`] mode.
 struct InternedEngine<P: Protocol>
 where
     P::State: Eq + Hash,
 {
     sim: ConfigSim<Interned<P>>,
-    handle: InternerHandle<P::State>,
+    /// The occupied `(id, count)` pairs of the last view, kept so a view
+    /// allocates nothing once warm.
+    ids: RefCell<Vec<(u32, u64)>>,
+}
+
+impl<P: Protocol> InternedEngine<P>
+where
+    P::State: Eq + Hash,
+{
+    fn new(sim: ConfigSim<Interned<P>>) -> Self {
+        Self {
+            sim,
+            ids: RefCell::default(),
+        }
+    }
 }
 
 impl<P: Protocol> Engine<P::State> for InternedEngine<P>
@@ -279,9 +294,9 @@ where
 
     /// The occupied `(id, count)` pairs in id order, then decoded.
     fn view_into(&self, out: &mut Vec<(P::State, u64)>) {
-        let mut ids = Vec::new();
+        let mut ids = self.ids.borrow_mut();
         self.sim.view_into(&mut ids);
-        self.handle.decode_into(&ids, out);
+        self.sim.protocol().decode_into(&ids, out);
     }
 
     fn kind(&self) -> EngineKind {
@@ -516,7 +531,7 @@ macro_rules! policy_methods {
         /// a registry. When no explicit registry is given, builds pick up
         /// the ambient per-thread registry
         /// ([`pp_telemetry::Metrics::install_current`]) if one is
-        /// installed; `PP_METRICS=off` suppresses both.
+        /// installed.
         pub fn metrics(mut self, metrics: &pp_telemetry::Metrics) -> Self {
             self.policy.metrics = Some(metrics.clone());
             self
@@ -526,8 +541,8 @@ macro_rules! policy_methods {
         /// passes, dense-lane episodes, checkpoints, final counters) to
         /// `path`, appending if the file exists. Equivalent to setting
         /// `PP_TRACE=path` in the environment for this simulation only.
-        /// Implies a metrics registry (one is created if none is attached)
-        /// unless `PP_METRICS=off`.
+        /// Implies a metrics registry (one is created if none is
+        /// attached).
         ///
         /// # Panics
         ///
@@ -556,8 +571,8 @@ pub struct Simulation<'a, S> {
     checkpoint: Option<CheckpointPlan>,
     /// The effective telemetry registry ([`Simulation::assemble`] resolves
     /// the builder's `.metrics()` / the ambient per-thread registry /
-    /// `PP_TRACE`, gated by `PP_METRICS`). The engine holds a clone; this
-    /// copy serves the run driver's snapshot-write instrumentation.
+    /// `PP_TRACE`). The engine holds a clone; this copy serves the run
+    /// driver's snapshot-write instrumentation.
     metrics: Option<Metrics>,
     /// The checkpoint view, rebuilt in place at every checkpoint of
     /// [`Simulation::drive`] so its allocation is reused.
@@ -590,22 +605,15 @@ impl<'a, S: Clone> Simulation<'a, S> {
         let check_every = policy.check_every.unwrap_or(n);
         // Resolve the effective telemetry registry: an explicit `.metrics()`
         // wins, else the ambient per-thread registry (installed by e.g. the
-        // sweep runner around each trial); `PP_METRICS=off` suppresses
-        // both. A trace destination (`.trace_to()` or `PP_TRACE`) implies a
-        // registry, creating one if needed.
-        let mut metrics = if crate::env::metrics_enabled() {
-            policy.metrics.or_else(Metrics::current)
-        } else {
-            None
-        };
-        if crate::env::metrics_enabled() {
-            if let Some(path) = policy.trace_path.or_else(crate::env::trace_path) {
-                let m = metrics.get_or_insert_with(Metrics::new);
-                if !m.is_tracing() {
-                    m.trace_to(&path).unwrap_or_else(|e| {
-                        panic!("cannot open trace file {}: {e}", path.display())
-                    });
-                }
+        // sweep runner around each trial). A trace destination
+        // (`.trace_to()` or `PP_TRACE`) implies a registry, creating one if
+        // needed.
+        let mut metrics = policy.metrics.or_else(Metrics::current);
+        if let Some(path) = policy.trace_path.or_else(crate::env::trace_path) {
+            let m = metrics.get_or_insert_with(Metrics::new);
+            if !m.is_tracing() {
+                m.trace_to(&path)
+                    .unwrap_or_else(|e| panic!("cannot open trace file {}: {e}", path.display()));
             }
         }
         if let Some(m) = &metrics {
@@ -1024,13 +1032,10 @@ where
                 engine: snapshot::decode_agent(self.protocol, &snap.body)?,
                 encode: Some(encode.agent),
             }),
-            snapshot::KIND_INTERNED => {
-                let (sim, handle) = snapshot::decode_interned(self.protocol, &snap.body)?;
-                Box::new(Checkpointed {
-                    engine: InternedEngine { sim, handle },
-                    encode: Some(encode.interned),
-                })
-            }
+            snapshot::KIND_INTERNED => Box::new(Checkpointed {
+                engine: InternedEngine::new(snapshot::decode_interned(self.protocol, &snap.body)?),
+                encode: Some(encode.interned),
+            }),
             k => {
                 return Err(SnapshotError::Corrupt(format!(
                     "snapshot engine tag {k} cannot resume an agent-protocol simulation"
@@ -1097,7 +1102,6 @@ where
             }
             SimMode::Count(engine_mode) => {
                 let interned = Interned::new(self.protocol);
-                let handle = interned.handle();
                 let config = match self.init {
                     InitSpec::Uniform => interned.uniform_config(n),
                     InitSpec::Planted(pairs) => {
@@ -1152,7 +1156,7 @@ where
                 };
                 let sim = ConfigSim::with_mode(interned, config, seed, engine_mode);
                 Box::new(Checkpointed {
-                    engine: InternedEngine { sim, handle },
+                    engine: InternedEngine::new(sim),
                     encode: encode.map(|e| e.interned),
                 })
             }
@@ -1425,7 +1429,7 @@ mod tests {
         let n = 3_000u64;
         let direct = {
             let config = CountConfiguration::from_pairs([(false, n - 1), (true, 1)]);
-            let mut sim = ConfigSim::new(InfectionEpidemic, config, 11);
+            let mut sim = ConfigSim::with_mode(InfectionEpidemic, config, 11, EngineMode::Auto);
             while sim.count(&true) < n {
                 sim.steps(n);
             }
@@ -1599,7 +1603,7 @@ mod tests {
     /// get freed and get recycled all the time.
     struct Churn;
 
-    impl crate::batch::DeterministicCountProtocol for Churn {
+    impl crate::DeterministicCountProtocol for Churn {
         type State = u8;
 
         fn transition_det(&self, rec: u8, sen: u8) -> (u8, u8) {
@@ -1610,13 +1614,25 @@ mod tests {
     /// The view the count engines built before one-pass views: a full
     /// configuration copy, iterated in state order.
     fn materialised<P: CountProtocol>(sim: &ConfigSim<P>) -> Vec<(P::State, u64)> {
-        sim.config_view().iter().map(|(&s, &c)| (s, c)).collect()
+        let config: CountConfiguration<P::State> = match sim.inner_batched() {
+            Some(b) => {
+                let (states, counts, _) = b.snapshot_parts();
+                states
+                    .iter()
+                    .zip(counts)
+                    .filter(|&(_, c)| c > 0)
+                    .map(|(&s, c)| (s, c))
+                    .collect()
+            }
+            None => sim.inner_sequential().unwrap().config().clone(),
+        };
+        config.iter().map(|(&s, &c)| (s, c)).collect()
     }
 
     #[test]
     fn sequential_view_matches_the_materialised_view_across_slot_recycling() {
-        let mut sim =
-            ConfigSim::sequential(Churn, CountConfiguration::from_pairs([(0, 30), (7, 10)]), 3);
+        let config = CountConfiguration::from_pairs([(0, 30), (7, 10)]);
+        let mut sim = ConfigSim::with_mode(Churn, config, 3, EngineMode::Sequential);
         // One buffer for the whole run, as the run driver keeps it; it
         // starts dirty so a stale pair would show.
         let mut view = vec![(99, 1)];
@@ -1643,7 +1659,8 @@ mod tests {
 
     #[test]
     fn batched_view_matches_the_materialised_view_as_the_table_grows() {
-        let mut sim = ConfigSim::batched(Churn, CountConfiguration::uniform(0, 600), 5);
+        let config = CountConfiguration::uniform(0, 600);
+        let mut sim = ConfigSim::with_mode(Churn, config, 5, EngineMode::Batched);
         let mut view = vec![(99, 1)];
         for _ in 0..200 {
             sim.view_into(&mut view);
@@ -1672,26 +1689,37 @@ mod tests {
                 *sen = (*sen + r + 2) % 97;
             }
         }
+        /// The materialised configuration, decoded id by id.
+        fn decoded(sim: &ConfigSim<Interned<Mix>>) -> Vec<(u64, u64)> {
+            let ids = materialised(sim);
+            let mut view = Vec::new();
+            sim.protocol().decode_into(&ids, &mut view);
+            view
+        }
         let interned = Interned::new(Mix);
-        let handle = interned.handle();
         let config = interned.uniform_config(80);
-        let mut engine = InternedEngine {
-            sim: ConfigSim::sequential(interned, config, 9),
-            handle,
-        };
+        let mut engine = InternedEngine::new(ConfigSim::with_mode(
+            interned,
+            config,
+            9,
+            EngineMode::Sequential,
+        ));
         let mut view = vec![(99, 1)];
         let mut passes = 0;
         for round in 0..120 {
             engine.view_into(&mut view);
-            assert_eq!(view, engine.handle.decode(&engine.sim.config_view()));
+            assert_eq!(view, decoded(&engine.sim));
             if round % 10 == 9 && engine.sim.collect_now() {
                 passes += 1;
                 engine.view_into(&mut view);
-                assert_eq!(view, engine.handle.decode(&engine.sim.config_view()));
+                assert_eq!(view, decoded(&engine.sim));
             }
             engine.sim.steps(40);
         }
-        assert!(passes > 0 && engine.handle.generation() > 0, "GC must run");
+        assert!(
+            passes > 0 && engine.sim.protocol().generation() > 0,
+            "GC must run"
+        );
     }
 
     #[test]
@@ -1754,6 +1782,43 @@ mod tests {
             .mode(EngineMode::Sequential)
             .build();
         assert_eq!(sim.count(&1), 3);
+
+        /// A record state, interned on the count engines.
+        #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+        struct Tag {
+            value: u64,
+            touched: bool,
+        }
+        #[derive(Clone)]
+        struct RecordSplit;
+        impl Protocol for RecordSplit {
+            type State = Tag;
+            fn initial_state(&self) -> Tag {
+                Tag {
+                    value: 0,
+                    touched: false,
+                }
+            }
+            fn interact(&self, _r: &mut Tag, _s: &mut Tag, _rng: &mut SimRng) {}
+        }
+        impl SeededInit for RecordSplit {
+            fn init_state(&self, index: usize, n: usize) -> Tag {
+                Tag {
+                    value: u64::from(index < n / 4),
+                    touched: false,
+                }
+            }
+        }
+        let sim = Simulation::builder(RecordSplit)
+            .size(1000)
+            .init_seeded()
+            .mode(EngineMode::Sequential)
+            .build();
+        let quarter = Tag {
+            value: 1,
+            touched: false,
+        };
+        assert_eq!(sim.count(&quarter), 250);
     }
 
     #[test]

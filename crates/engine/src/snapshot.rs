@@ -37,9 +37,10 @@
 use std::io::Write;
 use std::path::Path;
 
-use crate::batch::{BatchedCountSim, ConfigSim};
+use crate::batch::BatchedCountSim;
+use crate::config_sim::{ConfigSim, Engine};
 use crate::count_sim::{CountConfiguration, CountProtocol, CountSim};
-use crate::interned::{Interned, InternerHandle};
+use crate::interned::Interned;
 use crate::protocol::Protocol;
 use crate::rng::SimRng;
 use crate::sim::AgentSim;
@@ -535,7 +536,7 @@ where
     let switches = u32::decode(buf)?;
     let collections = u32::decode(buf)?;
     let inner_kind = u8::decode(buf)?;
-    match (batched, inner_kind) {
+    let engine = match (batched, inner_kind) {
         (true, KIND_BATCHED) => {
             let interactions = u64::decode(buf)?;
             let rng = decode_rng(buf)?;
@@ -548,40 +549,49 @@ where
                     counts.len()
                 )));
             }
-            let inner =
-                BatchedCountSim::from_snapshot_parts(protocol, states, counts, rng, interactions);
-            Ok(ConfigSim::from_restored_batched(
-                inner,
-                adaptive,
-                gc,
-                switches,
-                collections,
+            let mut sorted = states.clone();
+            sorted.sort_unstable();
+            if let Some(pair) = sorted.windows(2).find(|pair| pair[0] == pair[1]) {
+                return Err(corrupt(format!("duplicate discovered state {:?}", pair[0])));
+            }
+            check_population(counts.iter().sum())?;
+            Engine::Batched(BatchedCountSim::from_snapshot_parts(
+                protocol,
+                states,
+                counts,
+                rng,
+                interactions,
             ))
         }
         (false, KIND_SEQ) => {
             let interactions = u64::decode(buf)?;
             let rng = decode_rng(buf)?;
             let config = decode_count_config(buf)?;
-            if config.population_size() < 2 {
-                return Err(corrupt(format!(
-                    "population of {} agents",
-                    config.population_size()
-                )));
-            }
-            let inner = CountSim::from_parts(protocol, config, rng, interactions);
-            Ok(ConfigSim::from_restored_sequential(
-                inner,
-                adaptive,
-                gc,
-                switches,
-                collections,
-            ))
+            check_population(config.population_size())?;
+            Engine::Sequential(CountSim::from_parts(protocol, config, rng, interactions))
         }
-        (_, k) => Err(corrupt(format!(
-            "inner engine tag {k} contradicts facade flags ({})",
-            if batched { "batched" } else { "sequential" }
-        ))),
+        (_, k) => {
+            return Err(corrupt(format!(
+                "inner engine tag {k} contradicts facade flags ({})",
+                if batched { "batched" } else { "sequential" }
+            )))
+        }
+    };
+    Ok(ConfigSim::from_engine(
+        engine,
+        adaptive,
+        gc,
+        switches,
+        collections,
+    ))
+}
+
+/// Refuses a restored count engine of fewer than 2 agents.
+fn check_population(n: u64) -> Result<(), SnapshotError> {
+    if n < 2 {
+        return Err(corrupt(format!("population of {n} agents")));
     }
+    Ok(())
 }
 
 /// Interned-engine body: the interner's counters and table (id order),
@@ -602,17 +612,10 @@ where
     }
 }
 
-/// What [`decode_interned`] restores: the slot-id simulation plus the
-/// interner handle that decodes slot ids back to record states.
-pub(crate) type RestoredInterned<P> = (
-    ConfigSim<Interned<P>>,
-    InternerHandle<<P as Protocol>::State>,
-);
-
 pub(crate) fn decode_interned<P: Protocol>(
     protocol: P,
     mut body: &[u8],
-) -> Result<RestoredInterned<P>, SnapshotError>
+) -> Result<ConfigSim<Interned<P>>, SnapshotError>
 where
     P::State: Eq + std::hash::Hash + Clone + SnapshotState,
 {
@@ -621,10 +624,9 @@ where
     let total_interned = u64::decode(buf)?;
     let states: Vec<P::State> = decode_seq(buf)?;
     let interned = Interned::from_snapshot_parts(protocol, states, generation, total_interned);
-    let handle = interned.handle();
     let sim = decode_config_sim_body(interned, buf)?;
     expect_empty(buf)?;
-    Ok((sim, handle))
+    Ok(sim)
 }
 
 #[cfg(test)]
@@ -671,6 +673,26 @@ mod tests {
             }
             Err(e) => panic!("wrong error for a version-1 file: {e}"),
             Ok(_) => panic!("a version-1 file was accepted"),
+        }
+    }
+
+    #[test]
+    fn duplicate_batched_slots_are_refused() {
+        // A checksum-valid batched body whose slot table lists one state
+        // twice: the decoder must refuse it, not build an engine on it.
+        let mut body = Vec::new();
+        1u8.encode(&mut body); // batched, pinned, no GC
+        0u32.encode(&mut body);
+        0u32.encode(&mut body);
+        KIND_BATCHED.encode(&mut body);
+        0u64.encode(&mut body);
+        encode_rng(&crate::rng::rng_from_seed(1), &mut body);
+        encode_seq(&[true, true], &mut body);
+        encode_seq(&[5u64, 5], &mut body);
+        match decode_config_sim(crate::epidemic::InfectionEpidemic, &body) {
+            Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains("duplicate"), "{msg}"),
+            Err(e) => panic!("wrong error for duplicate slots: {e}"),
+            Ok(_) => panic!("duplicate slots were accepted"),
         }
     }
 

@@ -13,12 +13,12 @@
 //! final states — between plain, metrics-attached, and traced runs.
 //!
 //! Instrumentation is configured through the builders only (never via
-//! `PP_METRICS`/`PP_TRACE`), so the suite is safe under the parallel
+//! `PP_TRACE`), so the suite is safe under the parallel
 //! test runner.
 
 use std::path::{Path, PathBuf};
 
-use pp_engine::batch::EngineMode;
+use pp_engine::config_sim::EngineMode;
 use pp_engine::epidemic::InfectionEpidemic;
 use pp_engine::simulation::{count_of, Simulation};
 use pp_engine::{Counter, Metrics, Protocol, SimRng};

@@ -20,8 +20,8 @@ pub struct TrialRecord {
     pub values: Vec<f64>,
     /// Nonzero engine telemetry counters observed during the trial
     /// (name → cumulative count), sorted by name. Empty when the trial
-    /// predates telemetry, ran with `PP_METRICS=off`, or simply touched
-    /// no instrumented engine path. Counters are a deterministic function
+    /// predates telemetry or simply touched no instrumented engine
+    /// path. Counters are a deterministic function
     /// of the trial's trajectory, so resumed and fresh runs agree.
     pub counters: Vec<(String, u64)>,
 }

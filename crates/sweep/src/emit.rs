@@ -174,7 +174,7 @@ pub const COUNTER_HEADER: [&str; 6] = ["experiment", "n", "counter", "trials", "
 /// One row per (grid point, observed counter): how many trials carried a
 /// telemetry snapshot, the counter's mean over those trials, and its
 /// total. Points whose trials carried no counters (pre-telemetry
-/// journals, `PP_METRICS=off`) produce no rows, and a derived
+/// journals) produce no rows, and a derived
 /// `pair_cache_hit_rate` row (hits ÷ probes, total column `-`) is
 /// appended wherever the pair-outcome cache was exercised.
 pub fn counter_rows(report: &SweepReport) -> Vec<Vec<String>> {

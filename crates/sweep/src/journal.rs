@@ -77,9 +77,8 @@ pub struct JournalEntry {
     pub failed: Option<String>,
     /// Nonzero telemetry counters observed during the trial, sorted by
     /// name. Serialized as an optional `"counters"` object; an entry
-    /// without one (any pre-telemetry journal, or a run with
-    /// `PP_METRICS=off`) parses as empty, so the field is fully
-    /// version-2-compatible in both directions.
+    /// without one (any pre-telemetry journal) parses as empty, so the
+    /// field is fully version-2-compatible in both directions.
     pub counters: Vec<(String, u64)>,
 }
 

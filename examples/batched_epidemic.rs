@@ -16,9 +16,9 @@
 
 use std::time::Instant;
 
-use uniform_sizeest::engine::batch::ConfigSim;
 use uniform_sizeest::engine::epidemic::InfectionEpidemic;
 use uniform_sizeest::engine::simulation::{count_of, EngineKind, Simulation};
+use uniform_sizeest::engine::ConfigSim;
 
 fn main() {
     let n: u64 = 10_000_000;

@@ -19,10 +19,10 @@
 use std::sync::Mutex;
 
 use proptest::prelude::*;
-use uniform_sizeest::engine::batch::ConfigSim;
 use uniform_sizeest::engine::interned::Interned;
 use uniform_sizeest::engine::rng::SimRng;
-use uniform_sizeest::engine::{EngineMode, Protocol, Simulation};
+use uniform_sizeest::engine::simulation::view_population;
+use uniform_sizeest::engine::{ConfigSim, EngineMode, Protocol, Simulation};
 use uniform_sizeest::protocols::leader::{LeaderState, LeaderTerminating};
 use uniform_sizeest::protocols::log_size::{estimate_with, LogSizeEstimation};
 use uniform_sizeest::sweep::{emit, run_sweep, SweepExperiment, SweepSpec};
@@ -133,6 +133,14 @@ impl Protocol for Churn {
     }
 }
 
+/// The simulator's checkpoint view, decoded through its adapter.
+fn decoded(sim: &ConfigSim<Interned<Churn>>) -> Vec<(Rec, u64)> {
+    let (mut ids, mut view) = (Vec::new(), Vec::new());
+    sim.view_into(&mut ids);
+    sim.protocol().decode_into(&ids, &mut view);
+    view
+}
+
 fn sorted_view(view: Vec<(Rec, u64)>) -> Vec<(u64, bool, u64)> {
     let mut flat: Vec<(u64, bool, u64)> = view
         .into_iter()
@@ -152,7 +160,6 @@ proptest! {
     ) {
         let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let interned = Interned::new(Churn);
-        let handle = interned.handle();
         // Random initial configuration (duplicate values collapse).
         let mut pairs: Vec<(Rec, u64)> = Vec::new();
         for &(value, count) in &counts {
@@ -171,26 +178,27 @@ proptest! {
         let config = interned.config_from_pairs(pairs);
         let population = config.population_size();
         prop_assume!(population >= 2);
-        let mut sim = ConfigSim::sequential(interned, config, seed);
+        let mut sim = ConfigSim::with_mode(interned, config, seed, EngineMode::Sequential);
         sim.steps(steps); // churn mints more dead entries
-        let before = sorted_view(handle.decode(&sim.config_view()));
-        let table_before = handle.discovered();
-        let generation = handle.generation();
+        let before = sorted_view(decoded(&sim));
+        let table_before = sim.protocol().discovered();
+        let generation = sim.protocol().generation();
 
         prop_assert!(sim.collect_now(), "interned adapter must collect");
 
-        prop_assert_eq!(handle.generation(), generation + 1);
-        let after = sorted_view(handle.decode(&sim.config_view()));
+        prop_assert_eq!(sim.protocol().generation(), generation + 1);
+        let after = sorted_view(decoded(&sim));
         prop_assert_eq!(&before, &after, "collection changed the decoded multiset");
-        prop_assert_eq!(sim.config_view().population_size(), population);
-        prop_assert!(handle.discovered() <= table_before);
-        // Every live state must still decode through the handle.
+        prop_assert_eq!(view_population(&decoded(&sim)), population);
+        prop_assert!(sim.protocol().discovered() <= table_before);
+        // Every live state must still decode through the adapter.
         for &(value, flag, count) in &after {
             let state = Rec { value, flag };
-            prop_assert_eq!(handle.count_of(&sim.config_view(), &state), count);
+            let id = sim.protocol().id_of(&state);
+            prop_assert_eq!(id.map_or(0, |id| sim.count(&id)), count);
         }
         // The run continues seamlessly on the compacted table.
         sim.steps(200);
-        prop_assert_eq!(sim.config_view().population_size(), population);
+        prop_assert_eq!(view_population(&decoded(&sim)), population);
     }
 }

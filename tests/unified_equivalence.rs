@@ -26,10 +26,12 @@ use uniform_sizeest::baselines::majority::{
     run_nonuniform_majority, run_nonuniform_majority_agentwise,
 };
 use uniform_sizeest::baselines::naive_terminating::{GeoState, GeometricTimer};
-use uniform_sizeest::engine::batch::{BatchedCountSim, ConfigSim};
+use uniform_sizeest::engine::batch::BatchedCountSim;
 use uniform_sizeest::engine::count_sim::{CountConfiguration, CountSim};
 use uniform_sizeest::engine::interned::Interned;
 use uniform_sizeest::engine::rng::derive_seed;
+use uniform_sizeest::engine::simulation::view_population;
+use uniform_sizeest::engine::{ConfigSim, EngineMode};
 use uniform_sizeest::protocols::log_size::{estimate_agentwise, estimate_with, LogSizeEstimation};
 
 mod common;
@@ -231,18 +233,22 @@ fn every_protocol_runs_on_config_sim() {
     {
         let interned = Interned::new(protocol);
         let config = interned.uniform_config(N);
-        let mut sim = ConfigSim::new(interned, config, 42);
+        let mut sim = ConfigSim::with_mode(interned, config, 42, EngineMode::Auto);
         sim.steps(STEPS);
-        assert_eq!(sim.config_view().population_size(), N);
+        let mut ids = Vec::new();
+        sim.view_into(&mut ids);
+        assert_eq!(view_population(&ids), N);
     }
 
     fn run_native<P>(protocol: P, config: CountConfiguration<P::State>)
     where
         P: uniform_sizeest::engine::count_sim::CountProtocol,
     {
-        let mut sim = ConfigSim::new(protocol, config, 42);
+        let mut sim = ConfigSim::with_mode(protocol, config, 42, EngineMode::Auto);
         sim.steps(STEPS);
-        assert_eq!(sim.config_view().population_size(), N);
+        let mut view = Vec::new();
+        sim.view_into(&mut view);
+        assert_eq!(view_population(&view), N);
     }
 
     // crates/core: the paper's protocols.
