@@ -66,7 +66,7 @@
 //! Interactions per second and the batched/sequential speedup are recorded
 //! per workload so future changes have a perf trajectory. Results land in
 //! `BENCH_batch.json` in the current directory. After the rows, a samplers
-//! block prints ns/draw for three fixed-seed `hypergeometric` draws; it is
+//! block prints ns/draw for four fixed-seed `hypergeometric` draws; it is
 //! neither gated nor written to the JSON.
 //!
 //! Usage: `cargo run --release --bin bench_batch [-- --quick] [--gate BASELINE.json]`
@@ -139,54 +139,42 @@ impl Workload for WeakEstimator {
     }
 }
 
-/// Runs `trials` runs of `P` on the chosen engine; `fixed_time` selects the
-/// `8 ln n`-parallel-time workload, otherwise run-to-completion. The
-/// batched engine records into `metrics` (hooks are observation-only, so
-/// the gated throughput is measured with telemetry attached — exactly how
-/// production runs execute).
-fn run<P: Workload + Default>(
+/// Runs trial `t` of `P` on the chosen engine and returns its interaction
+/// count; `fixed_time` selects the `8 ln n`-parallel-time workload,
+/// otherwise run-to-completion. The batched engine records into `metrics`
+/// (hooks are observation-only, so the gated throughput is measured with
+/// telemetry attached — exactly how production runs execute).
+fn run_trial<P: Workload + Default>(
     n: u64,
-    trials: u64,
+    t: u64,
     batched: bool,
     fixed_time: bool,
-    base_seed: u64,
     metrics: &Metrics,
-) -> Measurement {
-    let sim_time = 8.0 * (n as f64).ln();
-    let start = Instant::now();
-    let mut interactions = 0;
-    for t in 0..trials {
-        let seed = derive_seed(base_seed, t);
-        let done = if !fixed_time {
-            let mut builder = Simulation::count_builder(P::default())
-                .initial(P::config(n))
-                .seed(seed)
-                .check_every((n / 8).max(1))
-                .until(move |view| P::complete(view, n));
-            builder = if batched {
-                builder.mode(EngineMode::Batched).metrics(metrics)
-            } else {
-                builder.mode(EngineMode::Sequential)
-            };
-            let (out, _) = builder.run();
-            assert!(out.converged);
-            out.interactions
-        } else if batched {
-            let mut sim = BatchedCountSim::new(P::default(), P::config(n), seed);
-            sim.set_metrics(metrics.clone());
-            sim.run_for_time(sim_time);
-            sim.interactions()
+) -> u64 {
+    let seed = derive_seed(0xB0BA, t);
+    if !fixed_time {
+        let mut builder = Simulation::count_builder(P::default())
+            .initial(P::config(n))
+            .seed(seed)
+            .check_every((n / 8).max(1))
+            .until(move |view| P::complete(view, n));
+        builder = if batched {
+            builder.mode(EngineMode::Batched).metrics(metrics)
         } else {
-            let mut sim = CountSim::new(P::default(), P::config(n), seed);
-            sim.run_for_time(sim_time);
-            sim.interactions()
+            builder.mode(EngineMode::Sequential)
         };
-        interactions += done;
-    }
-    Measurement {
-        trials,
-        interactions,
-        seconds: start.elapsed().as_secs_f64(),
+        let (out, _) = builder.run();
+        assert!(out.converged);
+        out.interactions
+    } else if batched {
+        let mut sim = BatchedCountSim::new(P::default(), P::config(n), seed);
+        sim.set_metrics(metrics.clone());
+        sim.run_for_time(8.0 * (n as f64).ln());
+        sim.interactions()
+    } else {
+        let mut sim = CountSim::new(P::default(), P::config(n), seed);
+        sim.run_for_time(8.0 * (n as f64).ln());
+        sim.interactions()
     }
 }
 
@@ -213,8 +201,9 @@ fn bench_protocol<P: Workload + Default>(name: &'static str, sizes: &[Size], row
             ("completion", false, completion),
         ] {
             let metrics = Metrics::new();
-            let seq = run::<P>(n, seq_trials, false, fixed_time, 0xB0BA, &metrics);
-            let bat = run::<P>(n, batch_trials, true, fixed_time, 0xB0BA, &metrics);
+            let (seq, bat) = interleave(seq_trials, batch_trials, |sequential, t| {
+                run_trial::<P>(n, t, !sequential, fixed_time, &metrics)
+            });
             eprintln!(
                 "{name:>14} n = {:>9} {:>11}: sequential {:>12.0} int/s ({:.3}s) | batched {:>13.0} int/s ({:.3}s) | speedup {:.1}x",
                 n,
@@ -260,7 +249,7 @@ fn bench_interned<P: Protocol + Clone>(
     P::State: Eq + std::hash::Hash + Clone,
 {
     let metrics = Metrics::new();
-    let (seq, bat) = alternate(trials, |agent, t| {
+    let (seq, bat) = interleave(trials, trials, |agent, t| {
         let mode = if agent {
             SimMode::Agent
         } else {
@@ -304,7 +293,7 @@ fn bench_interned<P: Protocol + Clone>(
 /// since `estimate_in_mode` takes no metrics handle.
 fn bench_estimate(n: u64, trials: u64, rows: &mut Vec<Row>) {
     let metrics = Metrics::new();
-    let (seq, bat) = alternate(trials, |agent, t| {
+    let (seq, bat) = interleave(trials, trials, |agent, t| {
         let mode = if agent {
             SimMode::Agent
         } else {
@@ -327,25 +316,37 @@ fn bench_estimate(n: u64, trials: u64, rows: &mut Vec<Row>) {
     );
 }
 
-/// Times `trials` trials on each of the agent engine and the counted one,
-/// alternating them trial by trial (agent first) so a slow spell on the
-/// host lands on both columns. `trial(agent, t)` runs trial `t` and returns
-/// its interaction count. Returns the (agent, counted) measurements.
-fn alternate(trials: u64, mut trial: impl FnMut(bool, u64) -> u64) -> (Measurement, Measurement) {
-    let zero = || Measurement {
+/// Times `first` trials of a row's first engine (sequential or agent) and
+/// `second` trials of its second (batched or counted), interleaved in
+/// proportional blocks: first-engine trial `i`, then second-engine trials
+/// `⌊i·second/first⌋` up to `⌊(i+1)·second/first⌋`. A slow spell on the
+/// host thus lands on both columns; with equal counts the engines
+/// alternate trial by trial. `trial(is_first, t)` runs trial `t` of that
+/// engine and returns its interaction count. Returns the (first, second)
+/// measurements.
+fn interleave(
+    first: u64,
+    second: u64,
+    mut trial: impl FnMut(bool, u64) -> u64,
+) -> (Measurement, Measurement) {
+    let zero = |trials| Measurement {
         trials,
         interactions: 0,
         seconds: 0.0,
     };
-    let (mut agent, mut counted) = (zero(), zero());
-    for t in 0..trials {
-        for (side, is_agent) in [(&mut agent, true), (&mut counted, false)] {
-            let start = Instant::now();
-            side.interactions += trial(is_agent, t);
-            side.seconds += start.elapsed().as_secs_f64();
+    let (mut a, mut b) = (zero(first), zero(second));
+    let mut timed = |side: &mut Measurement, is_first: bool, t: u64| {
+        let start = Instant::now();
+        side.interactions += trial(is_first, t);
+        side.seconds += start.elapsed().as_secs_f64();
+    };
+    for i in 0..first {
+        timed(&mut a, true, i);
+        for t in i * second / first..(i + 1) * second / first {
+            timed(&mut b, false, t);
         }
     }
-    (agent, counted)
+    (a, b)
 }
 
 /// Prints and records one agent-vs-counted row.
@@ -379,16 +380,19 @@ fn push_agent_row(
 /// Draws per `hypergeometric` timing in the samplers block.
 const SAMPLER_DRAWS: u32 = 1_000_000;
 
-/// Prints ns/draw for three `hypergeometric` draws the batch fill makes:
-/// a mid-epidemic fill at `n = 10⁶`, a pairing split, and a small-side
+/// Prints ns/draw for four `hypergeometric` draws the batched engine
+/// makes: a mid-epidemic fill at `n = 10⁶`, a pairing split, a small-side
 /// row at `n = 10⁷` (3 receivers partnered from a ~2000-sender pool,
-/// drawn item by item). Absolute timings are not machine-normalized, so
-/// the gate does not read them and they stay out of the JSON.
+/// drawn item by item), and a population draw at `n = 10⁷` (a
+/// ~2000-agent batch side drawn from the whole population, σ ≈ 3, by
+/// chop-down). Absolute timings are not machine-normalized, so the gate
+/// does not read them and they stay out of the JSON.
 fn print_sampler_timings() {
     for (total, successes, draws, seed) in [
         (1_000_000, 500_000, 626, 13),
         (626, 313, 300, 17),
         (2_000, 150, 3, 19),
+        (10_000_000, 45_000, 2_000, 23),
     ] {
         let mut rng = rng_from_seed(seed);
         let start = Instant::now();

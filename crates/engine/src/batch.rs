@@ -25,11 +25,15 @@
 //!    draws; only larger ones invert the pmf from its mode.
 //! 3. **Bulk application.** Transitions are applied as count deltas through
 //!    a lazily built dense `k×k` table of per-pair *outcome laws* over the
-//!    discovered state space — `O(k²)` per batch, independent of `T`. Each
-//!    table entry also carries a "certainly null" flag bit, set once when
-//!    the pair is first analyzed, so the per-batch pair scans (productive
-//!    weight, reactive rows and columns) read one `u32` per pair and never
-//!    decode a law. A pair's law is one of three kinds (see `PairLaw`):
+//!    discovered state space, independent of `T`. Beside the table, each
+//!    state owns two bit rows over the state ids: bit `b` of its *analyzed*
+//!    row is set once the pair `(a, b)` has been analyzed, and bit `b` of
+//!    its *live* row if that pair is not certainly null. The per-batch pair
+//!    scans (productive weight, null-skip pick, reactive rows and columns)
+//!    AND these rows with a mask of the occupied states, so they cost
+//!    `O(k·⌈k/64⌉)` word operations plus one count load per selected pair
+//!    instead of one table probe per pair, and never decode a law. A
+//!    pair's law is one of three kinds (see `PairLaw`):
 //!    * **deterministic** — the classic case: one count delta per pair;
 //!    * **random with finite support** — the protocol enumerated the
 //!      outcome distribution via [`CountProtocol::outcomes`]; the pair's
@@ -47,7 +51,7 @@
 //!    complement. The batch then merges and the process restarts — valid
 //!    because the underlying interaction sequence is memoryless.
 //!
-//! Per batch the simulator does `O(k² + √n·σ⁻¹)`-ish sampling work for
+//! Per batch the simulator does `O(k·⌈k/64⌉ + √n·σ⁻¹)`-ish work for
 //! `Θ(√n)` interactions, so amortized per-interaction cost *decreases* with
 //! population size — the `table_epidemic` sweep at `n = 10⁷` runs hundreds
 //! of times faster than the sequential [`CountSim`](crate::CountSim).
@@ -174,11 +178,6 @@ const SURVIVAL_CUTOFF: f64 = 1e-18;
 /// Sentinel marking a law-table entry not yet computed.
 const UNCOMPUTED: u32 = u32::MAX;
 
-/// Law-table entry bit marking a certainly-null pair; the low bits are the
-/// index into `laws`. Set once, when the pair is analyzed, so the per-batch
-/// pair scans test nullness without loading the law.
-const NULL_FLAG: u32 = 1 << 31;
-
 /// Index of the shared [`PairLaw::Sampled`] law (always `laws[0]`).
 const LAW_SAMPLED: u32 = 0;
 
@@ -206,11 +205,13 @@ enum PairLaw {
 /// productive interactions per batch drops below this. It stands for the
 /// cost ratio between one batch and one skip step (a geometric draw plus a
 /// weighted pair pick), so that at the crossover both modes spend the same
-/// wall time per productive interaction. A batch is not "a few" draws: for
-/// `WeakEstimator` at `n = 10⁷` it averages ~160 hypergeometric fill draws
-/// (two thirds drawn item by item at a few ns each, the rest by chop-down
-/// at ~60–100 ns), ~40 population draws (mostly chop-down, ~150 ns) and
-/// ~130 sampled per-interaction transitions. The factor decides which
+/// wall time per productive interaction. A batch is not "a few" draws:
+/// for `WeakEstimator` at `n = 10⁷` (seed 7, 2-core x86-64 host) it
+/// averages ~154 hypergeometric fill draws (two thirds drawn item by item
+/// at a few ns each, the rest by chop-down), ~40 population draws (mostly
+/// chop-down, ~150 ns each, ~31% of engine time) and ~131 sampled
+/// per-interaction transitions, ~18 µs in all; its two pair scans over
+/// the ~23 occupied states cost ~0.3 µs of that. The factor decides which
 /// draws happen, so it is a trajectory input, not a tuning knob: changing
 /// it changes every batched run.
 const NULL_SKIP_FACTOR: f64 = 6.0;
@@ -237,10 +238,12 @@ pub struct BatchedCountSim<P: CountProtocol> {
     /// Row stride (capacity) of `table`; grown geometrically so state
     /// discovery costs `O(cap)` amortized per new state, not `O(cap²)`.
     cap: usize,
-    /// Dense law-index table: entry `[a·cap + b]` points into `laws`, with
-    /// [`NULL_FLAG`] set if the pair is certainly null, or is
+    /// Dense law-index table: entry `[a·cap + b]` points into `laws`, or is
     /// [`UNCOMPUTED`].
     table: Vec<u32>,
+    /// Which pairs of `table` are analyzed and which are not certainly
+    /// null, as bit rows with `cap` rows.
+    bits: PairBits,
     /// Analyzed pair laws; `laws[0]` is the shared [`PairLaw::Sampled`].
     laws: Vec<PairLaw>,
     /// `survival[t] = P(T ≥ t)`: precomputed birthday-collision survival.
@@ -256,8 +259,6 @@ pub struct BatchedCountSim<P: CountProtocol> {
     recv: Vec<u64>,
     send: Vec<u64>,
     touched: Vec<u64>,
-    row_reactive: Vec<bool>,
-    col_reactive: Vec<bool>,
     /// Observability: attached counter registry, if any. Recording is
     /// observation-only — no branch reads a counter back and no hook
     /// touches the RNG — so attached and detached runs are byte-identical.
@@ -331,6 +332,7 @@ impl<P: CountProtocol> BatchedCountSim<P> {
             counts: Vec::new(),
             cap: 0,
             table: Vec::new(),
+            bits: PairBits::new(0),
             laws: Vec::new(),
             survival,
             boundary_reached,
@@ -338,8 +340,6 @@ impl<P: CountProtocol> BatchedCountSim<P> {
             recv: Vec::new(),
             send: Vec::new(),
             touched: Vec::new(),
-            row_reactive: Vec::new(),
-            col_reactive: Vec::new(),
             metrics: None,
         };
         sim.set_slots(states, counts);
@@ -348,8 +348,9 @@ impl<P: CountProtocol> BatchedCountSim<P> {
 
     /// The slot-table builder behind every constructor and GC pass:
     /// installs the value-distinct `states` as ids `0..k` holding `counts`,
-    /// indexes them, resets the law table to lazy analysis at capacity
-    /// `max(k, 4)`, and sizes the scratch buffers for `k` states.
+    /// indexes them, resets the law table and its bit rows to lazy
+    /// analysis at capacity `max(k, 4)`, and sizes the scratch buffers for
+    /// `k` states.
     fn set_slots(&mut self, states: Vec<P::State>, counts: Vec<u64>) {
         let mut index = SlotIndex::with_capacity(states.len());
         for (id, s) in states.iter().enumerate() {
@@ -362,12 +363,11 @@ impl<P: CountProtocol> BatchedCountSim<P> {
         self.index = index;
         self.cap = k.max(4);
         self.table = vec![UNCOMPUTED; self.cap * self.cap];
+        self.bits = PairBits::new(self.cap);
         self.laws = vec![PairLaw::Sampled];
         self.recv = vec![0; k];
         self.send = vec![0; k];
         self.touched = vec![0; k];
-        self.row_reactive.clear();
-        self.col_reactive.clear();
     }
 
     /// Decomposes the simulator into `(protocol, configuration, rng,
@@ -520,26 +520,39 @@ impl<P: CountProtocol> BatchedCountSim<P> {
     /// ordered state pairs — `n(n-1)` times the probability that the next
     /// interaction lands on a pair whose law could change the configuration
     /// (random laws with any non-identity outcome, and all sampled laws,
-    /// count as productive).
+    /// count as productive). Analyzes the occupied pairs not yet analyzed.
     fn productive_weight(&mut self) -> u64 {
-        let k = self.states.len();
-        let mut w = 0u64;
-        for a in 0..k {
-            let ca = self.counts[a];
-            if ca == 0 {
-                continue;
-            }
-            for b in 0..k {
-                let cb = self.counts[b];
-                if cb == 0 {
-                    continue;
-                }
-                if !self.is_null_pair(a, b) {
-                    w += ca * (cb - u64::from(a == b));
-                }
-            }
+        if self.counts.len() <= 64 {
+            self.productive_weight_in::<[u64; 1]>()
+        } else {
+            self.productive_weight_in::<Vec<u64>>()
+        }
+    }
+
+    /// [`BatchedCountSim::productive_weight`] over `M` masks.
+    fn productive_weight_in<M: Mask>(&mut self) -> u64 {
+        let present = M::of(&self.counts);
+        let present = present.as_ref();
+        let mut w = 0;
+        for a in ones(present) {
+            self.analyze_row(a, present);
+            w += self.bits.row_weight(a, present, &self.counts, self.n);
         }
         w
+    }
+
+    /// The possibly-productive pair `(a, b)` at offset `z` below the
+    /// productive weight, in ascending `(a, b)` order, each pair weighing
+    /// `c_a·(c_b − [a = b])`. Every occupied pair must be analyzed, as
+    /// [`BatchedCountSim::productive_weight`] leaves them.
+    fn pick_productive(&self, z: u64) -> (usize, usize) {
+        if self.counts.len() <= 64 {
+            self.bits
+                .pick(&<[u64; 1]>::of(&self.counts), &self.counts, self.n, z)
+        } else {
+            self.bits
+                .pick(&Vec::of(&self.counts), &self.counts, self.n, z)
+        }
     }
 
     /// Gillespie-style step: samples the geometric run of certainly-null
@@ -562,34 +575,14 @@ impl<P: CountProtocol> BatchedCountSim<P> {
             }
             return budget;
         }
-        let mut z = self.rng.gen_range(0..w_prod);
-        let k = self.states.len();
-        'outer: for a in 0..k {
-            let ca = self.counts[a];
-            if ca == 0 {
-                continue;
-            }
-            for b in 0..k {
-                let cb = self.counts[b];
-                if cb == 0 {
-                    continue;
-                }
-                if self.is_null_pair(a, b) {
-                    continue;
-                }
-                let w = ca * (cb - u64::from(a == b));
-                if z < w {
-                    let (c, d) = self.apply_one(a, b);
-                    self.counts[a] -= 1;
-                    self.counts[b] -= 1;
-                    grow_to(&mut self.counts, self.states.len());
-                    self.counts[c] += 1;
-                    self.counts[d] += 1;
-                    break 'outer;
-                }
-                z -= w;
-            }
-        }
+        let z = self.rng.gen_range(0..w_prod);
+        let (a, b) = self.pick_productive(z);
+        let (c, d) = self.apply_one(a, b);
+        self.counts[a] -= 1;
+        self.counts[b] -= 1;
+        grow_to(&mut self.counts, self.states.len());
+        self.counts[c] += 1;
+        self.counts[d] += 1;
         self.interactions += g;
         if let Some(m) = &self.metrics {
             m.incr(Counter::NullSkipRuns);
@@ -603,6 +596,9 @@ impl<P: CountProtocol> BatchedCountSim<P> {
 
     /// Executes at least one and at most `budget` interactions (one batch,
     /// possibly truncated to the budget). Returns the number executed.
+    // Kept out of line: inlined, the batch body is copied into every
+    // caller of `advance`, which only grows the binary.
+    #[inline(never)]
     pub fn run_batch(&mut self, budget: u64) -> u64 {
         debug_assert!(budget >= 1);
         let n = self.n;
@@ -632,45 +628,15 @@ impl<P: CountProtocol> BatchedCountSim<P> {
         draw_without_replacement(&mut self.counts, n, t, &mut recv, &mut self.rng);
         draw_without_replacement(&mut self.counts, n - t, t, &mut send, &mut self.rng);
 
-        // Classify the batch's rows and columns. A receiver row `a` is
-        // *reactive* if some present sender state reacts with it; a sender
-        // column `b` is reactive if some present receiver row reacts with
-        // it. A pair "reacts" unless its law is certainly null (identity
-        // deterministic outputs, or a random law whose every outcome is the
-        // identity). Pairings involving a non-reactive side are identity
-        // for every counterpart in this batch, so their contingency entries
-        // never need to be drawn individually — the states are unchanged no
-        // matter how the matching falls.
-        let mut row_reactive = std::mem::take(&mut self.row_reactive);
-        let mut col_reactive = std::mem::take(&mut self.col_reactive);
-        row_reactive.clear();
-        row_reactive.resize(k0, false);
-        col_reactive.clear();
-        col_reactive.resize(k0, false);
-        for a in 0..k0 {
-            if recv[a] == 0 {
-                continue;
-            }
-            for b in 0..k0 {
-                if send[b] == 0 {
-                    continue;
-                }
-                if !self.is_null_pair(a, b) {
-                    row_reactive[a] = true;
-                    col_reactive[b] = true;
-                }
-            }
-        }
-
-        let mut send_total = t;
-        self.fill_serial(
-            &recv,
-            &mut send,
-            &mut send_total,
-            &mut touched,
-            &row_reactive,
-            &col_reactive,
-        );
+        let (one_word, wide);
+        let (rows, cols): (&[u64], &[u64]) = if k0 <= 64 {
+            one_word = self.classify::<[u64; 1]>(&recv, &send);
+            (&one_word.0, &one_word.1)
+        } else {
+            wide = self.classify::<Vec<u64>>(&recv, &send);
+            (&wide.0, &wide.1)
+        };
+        self.fill_serial(&recv, &mut send, t, &mut touched, rows, cols);
 
         let mut executed = t;
         if with_collision {
@@ -696,50 +662,85 @@ impl<P: CountProtocol> BatchedCountSim<P> {
         self.recv = recv;
         self.send = send;
         self.touched = touched;
-        self.row_reactive = row_reactive;
-        self.col_reactive = col_reactive;
         executed
     }
 
-    /// The classic serial pairing contingency: reactive receiver rows draw
-    /// their partner splits over the reactive sender columns — an iterated
+    /// Classifies a batch's rows and columns: returns the masks of the
+    /// reactive receiver rows and reactive sender columns among the
+    /// receiver states `recv` and sender states `send`, analyzing their
+    /// pairs not yet analyzed (see [`PairBits::reactive`]).
+    fn classify<M: Mask>(&mut self, recv: &[u64], send: &[u64]) -> (M, M) {
+        let (recv, send) = (M::of(recv), M::of(send));
+        for a in ones(recv.as_ref()) {
+            self.analyze_row(a, send.as_ref());
+        }
+        self.bits.reactive(&recv, &send)
+    }
+
+    /// Analyzes every not yet analyzed pair `(a, b)` with `b` in `cols`, in
+    /// ascending `b` order. Analysis interns the pairs' output states, so
+    /// the scans visit rows in ascending order and call this before
+    /// reading a row: the `(a, b)` order fixes the state ids, and with them
+    /// the trajectory.
+    #[inline]
+    fn analyze_row(&mut self, a: usize, cols: &[u64]) {
+        for (i, &col) in cols.iter().enumerate() {
+            // Rows are relaid when `cap` grows mid-pass, so each word is
+            // read afresh.
+            let todo = col & !self.bits.analyzed_word(a, i);
+            if todo != 0 {
+                self.analyze_word(a, i, todo);
+            }
+        }
+    }
+
+    /// The cold half of [`BatchedCountSim::analyze_row`]: analyzes the
+    /// pairs `(a, 64·i + b)` for the set bits `b` of `todo`, ascending.
+    #[cold]
+    #[inline(never)]
+    fn analyze_word(&mut self, a: usize, i: usize, todo: u64) {
+        for b in bits(todo) {
+            self.analyze_entry(a, i * 64 + b);
+        }
+    }
+
+    /// The classic serial pairing contingency of a batch of `t`
+    /// interactions with receiver states `recv` and sender states `send`:
+    /// the reactive receiver `rows` ([`BatchedCountSim::classify`]) draw
+    /// their partner splits over the reactive sender `cols` — an iterated
     /// conditional hypergeometric realization of the uniform bipartite
     /// matching. Whatever a row still needs after the reactive columns
     /// comes from the pooled non-reactive columns: those pairings are
     /// identity, so only the pool's total (tracked via `send_total`)
     /// matters, never which non-reactive state each partner held.
-    /// Non-reactive rows are processed implicitly last (the matching is
-    /// exchangeable): their receivers keep their states and their
-    /// partners — all of `send`'s leftovers — keep theirs, merged back
-    /// wholesale by [`BatchedCountSim::run_batch`].
-    #[allow(clippy::too_many_arguments)]
+    /// Non-reactive rows draw nothing (the matching is exchangeable):
+    /// their receivers keep their states, added to `touched` up front, and
+    /// their partners — all of `send`'s leftovers — keep theirs, merged
+    /// back wholesale by [`BatchedCountSim::run_batch`].
     fn fill_serial(
         &mut self,
         recv: &[u64],
         send: &mut [u64],
-        send_total: &mut u64,
+        t: u64,
         touched: &mut Vec<u64>,
-        row_reactive: &[bool],
-        col_reactive: &[bool],
+        rows: &[u64],
+        cols: &[u64],
     ) {
-        let k0 = recv.len();
-        for a in 0..k0 {
-            let ra = recv[a];
-            if ra == 0 {
-                continue;
-            }
-            if !row_reactive[a] {
+        let mut send_total = t;
+        for (a, &ra) in recv.iter().enumerate() {
+            if rows[a / 64] >> (a % 64) & 1 == 0 {
                 touched[a] += ra;
-                continue;
             }
-            let mut need = ra;
-            let mut pool = *send_total;
-            for b in 0..k0 {
+        }
+        for a in ones(rows) {
+            let mut need = recv[a];
+            let mut pool = send_total;
+            for b in ones(cols) {
                 if need == 0 {
                     break;
                 }
                 let sb = send[b];
-                if sb == 0 || !col_reactive[b] {
+                if sb == 0 {
                     continue;
                 }
                 let m = if pool == sb {
@@ -754,14 +755,14 @@ impl<P: CountProtocol> BatchedCountSim<P> {
                 let li = self.law_index(a, b);
                 self.apply_bulk(li, a, b, m, touched);
                 send[b] -= m;
-                *send_total -= m;
+                send_total -= m;
                 need -= m;
             }
             if need > 0 {
                 // Partners from the non-reactive pool: receiver unchanged,
                 // senders stay in `send` (their states are unchanged too).
                 touched[a] += need;
-                *send_total -= need;
+                send_total -= need;
             }
         }
     }
@@ -835,11 +836,10 @@ impl<P: CountProtocol> BatchedCountSim<P> {
         }
     }
 
-    /// Looks up (analyzing on first use) the law-table entry of the ordered
-    /// state-id pair `(a, b)`: its index into `laws`, with [`NULL_FLAG`]
-    /// set if the pair is certainly null.
+    /// The outcome law of the ordered state-id pair `(a, b)` as an index
+    /// into `laws` (analyzed on first use).
     #[inline]
-    fn law_entry(&mut self, a: usize, b: usize) -> u32 {
+    fn law_index(&mut self, a: usize, b: usize) -> u32 {
         let entry = self.table[a * self.cap + b];
         if entry != UNCOMPUTED {
             return entry;
@@ -847,35 +847,20 @@ impl<P: CountProtocol> BatchedCountSim<P> {
         self.analyze_entry(a, b)
     }
 
-    /// The cold half of [`BatchedCountSim::law_entry`]: analyzes the pair,
-    /// interning any newly discovered output states, and stores its entry.
+    /// The cold half of [`BatchedCountSim::law_index`]: analyzes the pair,
+    /// interning any newly discovered output states, stores its entry and
+    /// sets its bits.
     #[cold]
     #[inline(never)]
     fn analyze_entry(&mut self, a: usize, b: usize) -> u32 {
         let idx = self.analyze_pair(a, b);
-        assert!(idx < NULL_FLAG - 1, "law table overflow: {idx} laws");
-        let entry = if self.law_is_null(idx, a, b) {
-            idx | NULL_FLAG
-        } else {
-            idx
-        };
+        assert!(idx != UNCOMPUTED, "law table overflow: {idx} laws");
+        let live = !self.law_is_null(idx, a, b);
         // `analyze_pair` may have interned states and grown `cap`, so the
-        // table offset must be recomputed after it returns.
-        self.table[a * self.cap + b] = entry;
-        entry
-    }
-
-    /// The outcome law of `(a, b)` as an index into `laws` (analyzed on
-    /// first use).
-    fn law_index(&mut self, a: usize, b: usize) -> u32 {
-        self.law_entry(a, b) & !NULL_FLAG
-    }
-
-    /// Whether `(a, b)` is certainly null (analyzed on first use); reads
-    /// only the table entry's flag, never the law.
-    #[inline]
-    fn is_null_pair(&mut self, a: usize, b: usize) -> bool {
-        self.law_entry(a, b) & NULL_FLAG != 0
+        // offsets must be recomputed after it returns.
+        self.table[a * self.cap + b] = idx;
+        self.bits.set(a, b, live);
+        idx
     }
 
     /// Builds the [`PairLaw`] for `(a, b)` from the protocol's outcome
@@ -929,7 +914,7 @@ impl<P: CountProtocol> BatchedCountSim<P> {
     /// Whether every outcome of the pair's law maps `(a, b)` to itself —
     /// i.e. the pair is certainly null and eligible for skipping. Sampled
     /// pairs are conservatively treated as productive. Evaluated once per
-    /// pair, at analysis; the scans read the cached [`NULL_FLAG`].
+    /// pair, at analysis; the scans read the pair's live bit.
     fn law_is_null(&self, idx: u32, a: usize, b: usize) -> bool {
         let ab = (a as u32, b as u32);
         match &self.laws[idx as usize] {
@@ -1051,6 +1036,7 @@ impl<P: CountProtocol> BatchedCountSim<P> {
             }
             self.table = table;
             self.cap = new_cap;
+            self.bits.grow(new_cap);
         }
         id
     }
@@ -1172,6 +1158,217 @@ fn take_from_batch(touched: &mut [u64], send: &mut [u64], mut index: u64) -> usi
         index -= *c;
     }
     unreachable!("batch draw index exceeded touched + send total");
+}
+
+/// The batched engine's record of which state-id pairs are analyzed and
+/// which are *live* (not certainly null): two bit rows per state, over the
+/// state ids. Bit `b` of row `a`'s analyzed row is set once `(a, b)` has
+/// been analyzed, and bit `b` of its live row if that pair is not
+/// certainly null. The only record of nullness: the pair scans read these
+/// rows against masks of occupied states, never a law.
+struct PairBits {
+    /// `u64` words per row: `⌈cap / 64⌉`.
+    words: usize,
+    /// Analyzed rows; row `a` is words `a·words..(a+1)·words`.
+    analyzed: Vec<u64>,
+    /// Live rows, laid out like `analyzed`.
+    live: Vec<u64>,
+}
+
+impl PairBits {
+    /// Empty rows (no pair analyzed) for `cap` states.
+    fn new(cap: usize) -> Self {
+        let words = cap.div_ceil(64);
+        Self {
+            words,
+            analyzed: vec![0; cap * words],
+            live: vec![0; cap * words],
+        }
+    }
+
+    /// Lays the rows out again for `cap` states, keeping every bit.
+    fn grow(&mut self, cap: usize) {
+        let words = cap.div_ceil(64);
+        for rows in [&mut self.analyzed, &mut self.live] {
+            let mut grown = vec![0; cap * words];
+            for (new, old) in grown.chunks_mut(words).zip(rows.chunks(self.words)) {
+                new[..self.words].copy_from_slice(old);
+            }
+            *rows = grown;
+        }
+        self.words = words;
+    }
+
+    /// Marks `(a, b)` analyzed, and live if `live`.
+    fn set(&mut self, a: usize, b: usize, live: bool) {
+        let (word, bit) = (a * self.words + b / 64, 1 << (b % 64));
+        self.analyzed[word] |= bit;
+        self.live[word] |= u64::from(live) * bit;
+    }
+
+    /// Word `i` of row `a`'s analyzed row.
+    #[inline]
+    fn analyzed_word(&self, a: usize, i: usize) -> u64 {
+        self.analyzed[a * self.words + i]
+    }
+
+    /// The first `len` words of row `a`'s live row.
+    #[inline]
+    fn live_row(&self, a: usize, len: usize) -> &[u64] {
+        &self.live[a * self.words..][..len]
+    }
+
+    /// The productive weight of row `a` over the occupied states
+    /// `present`, whose pairs must all be analyzed: `c_a·(n − Σ c_b −
+    /// [(a, a) live])`, summed over the occupied null partners `b`.
+    #[inline(always)]
+    fn row_weight(&self, a: usize, present: &[u64], counts: &[u64], n: u64) -> u64 {
+        let row = self.live_row(a, present.len());
+        let mut null_mass = 0;
+        for (i, (&p, &l)) in present.iter().zip(row).enumerate() {
+            for b in bits(p & !l) {
+                null_mass += counts[i * 64 + b];
+            }
+        }
+        let self_live = row[a / 64] >> (a % 64) & 1;
+        counts[a] * (n - null_mass - self_live)
+    }
+
+    /// See [`BatchedCountSim::pick_productive`].
+    fn pick<M: Mask>(&self, present: &M, counts: &[u64], n: u64, mut z: u64) -> (usize, usize) {
+        let present = present.as_ref();
+        for a in ones(present) {
+            let wa = self.row_weight(a, present, counts, n);
+            if z >= wa {
+                z -= wa;
+                continue;
+            }
+            let row = self.live_row(a, present.len());
+            for (i, (&p, &l)) in present.iter().zip(row).enumerate() {
+                for b in bits(p & l) {
+                    let b = i * 64 + b;
+                    let w = counts[a] * (counts[b] - u64::from(a == b));
+                    if z < w {
+                        return (a, b);
+                    }
+                    z -= w;
+                }
+            }
+        }
+        unreachable!("pick offset exceeded the productive weight");
+    }
+
+    /// The reactive receiver rows and sender columns of a batch whose
+    /// receiver and sender states are `recv` and `send`, with every pair
+    /// analyzed. A receiver row `a` is *reactive* if some present sender
+    /// state reacts with it; a sender column `b` is reactive if some
+    /// present receiver row reacts with it. A pair "reacts" unless its law
+    /// is certainly null (identity deterministic outputs, or a random law
+    /// whose every outcome is the identity). Pairings involving a
+    /// non-reactive side are identity for every counterpart in this batch,
+    /// so their contingency entries never need to be drawn individually —
+    /// the states are unchanged no matter how the matching falls. Each
+    /// receiver row costs one AND of its live row with `send` per word.
+    fn reactive<M: Mask>(&self, recv: &M, send: &M) -> (M, M) {
+        let send = send.as_ref();
+        let mut rows = M::zeroed(send.len());
+        let mut cols = M::zeroed(send.len());
+        for a in ones(recv.as_ref()) {
+            let mut hit = 0;
+            let row = self.live_row(a, send.len());
+            for ((col, &l), &s) in cols.as_mut().iter_mut().zip(row).zip(send) {
+                *col |= l & s;
+                hit |= l & s;
+            }
+            rows.as_mut()[a / 64] |= u64::from(hit != 0) << (a % 64);
+        }
+        (rows, cols)
+    }
+}
+
+/// A bit mask over state ids, id `i` at bit `i % 64` of word `i / 64`.
+/// The scans take it as a type parameter: one inline word while every id
+/// fits (`k ≤ 64`, the common case, where the scans compile to scalar
+/// code), a heap word vector beyond.
+trait Mask: AsRef<[u64]> + AsMut<[u64]> + Sized {
+    /// An empty mask of `words` words.
+    fn zeroed(words: usize) -> Self;
+
+    /// The mask of the nonzero slots of `counts`.
+    #[inline(always)]
+    fn of(counts: &[u64]) -> Self {
+        let mut mask = Self::zeroed(counts.len().div_ceil(64));
+        for (word, chunk) in mask.as_mut().iter_mut().zip(counts.chunks(64)) {
+            for (i, &c) in chunk.iter().enumerate() {
+                *word |= u64::from(c > 0) << i;
+            }
+        }
+        mask
+    }
+}
+
+impl Mask for [u64; 1] {
+    #[inline(always)]
+    fn zeroed(words: usize) -> Self {
+        debug_assert!(words <= 1);
+        [0]
+    }
+}
+
+impl Mask for Vec<u64> {
+    fn zeroed(words: usize) -> Self {
+        vec![0; words]
+    }
+}
+
+/// The set bits of a word-slice bit mask, in ascending order.
+struct Ones<'a> {
+    /// The words not yet reached.
+    rest: &'a [u64],
+    /// Bit index of the current word's bit 0.
+    base: usize,
+    /// The current word's bits not yet yielded.
+    word: u64,
+}
+
+impl Iterator for Ones<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.word == 0 {
+            let (&word, rest) = self.rest.split_first()?;
+            self.rest = rest;
+            self.base += 64;
+            self.word = word;
+        }
+        let b = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(self.base + b)
+    }
+}
+
+/// The set bits of `mask`, in ascending order.
+#[inline]
+fn ones(mask: &[u64]) -> Ones<'_> {
+    match mask.split_first() {
+        Some((&word, rest)) => Ones {
+            rest,
+            base: 0,
+            word,
+        },
+        None => bits(0),
+    }
+}
+
+/// The set bit positions of one mask word, in ascending order.
+#[inline]
+fn bits(word: u64) -> Ones<'static> {
+    Ones {
+        rest: &[],
+        base: 0,
+        word,
+    }
 }
 
 #[inline]
@@ -1487,27 +1684,38 @@ pub(crate) mod tests {
         }
     }
 
-    /// Asserts that every computed law-table entry's [`NULL_FLAG`] equals
-    /// [`BatchedCountSim::law_is_null`] of the law it indexes; returns the
-    /// `[null diagonal, null off-diagonal, productive]` entry counts.
+    /// Asserts that every pair's analyzed bit says whether its law-table
+    /// entry is computed, that its live bit equals the negated
+    /// [`BatchedCountSim::law_is_null`] of the law the entry indexes, and
+    /// that no bit is set past `cap`; returns the `[null diagonal, null
+    /// off-diagonal, live]` entry counts.
     fn assert_flags_match_laws<P: CountProtocol>(sim: &BatchedCountSim<P>) -> [usize; 3] {
+        let bits = &sim.bits;
+        let bit =
+            |rows: &[u64], a: usize, b: usize| rows[a * bits.words + b / 64] >> (b % 64) & 1 == 1;
         let mut tally = [0; 3];
-        for a in 0..sim.states.len() {
-            for b in 0..sim.states.len() {
-                let entry = sim.table[a * sim.cap + b];
+        for a in 0..sim.cap {
+            for b in 0..bits.words * 64 {
+                let (analyzed, live) = (bit(&bits.analyzed, a, b), bit(&bits.live, a, b));
+                let entry = if b < sim.cap {
+                    sim.table[a * sim.cap + b]
+                } else {
+                    UNCOMPUTED
+                };
+                assert_eq!(analyzed, entry != UNCOMPUTED, "analyzed bit of ({a}, {b})");
                 if entry == UNCOMPUTED {
+                    assert!(!live, "live bit of unanalyzed pair ({a}, {b})");
                     continue;
                 }
-                let flagged = entry & NULL_FLAG != 0;
                 assert_eq!(
-                    flagged,
-                    sim.law_is_null(entry & !NULL_FLAG, a, b),
-                    "flag of pair ({a}, {b}) disagrees with its law"
+                    live,
+                    !sim.law_is_null(entry, a, b),
+                    "live bit of pair ({a}, {b}) disagrees with its law"
                 );
-                let slot = match (flagged, a == b) {
-                    (true, true) => 0,
-                    (true, false) => 1,
-                    (false, _) => 2,
+                let slot = match (live, a == b) {
+                    (false, true) => 0,
+                    (false, false) => 1,
+                    (true, _) => 2,
                 };
                 tally[slot] += 1;
             }
@@ -1557,9 +1765,229 @@ pub(crate) mod tests {
         assert!(sim.collect_table(), "the interned adapter must collect");
         assert!(sim.states.len() < discovered, "GC evicted nothing");
         assert!(sim.table.iter().all(|&e| e == UNCOMPUTED));
+        assert!(sim
+            .bits
+            .analyzed
+            .iter()
+            .chain(&sim.bits.live)
+            .all(|&w| w == 0));
         sim.steps(200_000);
         let tally = assert_flags_match_laws(&sim);
         assert!(tally.iter().all(|&t| t > 0), "entry tally {tally:?}");
         assert_eq!(sim.counts.iter().sum::<u64>(), 4_096);
+    }
+
+    /// The `O(k²)` pair scans the bit rows replaced, kept as references:
+    /// one law-table probe per pair, with nullness decoded from the law.
+    impl<P: CountProtocol> BatchedCountSim<P> {
+        fn is_null_reference(&mut self, a: usize, b: usize) -> bool {
+            let idx = self.law_index(a, b);
+            self.law_is_null(idx, a, b)
+        }
+
+        fn productive_weight_reference(&mut self) -> u64 {
+            let k = self.states.len();
+            let mut w = 0u64;
+            for a in 0..k {
+                let ca = self.counts[a];
+                if ca == 0 {
+                    continue;
+                }
+                for b in 0..k {
+                    let cb = self.counts[b];
+                    if cb != 0 && !self.is_null_reference(a, b) {
+                        w += ca * (cb - u64::from(a == b));
+                    }
+                }
+            }
+            w
+        }
+
+        fn pick_reference(&mut self, mut z: u64) -> (usize, usize) {
+            let k = self.states.len();
+            for a in 0..k {
+                let ca = self.counts[a];
+                if ca == 0 {
+                    continue;
+                }
+                for b in 0..k {
+                    let cb = self.counts[b];
+                    if cb == 0 || self.is_null_reference(a, b) {
+                        continue;
+                    }
+                    let w = ca * (cb - u64::from(a == b));
+                    if z < w {
+                        return (a, b);
+                    }
+                    z -= w;
+                }
+            }
+            unreachable!("pick offset exceeded the productive weight");
+        }
+
+        fn classify_reference(&mut self, recv: &[u64], send: &[u64]) -> (Vec<bool>, Vec<bool>) {
+            let k0 = recv.len();
+            let (mut rows, mut cols) = (vec![false; k0], vec![false; k0]);
+            for a in 0..k0 {
+                if recv[a] == 0 {
+                    continue;
+                }
+                for b in 0..k0 {
+                    if send[b] != 0 && !self.is_null_reference(a, b) {
+                        rows[a] = true;
+                        cols[b] = true;
+                    }
+                }
+            }
+            (rows, cols)
+        }
+    }
+
+    fn unpack(mask: &[u64], len: usize) -> Vec<bool> {
+        (0..len)
+            .map(|i| mask[i / 64] >> (i % 64) & 1 == 1)
+            .collect()
+    }
+
+    /// Runs the bit-row scans on `fast` and the reference scans on `slow`,
+    /// two simulators in the same state: first the reactive classification
+    /// of a receiver/sender split of the occupied states (which analyzes
+    /// some pairs), then the productive weight (which analyzes the rest)
+    /// and a few weighted picks. Asserts equal results and the same state
+    /// id order after each, and bit rows that match the laws.
+    fn assert_scans_match_references<P: CountProtocol>(
+        fast: &mut BatchedCountSim<P>,
+        slow: &mut BatchedCountSim<P>,
+    ) {
+        assert_eq!(fast.states, slow.states);
+        assert_eq!(fast.counts, slow.counts);
+        let k = fast.counts.len();
+        let recv: Vec<u64> = (0..k)
+            .map(|i| if i % 3 == 1 { 0 } else { fast.counts[i] })
+            .collect();
+        let send: Vec<u64> = (0..k)
+            .map(|i| if i % 3 == 0 { 0 } else { fast.counts[i] })
+            .collect();
+        let reference = slow.classify_reference(&recv, &send);
+        // The one-word instantiation runs first when it applies, so it is
+        // the one that analyzes; the vector one must agree either way.
+        if k <= 64 {
+            assert_eq!(classify_as::<[u64; 1], P>(fast, &recv, &send), reference);
+        }
+        assert_eq!(classify_as::<Vec<u64>, P>(fast, &recv, &send), reference);
+        assert_eq!(
+            fast.states, slow.states,
+            "classification interned out of order"
+        );
+
+        let w = fast.productive_weight();
+        assert_eq!(w, slow.productive_weight_reference(), "productive weight");
+        assert_eq!(w, fast.productive_weight_in::<Vec<u64>>());
+        assert_eq!(fast.states, slow.states, "weighing interned out of order");
+        if w > 0 {
+            for z in [0, w / 3, w / 2, w - 1] {
+                let pick = slow.pick_reference(z);
+                assert_eq!(fast.pick_productive(z), pick, "pick {z} of {w}");
+                assert_eq!(
+                    fast.bits
+                        .pick(&Vec::of(&fast.counts), &fast.counts, fast.n, z),
+                    pick
+                );
+            }
+        }
+        assert_flags_match_laws(fast);
+    }
+
+    /// The reactive rows and columns [`BatchedCountSim::classify`] finds
+    /// over `M` masks, unpacked to one flag per state.
+    fn classify_as<M: Mask, P: CountProtocol>(
+        sim: &mut BatchedCountSim<P>,
+        recv: &[u64],
+        send: &[u64],
+    ) -> (Vec<bool>, Vec<bool>) {
+        let (rows, cols) = sim.classify::<M>(recv, send);
+        (
+            unpack(rows.as_ref(), recv.len()),
+            unpack(cols.as_ref(), recv.len()),
+        )
+    }
+
+    /// A receiver below its sender leaps to `sender + 128`; a receiver
+    /// meeting its own even value steps up by one; every other pair is
+    /// null. From 100 occupied values (two-word rows), analysis interns
+    /// 99 new states and grows `cap` mid-scan.
+    #[derive(Clone, Copy)]
+    struct Leapfrog;
+
+    impl DeterministicCountProtocol for Leapfrog {
+        type State = u16;
+
+        fn transition_det(&self, rec: u16, sen: u16) -> (u16, u16) {
+            if rec < sen {
+                (sen + 128, sen)
+            } else if rec == sen && rec % 2 == 0 {
+                (rec + 1, sen)
+            } else {
+                (rec, sen)
+            }
+        }
+    }
+
+    fn leapfrog_sim(seed: u64) -> BatchedCountSim<Leapfrog> {
+        let config =
+            CountConfiguration::from_pairs((0..100u16).map(|s| (s, 50 * (1 + u64::from(s % 5)))));
+        BatchedCountSim::new(Leapfrog, config, seed)
+    }
+
+    #[test]
+    fn bit_row_scans_match_references_across_words_and_growth() {
+        let (mut fast, mut slow) = (leapfrog_sim(3), leapfrog_sim(3));
+        assert_eq!((fast.cap, fast.bits.words), (100, 2));
+        assert_scans_match_references(&mut fast, &mut slow);
+        assert_eq!(fast.states.len(), 199, "every leap target interned");
+        assert_eq!((fast.cap, fast.bits.words), (200, 4), "cap grew mid-scan");
+        // Warm tables: the same scans again after some batches.
+        for sim in [&mut fast, &mut slow] {
+            sim.steps(2_000);
+        }
+        assert_scans_match_references(&mut fast, &mut slow);
+    }
+
+    #[test]
+    fn bit_row_scans_match_references_after_collection() {
+        let collected = || {
+            let interned = crate::interned::Interned::new(EpochJump);
+            let config = interned.uniform_config(4_096);
+            let mut sim = BatchedCountSim::new(CertifiedEpochJump(interned), config, 5);
+            sim.steps(200_000);
+            assert!(sim.collect_table(), "the interned adapter must collect");
+            sim
+        };
+        let (mut fast, mut slow) = (collected(), collected());
+        assert!(fast.states.len() <= 64, "one-word masks apply");
+        assert_scans_match_references(&mut fast, &mut slow);
+        for sim in [&mut fast, &mut slow] {
+            sim.steps(50_000);
+        }
+        assert_scans_match_references(&mut fast, &mut slow);
+    }
+
+    #[test]
+    fn bit_row_scans_match_references_after_restore() {
+        let restored = || {
+            let mut sim = leapfrog_sim(7);
+            sim.steps(3_000);
+            let (states, counts, rng) = sim.snapshot_parts();
+            BatchedCountSim::from_snapshot_parts(
+                Leapfrog,
+                states.to_vec(),
+                counts,
+                rng.clone(),
+                sim.interactions(),
+            )
+        };
+        let (mut fast, mut slow) = (restored(), restored());
+        assert!(fast.occupied_support() > 64, "rows must span words");
+        assert_scans_match_references(&mut fast, &mut slow);
     }
 }
