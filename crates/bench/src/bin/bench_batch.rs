@@ -66,8 +66,9 @@
 //! Interactions per second and the batched/sequential speedup are recorded
 //! per workload so future changes have a perf trajectory. Results land in
 //! `BENCH_batch.json` in the current directory. After the rows, a samplers
-//! block prints ns/draw for four fixed-seed `hypergeometric` draws; it is
-//! neither gated nor written to the JSON.
+//! block prints ns/draw for six fixed-seed `hypergeometric` draws; it is
+//! neither gated nor written to the JSON. In `--gate` mode each gated row
+//! prints its per-side single-trial rates (min–max) beside its ratio.
 //!
 //! Usage: `cargo run --release --bin bench_batch [-- --quick] [--gate BASELINE.json]`
 //! (`--quick` drops `n = 10⁷`, whose sequential fixed-time runs take ~10 s
@@ -104,11 +105,19 @@ struct Measurement {
     trials: u64,
     interactions: u64,
     seconds: f64,
+    /// Slowest and fastest single-trial rate (interactions/s).
+    trial_rates: (f64, f64),
 }
 
 impl Measurement {
     fn rate(&self) -> f64 {
         self.interactions as f64 / self.seconds
+    }
+
+    /// The single-trial rates' min–max, printed beside a gated ratio so a
+    /// reader can tell a regression from the row's own noise.
+    fn spread(&self) -> String {
+        format!("{:.3e}–{:.3e}", self.trial_rates.0, self.trial_rates.1)
     }
 }
 
@@ -333,12 +342,17 @@ fn interleave(
         trials,
         interactions: 0,
         seconds: 0.0,
+        trial_rates: (f64::INFINITY, 0.0),
     };
     let (mut a, mut b) = (zero(first), zero(second));
     let mut timed = |side: &mut Measurement, is_first: bool, t: u64| {
         let start = Instant::now();
-        side.interactions += trial(is_first, t);
-        side.seconds += start.elapsed().as_secs_f64();
+        let interactions = trial(is_first, t);
+        let seconds = start.elapsed().as_secs_f64();
+        side.interactions += interactions;
+        side.seconds += seconds;
+        let rate = interactions as f64 / seconds;
+        side.trial_rates = (side.trial_rates.0.min(rate), side.trial_rates.1.max(rate));
     };
     for i in 0..first {
         timed(&mut a, true, i);
@@ -380,19 +394,23 @@ fn push_agent_row(
 /// Draws per `hypergeometric` timing in the samplers block.
 const SAMPLER_DRAWS: u32 = 1_000_000;
 
-/// Prints ns/draw for four `hypergeometric` draws the batched engine
+/// Prints ns/draw for six `hypergeometric` draws the batched engine
 /// makes: a mid-epidemic fill at `n = 10⁶`, a pairing split, a small-side
 /// row at `n = 10⁷` (3 receivers partnered from a ~2000-sender pool,
-/// drawn item by item), and a population draw at `n = 10⁷` (a
-/// ~2000-agent batch side drawn from the whole population, σ ≈ 3, by
-/// chop-down). Absolute timings are not machine-normalized, so the gate
-/// does not read them and they stay out of the JSON.
+/// drawn item by item), a fill row by chop-down (σ ≈ 4.6), and two
+/// population draws at `n = 10⁷`, where a ~2000-agent batch side is drawn
+/// from the whole population by chop-down: a minority state's (σ ≈ 3)
+/// and the majority state's (σ ≈ 22, where the walk dominates). Absolute
+/// timings are not machine-normalized, so the gate does not read them and
+/// they stay out of the JSON.
 fn print_sampler_timings() {
     for (total, successes, draws, seed) in [
         (1_000_000, 500_000, 626, 13),
         (626, 313, 300, 17),
         (2_000, 150, 3, 19),
+        (2_000, 90, 1_000, 29),
         (10_000_000, 45_000, 2_000, 23),
+        (10_000_000, 5_000_000, 2_000, 31),
     ] {
         let mut rng = rng_from_seed(seed);
         let start = Instant::now();
@@ -482,24 +500,28 @@ fn gate_failures(baseline: &[BaselineRow], rows: &[Row]) -> Vec<String> {
         if measured < floor {
             failures.push(format!(
                 "{} n={} {}: batched speedup {measured:.2}x is below 70% of baseline {:.2}x \
-                 (batched {:.3e} int/s, baseline {:.3e})",
+                 (batched {:.3e} int/s, baseline {:.3e}; trials: sequential {}, batched {} int/s)",
                 row.protocol,
                 row.n,
                 row.workload,
                 base.speedup,
                 row.bat.rate(),
-                base.batched
+                base.batched,
+                row.seq.spread(),
+                row.bat.spread()
             ));
         } else {
             eprintln!(
                 "[gate] {} n={} {}: speedup {measured:.2}x vs baseline {:.2}x — ok ({:+.0}%; \
-                 batched {:.3e} int/s)",
+                 batched {:.3e} int/s; trials: sequential {}, batched {} int/s)",
                 row.protocol,
                 row.n,
                 row.workload,
                 base.speedup,
                 (measured / base.speedup - 1.0) * 100.0,
-                row.bat.rate()
+                row.bat.rate(),
+                row.seq.spread(),
+                row.bat.spread()
             );
         }
     }

@@ -206,14 +206,15 @@ enum PairLaw {
 /// cost ratio between one batch and one skip step (a geometric draw plus a
 /// weighted pair pick), so that at the crossover both modes spend the same
 /// wall time per productive interaction. A batch is not "a few" draws:
-/// for `WeakEstimator` at `n = 10⁷` (seed 7, 2-core x86-64 host) it
-/// averages ~154 hypergeometric fill draws (two thirds drawn item by item
-/// at a few ns each, the rest by chop-down), ~40 population draws (mostly
-/// chop-down, ~150 ns each, ~31% of engine time) and ~131 sampled
-/// per-interaction transitions, ~18 µs in all; its two pair scans over
-/// the ~23 occupied states cost ~0.3 µs of that. The factor decides which
-/// draws happen, so it is a trajectory input, not a tuning knob: changing
-/// it changes every batched run.
+/// for `WeakEstimator` at `n = 10⁷` (trial seed `derive_seed(11, 0)`,
+/// 56,008 batches, 2-core x86-64 host) it averages ~169 hypergeometric
+/// fill draws (~54 by chop-down at ~60 ns each, the rest item by item at
+/// ~20–25 ns), ~42 population draws (~34 by chop-down at ~100 ns each,
+/// two thirds of that the mode pmf's logarithms and `exp`). A seed-7
+/// trial counted ~131 sampled per-interaction transitions per batch, and
+/// ~0.3 µs for its two pair scans over the ~23 occupied states. The
+/// factor decides which draws happen, so it is a trajectory input, not a
+/// tuning knob: changing it changes every batched run.
 const NULL_SKIP_FACTOR: f64 = 6.0;
 
 /// Batched simulator over a configuration vector.

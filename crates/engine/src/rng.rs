@@ -132,6 +132,25 @@ fn ln_fact_table() -> &'static [f64] {
     })
 }
 
+/// `k as f64`, through a signed conversion: x86-64 without AVX-512
+/// converts a signed integer in one instruction and an unsigned one in a
+/// six-instruction sequence. Below 2⁶³ both round the same integer, so the
+/// result has the same bits.
+#[inline(always)]
+fn to_f64(k: u64) -> f64 {
+    debug_assert!(k <= i64::MAX as u64);
+    k as i64 as f64
+}
+
+/// `x as u64` for a non-negative `x` below 2⁶³, through a signed
+/// conversion: the unsigned one adds a second conversion and its
+/// saturation checks.
+#[inline(always)]
+fn to_u64(x: f64) -> u64 {
+    debug_assert!((0.0..9.2e18).contains(&x));
+    x as i64 as u64
+}
+
 /// `ln k!` in O(1): table lookup below 4096, Stirling series above.
 ///
 /// This is the hot scalar under every chop-down hypergeometric draw
@@ -145,7 +164,7 @@ pub fn ln_factorial(k: u64) -> f64 {
         table[k as usize]
     } else {
         const HALF_LN_TWO_PI: f64 = 0.918_938_533_204_672_7;
-        let x = k as f64 + 1.0;
+        let x = to_f64(k) + 1.0;
         let inv = 1.0 / x;
         let inv2 = inv * inv;
         (x - 0.5) * x.ln() - x + HALF_LN_TWO_PI + inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0))
@@ -166,46 +185,56 @@ fn ln_choose(n: u64, k: u64) -> f64 {
 /// accumulating probability until the uniform draw `u` is consumed. Expected
 /// work is `O(σ)` of the distribution, and no pmf is ever computed far from
 /// the mode, so nothing underflows even when the support is huge.
-pub(crate) fn chop_down_from_mode(
+///
+/// The cursors are `f64`, so a step converts no integer: the ratio closures
+/// take the cursor as `f64` and combine it with operands their caller
+/// converted once per draw. Every value involved is an integer below 2⁵³,
+/// so each is exact in `f64` and the walk returns the same bits as one on
+/// `u64` cursors.
+fn chop_down_from_mode(
     mode: u64,
     pmf_mode: f64,
     support: (u64, u64),
-    ratio_up: impl Fn(u64) -> f64,
-    ratio_down: impl Fn(u64) -> f64,
+    ratio_up: impl Fn(f64) -> f64,
+    ratio_down: impl Fn(f64) -> f64,
     u: f64,
 ) -> u64 {
-    let (lo_s, hi_s) = support;
-    debug_assert!((lo_s..=hi_s).contains(&mode));
+    debug_assert!((support.0..=support.1).contains(&mode));
+    let (lo_s, hi_s) = (to_f64(support.0), to_f64(support.1));
     let mut acc = pmf_mode;
     if u < acc {
         return mode;
     }
-    let (mut lo, mut hi) = (mode, mode);
+    let (mut lo, mut hi) = (to_f64(mode), to_f64(mode));
     let (mut p_lo, mut p_hi) = (pmf_mode, pmf_mode);
     loop {
         let mut advanced = false;
         if hi < hi_s {
             p_hi *= ratio_up(hi);
-            hi += 1;
+            hi += 1.0;
             acc += p_hi;
             if u < acc {
-                return hi;
+                return to_u64(hi);
             }
             advanced = true;
         }
         if lo > lo_s {
             p_lo *= ratio_down(lo);
-            lo -= 1;
+            lo -= 1.0;
             acc += p_lo;
             if u < acc {
-                return lo;
+                return to_u64(lo);
             }
             advanced = true;
         }
         if !advanced {
-            // The walk covered the entire support; `u` exceeded the
-            // accumulated mass only through floating-point leakage
-            // (total ≈ 1 - 1e-15). Return the mode as the highest-mass value.
+            // The walk covered the entire support and `u` still exceeded
+            // the accumulated mass. The mode pmf carries a relative error
+            // of up to ~1e-7 at T = 10⁷ and ~1e-6 at 10⁸ (cancellation
+            // among the Stirling terms of `ln_pmf_mode`; see the test
+            // `mode_pmf_error_is_a_few_ulps_of_ln_total_factorial`), so
+            // the total can fall short of 1 by as much. Return the mode
+            // as the highest-mass value.
             return mode;
         }
     }
@@ -229,20 +258,30 @@ pub fn binomial(n: u64, p: f64, rng: &mut impl Rng) -> u64 {
     if p > 0.5 {
         return n - binomial(n, 1.0 - p, rng);
     }
-    let mode = (((n + 1) as f64) * p) as u64;
-    let mode = mode.min(n);
-    let ln_pmf_mode =
-        ln_choose(n, mode) + mode as f64 * p.ln() + (n - mode) as f64 * (1.0 - p).ln();
+    // The exactness condition of the `f64` walk: every operand below is an
+    // integer no larger than `n + 1`.
+    debug_assert!(n < 1 << 53);
+    let (mode, ln_pmf_mode) = binomial_mode(n, p);
     let odds = p / (1.0 - p);
+    let nf = to_f64(n);
     let u: f64 = rng.gen();
     chop_down_from_mode(
         mode,
         ln_pmf_mode.exp(),
         (0, n),
-        |x| ((n - x) as f64 / (x + 1) as f64) * odds,
-        |x| (x as f64 / (n - x + 1) as f64) / odds,
+        |x| ((nf - x) / (x + 1.0)) * odds,
+        |x| (x / (nf - x + 1.0)) / odds,
         u,
     )
+}
+
+/// The mode of `Binomial(n, p)` for `p ≤ 1/2`, and `ln pmf(mode)`.
+#[inline]
+fn binomial_mode(n: u64, p: f64) -> (u64, f64) {
+    let mode = to_u64(to_f64(n + 1) * p).min(n);
+    let ln_pmf_mode =
+        ln_choose(n, mode) + to_f64(mode) * p.ln() + to_f64(n - mode) * (1.0 - p).ln();
+    (mode, ln_pmf_mode)
 }
 
 /// Marked items among `s` drawn one at a time without replacement from
@@ -313,27 +352,36 @@ pub fn hypergeometric(total: u64, successes: u64, draws: u64, rng: &mut impl Rng
             successes - count_marked_one_by_one(total, s, successes, rng)
         };
     }
-    let lo_s = (draws + successes).saturating_sub(total);
-    let hi_s = draws.min(successes);
-    let mode = ((draws + 1) as f64 * (successes + 1) as f64 / (total + 2) as f64) as u64;
-    let mode = mode.clamp(lo_s, hi_s);
-    let ln_pmf_mode =
-        ln_choose(successes, mode) + ln_choose(misses, draws - mode) - ln_choose(total, draws);
+    // The exactness condition of the `f64` walk: every operand below is an
+    // integer of magnitude at most `total + 1`.
+    debug_assert!(total < 1 << 53);
+    let (support, mode, ln_pmf_mode) = hypergeometric_mode(total, successes, draws);
+    let (sf, df) = (to_f64(successes), to_f64(draws));
+    // `misses − draws` as a float: negative when the drawn side outnumbers
+    // the misses, which only moves the support's lower end above 0.
+    let gap = to_f64(misses) - df;
     let u: f64 = rng.gen();
     chop_down_from_mode(
         mode,
         ln_pmf_mode.exp(),
-        (lo_s, hi_s),
-        |x| {
-            ((successes - x) as f64 * (draws - x) as f64)
-                / ((x + 1) as f64 * (misses + x + 1 - draws) as f64)
-        },
-        |x| {
-            (x as f64 * (misses + x - draws) as f64)
-                / ((successes - x + 1) as f64 * (draws - x + 1) as f64)
-        },
+        support,
+        |x| ((sf - x) * (df - x)) / ((x + 1.0) * (gap + x + 1.0)),
+        |x| (x * (gap + x)) / ((sf - x + 1.0) * (df - x + 1.0)),
         u,
     )
+}
+
+/// The support of `Hypergeometric(total, successes, draws)`, its mode, and
+/// `ln pmf(mode)`: where [`hypergeometric`]'s chop-down walk starts.
+#[inline]
+fn hypergeometric_mode(total: u64, successes: u64, draws: u64) -> ((u64, u64), u64, f64) {
+    let lo_s = (draws + successes).saturating_sub(total);
+    let hi_s = draws.min(successes);
+    let mode = to_u64(to_f64(draws + 1) * to_f64(successes + 1) / to_f64(total + 2));
+    let mode = mode.clamp(lo_s, hi_s);
+    let ln_pmf_mode = ln_choose(successes, mode) + ln_choose(total - successes, draws - mode)
+        - ln_choose(total, draws);
+    ((lo_s, hi_s), mode, ln_pmf_mode)
 }
 
 /// Samples a multinomial split with replacement: `draws` independent trials
@@ -675,6 +723,237 @@ mod tests {
     #[test]
     fn hypergeometric_chop_down_matches_exact_pmf() {
         assert_matches_exact_pmf(10_000, 4_000, 900, 209);
+    }
+
+    #[test]
+    fn signed_conversions_match_unsigned_ones() {
+        for k in [
+            0u64,
+            1,
+            4_095,
+            10_000_001,
+            (1 << 53) - 1,
+            1 << 53,
+            (1 << 53) + 1,
+            (1 << 62) + 12_345,
+            i64::MAX as u64,
+        ] {
+            assert_eq!(to_f64(k).to_bits(), (k as f64).to_bits(), "to_f64({k})");
+        }
+        for x in [
+            0.0,
+            0.5,
+            1.0,
+            16.99,
+            2_000.0,
+            9_007_199_254_740_991.0,
+            9.1e18,
+        ] {
+            assert_eq!(to_u64(x), x as u64, "to_u64({x})");
+        }
+    }
+
+    /// The chop-down walk on `u64` cursors, with ratio closures that
+    /// convert their operands at every step: the reference that
+    /// [`chop_down_from_mode`] must match bit for bit.
+    fn chop_down_u64_reference(
+        mode: u64,
+        pmf_mode: f64,
+        (lo_s, hi_s): (u64, u64),
+        ratio_up: impl Fn(u64) -> f64,
+        ratio_down: impl Fn(u64) -> f64,
+        u: f64,
+    ) -> u64 {
+        let mut acc = pmf_mode;
+        if u < acc {
+            return mode;
+        }
+        let (mut lo, mut hi) = (mode, mode);
+        let (mut p_lo, mut p_hi) = (pmf_mode, pmf_mode);
+        loop {
+            let mut advanced = false;
+            if hi < hi_s {
+                p_hi *= ratio_up(hi);
+                hi += 1;
+                acc += p_hi;
+                if u < acc {
+                    return hi;
+                }
+                advanced = true;
+            }
+            if lo > lo_s {
+                p_lo *= ratio_down(lo);
+                lo -= 1;
+                acc += p_lo;
+                if u < acc {
+                    return lo;
+                }
+                advanced = true;
+            }
+            if !advanced {
+                return mode;
+            }
+        }
+    }
+
+    /// [`hypergeometric`] with its chop-down branch on the `u64` reference
+    /// walk; every other branch is delegated unchanged.
+    fn hypergeometric_reference(total: u64, successes: u64, draws: u64, rng: &mut SimRng) -> u64 {
+        let s = successes
+            .min(total - successes)
+            .min(draws)
+            .min(total - draws);
+        if s <= SEQ_MAX {
+            return hypergeometric(total, successes, draws, rng);
+        }
+        let misses = total - successes;
+        let (support, mode, ln_pmf_mode) = hypergeometric_mode(total, successes, draws);
+        let u: f64 = rng.gen();
+        chop_down_u64_reference(
+            mode,
+            ln_pmf_mode.exp(),
+            support,
+            |x| {
+                ((successes - x) as f64 * (draws - x) as f64)
+                    / ((x + 1) as f64 * (misses + x + 1 - draws) as f64)
+            },
+            |x| {
+                (x as f64 * (misses + x - draws) as f64)
+                    / ((successes - x + 1) as f64 * (draws - x + 1) as f64)
+            },
+            u,
+        )
+    }
+
+    /// [`binomial`] on the `u64` reference walk.
+    fn binomial_reference(n: u64, p: f64, rng: &mut SimRng) -> u64 {
+        if n == 0 || p == 0.0 {
+            return 0;
+        }
+        if p == 1.0 {
+            return n;
+        }
+        if p > 0.5 {
+            return n - binomial_reference(n, 1.0 - p, rng);
+        }
+        let (mode, ln_pmf_mode) = binomial_mode(n, p);
+        let odds = p / (1.0 - p);
+        let u: f64 = rng.gen();
+        chop_down_u64_reference(
+            mode,
+            ln_pmf_mode.exp(),
+            (0, n),
+            |x| ((n - x) as f64 / (x + 1) as f64) * odds,
+            |x| (x as f64 / (n - x + 1) as f64) / odds,
+            u,
+        )
+    }
+
+    /// Draws `DRAWS` values from `sampler` and from `reference`, each on
+    /// its own copy of the stream of `seed`, and requires them equal draw
+    /// for draw.
+    fn assert_same_draws(
+        label: &str,
+        seed: u64,
+        sampler: impl Fn(&mut SimRng) -> u64,
+        reference: impl Fn(&mut SimRng) -> u64,
+    ) {
+        const DRAWS: usize = 2_000;
+        let (mut rng, mut ref_rng) = (rng_from_seed(seed), rng_from_seed(seed));
+        for i in 0..DRAWS {
+            let (got, want) = (sampler(&mut rng), reference(&mut ref_rng));
+            assert_eq!(got, want, "{label}: draw {i} of seed {seed} differs");
+        }
+    }
+
+    #[test]
+    fn f64_walk_draws_what_the_u64_walk_draws() {
+        let mut shapes: Vec<(u64, u64, u64)> = vec![
+            // The `SEQ_MAX` seam, in each orientation of the smallest side.
+            (1_000, 400, SEQ_MAX),
+            (1_000, 400, SEQ_MAX + 1),
+            (1_000, SEQ_MAX + 1, 400),
+            (1_000, 1_000 - SEQ_MAX - 1, 400),
+            (1_000, 400, 1_000 - SEQ_MAX - 1),
+            // Fill shapes, `T ≤ 4096`: the drawn side outnumbering the
+            // misses puts the support's lower end above 0.
+            (2_000, 90, 1_000),
+            (626, 313, 300),
+            (4_096, 2_048, 2_048),
+            (300, 250, 200),
+            (60, 25, 40),
+        ];
+        // Population shapes: `d ≈ 2000` agents from `T = 10⁷` and `10⁸`.
+        for total in [10_000_000u64, 100_000_000] {
+            for successes in [17, 1_000, 45_000, 1_000_000, total / 2] {
+                for draws in [1_999, 2_000, 2_001] {
+                    shapes.push((total, successes, draws));
+                }
+            }
+        }
+        for (i, &(total, successes, draws)) in shapes.iter().enumerate() {
+            assert_same_draws(
+                &format!("hypergeometric({total}, {successes}, {draws})"),
+                300 + i as u64,
+                |rng| hypergeometric(total, successes, draws, rng),
+                |rng| hypergeometric_reference(total, successes, draws, rng),
+            );
+        }
+        for (i, n) in [17u64, 1_000, 100_000, 1_000_000].into_iter().enumerate() {
+            for (j, p) in [0.001, 0.3, 0.5, 0.7, 0.999].into_iter().enumerate() {
+                assert_same_draws(
+                    &format!("binomial({n}, {p})"),
+                    400 + (10 * i + j) as u64,
+                    |rng| binomial(n, p, rng),
+                    |rng| binomial_reference(n, p, rng),
+                );
+            }
+        }
+    }
+
+    /// `ln pmf(x)` of `Hypergeometric(total, successes, draws)` as a
+    /// compensated (Neumaier) sum of logarithms of ratios near 1 in size:
+    /// `pmf(x) = Π_{j<x} (K−j)/(T−j) · Π_{j<d−x} (T−K−j)/(T−x−j) · C(d, x)`,
+    /// with `C(d, x) = Π_{j<x} (d−j)/(x−j)`. No term is large, so nothing
+    /// cancels; the error is a few ulps of the result per term.
+    fn ln_pmf_reference(total: u64, successes: u64, draws: u64, x: u64) -> f64 {
+        let ln_ratio = |a: u64, b: u64| (a as f64 / b as f64).ln();
+        let terms = (0..x)
+            .map(|j| ln_ratio(successes - j, total - j) + ln_ratio(draws - j, x - j))
+            .chain((0..draws - x).map(|j| ln_ratio(total - successes - j, total - x - j)));
+        let (mut sum, mut carry) = (0.0f64, 0.0f64);
+        for t in terms {
+            let next = sum + t;
+            carry += if sum.abs() >= t.abs() {
+                (sum - next) + t
+            } else {
+                (t - next) + sum
+            };
+            sum = next;
+        }
+        sum + carry
+    }
+
+    #[test]
+    fn mode_pmf_error_is_a_few_ulps_of_ln_total_factorial() {
+        // `ln_pmf_mode` sums six Stirling terms of size up to `ln T!`
+        // (1.5e8 at T = 10⁷, 1.7e9 at 10⁸) whose rounding errors survive
+        // the cancellation. Each bound is ~4 ulps of `ln T!`: 1e-7 at
+        // T = 10⁷ and 1e-6 at 10⁸, where one ulp is already 2.4e-7.
+        for (total, bound) in [(10_000_000u64, 1e-7), (100_000_000, 1e-6)] {
+            for successes in [17, 1_000, 45_000, 1_000_000, total / 2] {
+                for draws in [1_999, 2_000, 2_001] {
+                    let (_, mode, ln_pmf_mode) = hypergeometric_mode(total, successes, draws);
+                    let reference = ln_pmf_reference(total, successes, draws, mode);
+                    let error = (ln_pmf_mode - reference).abs();
+                    assert!(
+                        error < bound,
+                        "H({total}, {successes}, {draws}): ln pmf(mode) {ln_pmf_mode} is \
+                         {error:.2e} from the reference {reference}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
