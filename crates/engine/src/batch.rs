@@ -79,6 +79,19 @@
 //! population size. Small populations, where batches are short and
 //! constants dominate, fall back to the sequential simulator.
 //!
+//! ## Core and shell
+//!
+//! ppsim's simulator core works over integer state indices and a
+//! precomputed transition array, so it knows no protocol type. This engine
+//! follows that split. The batch algorithm above — the batch-length draw,
+//! the fill, bulk application, the collision interaction, null-skipping and
+//! the pair scans — lives in `BatchCore`, which holds only ids, counts, the
+//! law table and the RNG, and is compiled once. [`BatchedCountSim`] is the
+//! typed shell: it owns the protocol and the discovered states, and answers
+//! the core's two `Laws` calls, pair analysis and sampled interactions.
+//! The core discovers states lazily instead of from a precomputed array,
+//! since a protocol's reachable states are not known up front.
+//!
 //! ## Observability
 //!
 //! Attach a [`pp_telemetry::Metrics`] registry
@@ -225,45 +238,15 @@ const NULL_SKIP_FACTOR: f64 = 6.0;
 /// distributions are bulk-applied; pairs with unbounded outcome support
 /// are sampled per interaction inside the batch. Construct directly, or
 /// let [`ConfigSim`](crate::ConfigSim)'s Auto mode choose.
+///
+/// A thin typed shell: the batch algorithm runs in the protocol-free
+/// `BatchCore`, which asks the protocol side for pair laws and sampled
+/// interactions through the two calls of the `Laws` seam.
 pub struct BatchedCountSim<P: CountProtocol> {
-    protocol: P,
-    rng: SimRng,
-    n: u64,
-    interactions: u64,
-    /// Discovered states, id-indexed.
-    states: Vec<P::State>,
-    /// Open-addressed state → id lookup (probes against `states`).
-    index: SlotIndex,
-    /// Current configuration counts, id-indexed.
-    counts: Vec<u64>,
-    /// Row stride (capacity) of `table`; grown geometrically so state
-    /// discovery costs `O(cap)` amortized per new state, not `O(cap²)`.
-    cap: usize,
-    /// Dense law-index table: entry `[a·cap + b]` points into `laws`, or is
-    /// [`UNCOMPUTED`].
-    table: Vec<u32>,
-    /// Which pairs of `table` are analyzed and which are not certainly
-    /// null, as bit rows with `cap` rows.
-    bits: PairBits,
-    /// Analyzed pair laws; `laws[0]` is the shared [`PairLaw::Sampled`].
-    laws: Vec<PairLaw>,
-    /// `survival[t] = P(T ≥ t)`: precomputed birthday-collision survival.
-    survival: Vec<f64>,
-    /// Whether `survival` ends because batches cannot exceed `⌊n/2⌋`
-    /// interactions (vs. the probability cutoff).
-    boundary_reached: bool,
-    /// `E[T]` (mean collision-free batch length), precomputed from
-    /// `survival`; drives the batch-vs-null-skip mode decision.
-    expected_batch_len: f64,
-    // Scratch buffers reused across batches (taken/restored to appease the
-    // borrow checker without per-batch allocation).
-    recv: Vec<u64>,
-    send: Vec<u64>,
-    touched: Vec<u64>,
-    /// Observability: attached counter registry, if any. Recording is
-    /// observation-only — no branch reads a counter back and no hook
-    /// touches the RNG — so attached and detached runs are byte-identical.
-    metrics: Option<Metrics>,
+    /// Counts, law table, RNG and clock, all by state id.
+    core: BatchCore,
+    /// The protocol and its discovered states.
+    laws: TypedLaws<P>,
 }
 
 impl<P: CountProtocol> BatchedCountSim<P> {
@@ -315,95 +298,44 @@ impl<P: CountProtocol> BatchedCountSim<P> {
         interactions: u64,
     ) -> Self {
         assert_eq!(states.len(), counts.len(), "slot tables disagree");
-        let n: u64 = counts.iter().sum();
-        assert!(n >= 2, "population must have at least 2 agents, got {n}");
-        assert!(
-            n <= u32::MAX as u64,
-            "pair-weight arithmetic requires n² to fit in u64"
-        );
-        let (survival, boundary_reached) = collision_survival(n);
-        let expected_batch_len = survival.iter().skip(1).sum();
-        let mut sim = Self {
-            protocol,
-            rng,
-            n,
-            interactions,
-            states: Vec::new(),
-            index: SlotIndex::new(),
-            counts: Vec::new(),
-            cap: 0,
-            table: Vec::new(),
-            bits: PairBits::new(0),
-            laws: Vec::new(),
-            survival,
-            boundary_reached,
-            expected_batch_len,
-            recv: Vec::new(),
-            send: Vec::new(),
-            touched: Vec::new(),
-            metrics: None,
-        };
-        sim.set_slots(states, counts);
-        sim
-    }
-
-    /// The slot-table builder behind every constructor and GC pass:
-    /// installs the value-distinct `states` as ids `0..k` holding `counts`,
-    /// indexes them, resets the law table and its bit rows to lazy
-    /// analysis at capacity `max(k, 4)`, and sizes the scratch buffers for
-    /// `k` states.
-    fn set_slots(&mut self, states: Vec<P::State>, counts: Vec<u64>) {
-        let mut index = SlotIndex::with_capacity(states.len());
-        for (id, s) in states.iter().enumerate() {
-            let id = u32::try_from(id).expect("more than u32::MAX states");
-            index.insert(fnv_hash(s), id, |i| fnv_hash(&states[i as usize]));
+        Self {
+            core: BatchCore::new(counts, rng, interactions),
+            laws: TypedLaws::new(protocol, states),
         }
-        let k = states.len();
-        self.states = states;
-        self.counts = counts;
-        self.index = index;
-        self.cap = k.max(4);
-        self.table = vec![UNCOMPUTED; self.cap * self.cap];
-        self.bits = PairBits::new(self.cap);
-        self.laws = vec![PairLaw::Sampled];
-        self.recv = vec![0; k];
-        self.send = vec![0; k];
-        self.touched = vec![0; k];
     }
 
     /// Decomposes the simulator into `(protocol, configuration, rng,
     /// interactions)` so an engine switch can hand the run to
     /// [`CountSim`](crate::CountSim) without losing state.
     pub(crate) fn into_parts(self) -> (P, CountConfiguration<P::State>, SimRng, u64) {
-        let config = self
-            .states
-            .iter()
-            .zip(&self.counts)
-            .filter(|(_, &c)| c > 0)
-            .map(|(&s, &c)| (s, c))
-            .collect();
-        (self.protocol, config, self.rng, self.interactions)
+        let config = self.occupied().collect();
+        let BatchCore {
+            rng, interactions, ..
+        } = self.core;
+        (self.laws.protocol, config, rng, interactions)
     }
 
-    /// Checkpoint accessor: the internal discovery-order slot tables plus
-    /// the RNG stream. The returned counts are padded to the state-table
-    /// length (they can transiently lag it by construction), so the two
-    /// vectors always pair up slot for slot.
-    pub(crate) fn snapshot_parts(&self) -> (&[P::State], Vec<u64>, &SimRng) {
-        let mut counts = self.counts.clone();
-        counts.resize(self.states.len(), 0);
-        (&self.states, counts, &self.rng)
+    /// The occupied `(state, count)` slots, in id order.
+    fn occupied(&self) -> impl Iterator<Item = (P::State, u64)> + '_ {
+        let slots = self.laws.states.iter().zip(&self.core.counts);
+        slots.filter(|(_, &c)| c > 0).map(|(&s, &c)| (s, c))
+    }
+
+    /// Checkpoint accessor: the internal discovery-order slot tables,
+    /// slot for slot, plus the RNG stream.
+    pub(crate) fn snapshot_parts(&self) -> (&[P::State], &[u64], &SimRng) {
+        (&self.laws.states, &self.core.counts, &self.core.rng)
     }
 
     /// Number of *occupied* states (non-zero counts) — the `k` that drives
     /// the `O(k²)` per-batch law-table work.
     pub(crate) fn occupied_support(&self) -> usize {
-        self.counts.iter().filter(|&&c| c > 0).count()
+        self.core.counts.iter().filter(|&&c| c > 0).count()
     }
 
     /// The protocol being simulated.
     pub(crate) fn protocol(&self) -> &P {
-        &self.protocol
+        &self.laws.protocol
     }
 
     /// Runs one interner-GC pass ([`CountProtocol::collect_table`]) rooted
@@ -415,14 +347,8 @@ impl<P: CountProtocol> BatchedCountSim<P> {
     /// to lazy re-analysis at live-support capacity. Returns whether the
     /// protocol performed a collection. Consumes no randomness.
     pub(crate) fn collect_table(&mut self) -> bool {
-        let roots: Vec<P::State> = self
-            .states
-            .iter()
-            .zip(&self.counts)
-            .filter(|(_, &c)| c > 0)
-            .map(|(&s, _)| s)
-            .collect();
-        let Some(renames) = self.protocol.collect_table(&roots) else {
+        let (roots, counts): (Vec<P::State>, Vec<u64>) = self.occupied().unzip();
+        let Some(renames) = self.laws.protocol.collect_table(&roots) else {
             return false;
         };
         let map: BTreeMap<P::State, P::State> = renames.into_iter().collect();
@@ -433,14 +359,14 @@ impl<P: CountProtocol> BatchedCountSim<P> {
                     .unwrap_or_else(|| panic!("GC renaming is missing occupied state {old:?}"))
             })
             .collect();
-        let counts = self.counts.iter().copied().filter(|&c| c > 0).collect();
-        self.set_slots(states, counts);
+        self.laws.set_states(states);
+        self.core.set_counts(counts);
         true
     }
 
     /// Mean collision-free batch length `E[T] = Θ(√n)`.
     pub(crate) fn mean_batch_len(&self) -> f64 {
-        self.expected_batch_len
+        self.core.expected_batch_len
     }
 
     /// Attaches a telemetry registry: every batch records its executed
@@ -449,28 +375,132 @@ impl<P: CountProtocol> BatchedCountSim<P> {
     /// Recording never reads the RNG or influences a branch, so attached
     /// and detached runs stay byte-identical.
     pub fn set_metrics(&mut self, metrics: Metrics) {
-        self.metrics = Some(metrics);
+        self.core.metrics = Some(metrics);
     }
 
     /// Observability: cumulative stats from the engine's own state → id
     /// index (reset when a GC pass or engine switch rebuilds the tables).
     pub(crate) fn index_stats(&self) -> SlotIndexStats {
-        self.index.stats()
+        self.laws.index.stats()
     }
 
     /// Population size.
     pub fn population_size(&self) -> u64 {
-        self.n
+        self.core.n
     }
 
     /// Parallel time elapsed.
     pub fn time(&self) -> f64 {
-        parallel_time(self.interactions, self.n as usize)
+        parallel_time(self.core.interactions, self.core.n as usize)
     }
 
     /// Total interactions executed.
     pub fn interactions(&self) -> u64 {
-        self.interactions
+        self.core.interactions
+    }
+
+    /// Count of agents currently in `state`.
+    pub fn count(&self, state: &P::State) -> u64 {
+        self.laws
+            .slot_lookup(state)
+            .map_or(0, |id| self.core.counts[id])
+    }
+
+    /// Writes the occupied `(state, count)` pairs into `out` in state
+    /// order (see [`ConfigSim::view_into`](crate::ConfigSim::view_into)).
+    pub(crate) fn view_into(&self, out: &mut Vec<(P::State, u64)>) {
+        occupied_in_state_order(&self.laws.states, &self.core.counts, out);
+    }
+
+    /// Executes at least one and at most `budget` interactions, choosing
+    /// between one collision-length batch and one null-skip (Gillespie)
+    /// step based on the current productive-pair density. Returns the
+    /// number executed.
+    pub fn advance(&mut self, budget: u64) -> u64 {
+        self.core.advance(budget, &mut self.laws)
+    }
+
+    /// Executes at least one and at most `budget` interactions (one batch,
+    /// possibly truncated to the budget). Returns the number executed.
+    pub fn run_batch(&mut self, budget: u64) -> u64 {
+        self.core.run_batch(budget, &mut self.laws)
+    }
+
+    /// Executes at least `k` interactions (to the nearest batch truncation,
+    /// which lands exactly on `k`).
+    pub fn steps(&mut self, k: u64) {
+        let target = self.core.interactions + k;
+        while self.core.interactions < target {
+            self.advance(target - self.core.interactions);
+        }
+    }
+
+    /// Runs for `t` units of parallel time.
+    pub fn run_for_time(&mut self, t: f64) {
+        self.steps((t * self.core.n as f64).ceil() as u64);
+    }
+}
+
+impl<P: CountProtocol> std::fmt::Debug for BatchedCountSim<P> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BatchedCountSim")
+            .field("n", &self.core.n)
+            .field("states", &self.laws.states.len())
+            .field("interactions", &self.core.interactions)
+            .finish()
+    }
+}
+
+/// The two questions [`BatchCore`] asks its protocol, by state id. Both
+/// may discover output states: a new state takes the next id, and both
+/// calls return the number of states discovered so far, to which the core
+/// then grows its id-indexed tables. Analysis happens in ascending
+/// `(a, b)` order, so the ids, and with them the trajectory, do not
+/// depend on which side holds the states.
+trait Laws {
+    /// The outcome law of the ordered pair `(a, b)`:
+    /// [`CountProtocol::outcomes`], with the outputs interned.
+    fn analyze(&mut self, a: usize, b: usize) -> (PairLaw, usize);
+
+    /// Runs `m` interactions of the pair `(a, b)`, whose law is
+    /// [`PairLaw::Sampled`], one [`CountProtocol::transition`] each, and
+    /// adds each output's id to `out`, grown to cover every discovered
+    /// state. The core calls it once per contingency cell, or once per
+    /// single interaction, never once per interaction of a cell.
+    fn sample(&mut self, a: usize, b: usize, m: u64, rng: &mut SimRng, out: &mut Vec<u64>)
+        -> usize;
+}
+
+/// The protocol side of the [`Laws`] seam: the protocol and its
+/// discovered states, id-indexed, with their open-addressed index.
+struct TypedLaws<P: CountProtocol> {
+    protocol: P,
+    /// Discovered states, id-indexed.
+    states: Vec<P::State>,
+    /// Open-addressed state → id lookup (probes against `states`).
+    index: SlotIndex,
+}
+
+impl<P: CountProtocol> TypedLaws<P> {
+    fn new(protocol: P, states: Vec<P::State>) -> Self {
+        let mut laws = Self {
+            protocol,
+            states: Vec::new(),
+            index: SlotIndex::new(),
+        };
+        laws.set_states(states);
+        laws
+    }
+
+    /// Installs the value-distinct `states` as ids `0..k` and indexes them.
+    fn set_states(&mut self, states: Vec<P::State>) {
+        let mut index = SlotIndex::with_capacity(states.len());
+        for (id, s) in states.iter().enumerate() {
+            let id = u32::try_from(id).expect("more than u32::MAX states");
+            index.insert(fnv_hash(s), id, |i| fnv_hash(&states[i as usize]));
+        }
+        self.states = states;
+        self.index = index;
     }
 
     /// Looks `state` up in the open-addressed index (`None` if undiscovered).
@@ -481,404 +511,20 @@ impl<P: CountProtocol> BatchedCountSim<P> {
             .map(|id| id as usize)
     }
 
-    /// Count of agents currently in `state`.
-    pub fn count(&self, state: &P::State) -> u64 {
-        self.slot_lookup(state).map_or(0, |id| self.counts[id])
-    }
-
-    /// Writes the occupied `(state, count)` pairs into `out` in state
-    /// order (see [`ConfigSim::view_into`](crate::ConfigSim::view_into)).
-    pub(crate) fn view_into(&self, out: &mut Vec<(P::State, u64)>) {
-        occupied_in_state_order(&self.states, &self.counts, out);
-    }
-
-    /// Executes at least one and at most `budget` interactions, choosing
-    /// between one collision-length batch and one null-skip (Gillespie)
-    /// step based on the current productive-pair density. Returns the
-    /// number executed.
-    pub fn advance(&mut self, budget: u64) -> u64 {
-        debug_assert!(budget >= 1);
-        let w_prod = self.productive_weight();
-        if w_prod == 0 {
-            // Silent configuration: every future interaction is a no-op.
-            self.interactions += budget;
-            if let Some(m) = &self.metrics {
-                m.incr(Counter::NullSkipRuns);
-                m.add(Counter::NullSkipped, budget);
-                m.record(Hist::NullSkipLen, budget);
-            }
-            return budget;
+    /// Returns the id for `state`, discovering it if unseen.
+    fn intern(&mut self, state: P::State) -> usize {
+        if let Some(id) = self.slot_lookup(&state) {
+            return id;
         }
-        let p = w_prod as f64 / (self.n * (self.n - 1)) as f64;
-        if p * self.expected_batch_len < NULL_SKIP_FACTOR {
-            self.null_skip_step(budget, w_prod, p)
-        } else {
-            self.run_batch(budget)
-        }
-    }
-
-    /// Total weight `Σ c_a·(c_b - [a = b])` over *possibly-productive*
-    /// ordered state pairs — `n(n-1)` times the probability that the next
-    /// interaction lands on a pair whose law could change the configuration
-    /// (random laws with any non-identity outcome, and all sampled laws,
-    /// count as productive). Analyzes the occupied pairs not yet analyzed.
-    fn productive_weight(&mut self) -> u64 {
-        if self.counts.len() <= 64 {
-            self.productive_weight_in::<[u64; 1]>()
-        } else {
-            self.productive_weight_in::<Vec<u64>>()
-        }
-    }
-
-    /// [`BatchedCountSim::productive_weight`] over `M` masks.
-    fn productive_weight_in<M: Mask>(&mut self) -> u64 {
-        let present = M::of(&self.counts);
-        let present = present.as_ref();
-        let mut w = 0;
-        for a in ones(present) {
-            self.analyze_row(a, present);
-            w += self.bits.row_weight(a, present, &self.counts, self.n);
-        }
-        w
-    }
-
-    /// The possibly-productive pair `(a, b)` at offset `z` below the
-    /// productive weight, in ascending `(a, b)` order, each pair weighing
-    /// `c_a·(c_b − [a = b])`. Every occupied pair must be analyzed, as
-    /// [`BatchedCountSim::productive_weight`] leaves them.
-    fn pick_productive(&self, z: u64) -> (usize, usize) {
-        if self.counts.len() <= 64 {
-            self.bits
-                .pick(&<[u64; 1]>::of(&self.counts), &self.counts, self.n, z)
-        } else {
-            self.bits
-                .pick(&Vec::of(&self.counts), &self.counts, self.n, z)
-        }
-    }
-
-    /// Gillespie-style step: samples the geometric run of certainly-null
-    /// interactions before the next possibly-productive one, skips it in
-    /// O(1), and simulates that single interaction (pair drawn ∝ its
-    /// weight, outcome sampled from its law — which may itself turn out to
-    /// be a no-op for random laws with identity outcomes; that is still
-    /// exact). If the run exceeds `budget`, exactly `budget` null
-    /// interactions elapse instead — valid because certainly-null
-    /// interactions cannot change the configuration and the underlying pair
-    /// sequence is i.i.d.
-    fn null_skip_step(&mut self, budget: u64, w_prod: u64, p: f64) -> u64 {
-        let g = geometric(p, &mut self.rng);
-        if g > budget {
-            self.interactions += budget;
-            if let Some(m) = &self.metrics {
-                m.incr(Counter::NullSkipRuns);
-                m.add(Counter::NullSkipped, budget);
-                m.record(Hist::NullSkipLen, budget);
-            }
-            return budget;
-        }
-        let z = self.rng.gen_range(0..w_prod);
-        let (a, b) = self.pick_productive(z);
-        let (c, d) = self.apply_one(a, b);
-        self.counts[a] -= 1;
-        self.counts[b] -= 1;
-        grow_to(&mut self.counts, self.states.len());
-        self.counts[c] += 1;
-        self.counts[d] += 1;
-        self.interactions += g;
-        if let Some(m) = &self.metrics {
-            m.incr(Counter::NullSkipRuns);
-            // `g - 1` of the run were skipped nulls; the last interaction
-            // was simulated individually above.
-            m.add(Counter::NullSkipped, g.saturating_sub(1));
-            m.record(Hist::NullSkipLen, g);
-        }
-        g
-    }
-
-    /// Executes at least one and at most `budget` interactions (one batch,
-    /// possibly truncated to the budget). Returns the number executed.
-    // Kept out of line: inlined, the batch body is copied into every
-    // caller of `advance`, which only grows the binary.
-    #[inline(never)]
-    pub fn run_batch(&mut self, budget: u64) -> u64 {
-        debug_assert!(budget >= 1);
-        let n = self.n;
-        let t_collision = self.sample_batch_len();
-        // Truncating a batch at a deterministic budget is exact: the
-        // collision-free prefix of a longer batch has the same law as a
-        // batch of the prefix length (without-replacement exchangeability).
-        let (t, with_collision) = if t_collision >= budget {
-            (budget, false)
-        } else {
-            (t_collision, true)
-        };
-        let k0 = self.states.len();
-        let mut recv = std::mem::take(&mut self.recv);
-        let mut send = std::mem::take(&mut self.send);
-        let mut touched = std::mem::take(&mut self.touched);
-        recv.clear();
-        recv.resize(k0, 0);
-        send.clear();
-        send.resize(k0, 0);
-        touched.clear();
-        touched.resize(k0, 0);
-
-        // Batch fill: receiver multiset, then sender multiset, drawn without
-        // replacement from the configuration (counts become the untouched
-        // pool U as draws are subtracted).
-        draw_without_replacement(&mut self.counts, n, t, &mut recv, &mut self.rng);
-        draw_without_replacement(&mut self.counts, n - t, t, &mut send, &mut self.rng);
-
-        let (one_word, wide);
-        let (rows, cols): (&[u64], &[u64]) = if k0 <= 64 {
-            one_word = self.classify::<[u64; 1]>(&recv, &send);
-            (&one_word.0, &one_word.1)
-        } else {
-            wide = self.classify::<Vec<u64>>(&recv, &send);
-            (&wide.0, &wide.1)
-        };
-        self.fill_serial(&recv, &mut send, t, &mut touched, rows, cols);
-
-        let mut executed = t;
-        if with_collision {
-            self.collision_interaction(t, &mut touched, &mut send);
-            executed += 1;
-        }
-
-        // Merge the touched (updated) agents and the undisturbed senders
-        // back into the configuration.
-        grow_to(&mut self.counts, self.states.len());
-        for (c, &d) in self.counts.iter_mut().zip(&touched) {
-            *c += d;
-        }
-        for (c, &s) in self.counts.iter_mut().zip(&send) {
-            *c += s;
-        }
-        self.interactions += executed;
-        if let Some(m) = &self.metrics {
-            m.incr(Counter::Batches);
-            m.record(Hist::BatchLen, executed);
-        }
-
-        self.recv = recv;
-        self.send = send;
-        self.touched = touched;
-        executed
-    }
-
-    /// Classifies a batch's rows and columns: returns the masks of the
-    /// reactive receiver rows and reactive sender columns among the
-    /// receiver states `recv` and sender states `send`, analyzing their
-    /// pairs not yet analyzed (see [`PairBits::reactive`]).
-    fn classify<M: Mask>(&mut self, recv: &[u64], send: &[u64]) -> (M, M) {
-        let (recv, send) = (M::of(recv), M::of(send));
-        for a in ones(recv.as_ref()) {
-            self.analyze_row(a, send.as_ref());
-        }
-        self.bits.reactive(&recv, &send)
-    }
-
-    /// Analyzes every not yet analyzed pair `(a, b)` with `b` in `cols`, in
-    /// ascending `b` order. Analysis interns the pairs' output states, so
-    /// the scans visit rows in ascending order and call this before
-    /// reading a row: the `(a, b)` order fixes the state ids, and with them
-    /// the trajectory.
-    #[inline]
-    fn analyze_row(&mut self, a: usize, cols: &[u64]) {
-        for (i, &col) in cols.iter().enumerate() {
-            // Rows are relaid when `cap` grows mid-pass, so each word is
-            // read afresh.
-            let todo = col & !self.bits.analyzed_word(a, i);
-            if todo != 0 {
-                self.analyze_word(a, i, todo);
-            }
-        }
-    }
-
-    /// The cold half of [`BatchedCountSim::analyze_row`]: analyzes the
-    /// pairs `(a, 64·i + b)` for the set bits `b` of `todo`, ascending.
-    #[cold]
-    #[inline(never)]
-    fn analyze_word(&mut self, a: usize, i: usize, todo: u64) {
-        for b in bits(todo) {
-            self.analyze_entry(a, i * 64 + b);
-        }
-    }
-
-    /// The classic serial pairing contingency of a batch of `t`
-    /// interactions with receiver states `recv` and sender states `send`:
-    /// the reactive receiver `rows` ([`BatchedCountSim::classify`]) draw
-    /// their partner splits over the reactive sender `cols` — an iterated
-    /// conditional hypergeometric realization of the uniform bipartite
-    /// matching. Whatever a row still needs after the reactive columns
-    /// comes from the pooled non-reactive columns: those pairings are
-    /// identity, so only the pool's total (tracked via `send_total`)
-    /// matters, never which non-reactive state each partner held.
-    /// Non-reactive rows draw nothing (the matching is exchangeable):
-    /// their receivers keep their states, added to `touched` up front, and
-    /// their partners — all of `send`'s leftovers — keep theirs, merged
-    /// back wholesale by [`BatchedCountSim::run_batch`].
-    fn fill_serial(
-        &mut self,
-        recv: &[u64],
-        send: &mut [u64],
-        t: u64,
-        touched: &mut Vec<u64>,
-        rows: &[u64],
-        cols: &[u64],
-    ) {
-        let mut send_total = t;
-        for (a, &ra) in recv.iter().enumerate() {
-            if rows[a / 64] >> (a % 64) & 1 == 0 {
-                touched[a] += ra;
-            }
-        }
-        for a in ones(rows) {
-            let mut need = recv[a];
-            let mut pool = send_total;
-            for b in ones(cols) {
-                if need == 0 {
-                    break;
-                }
-                let sb = send[b];
-                if sb == 0 {
-                    continue;
-                }
-                let m = if pool == sb {
-                    need
-                } else {
-                    hypergeometric(pool, sb, need, &mut self.rng)
-                };
-                pool -= sb;
-                if m == 0 {
-                    continue;
-                }
-                let li = self.law_index(a, b);
-                self.apply_bulk(li, a, b, m, touched);
-                send[b] -= m;
-                send_total -= m;
-                need -= m;
-            }
-            if need > 0 {
-                // Partners from the non-reactive pool: receiver unchanged,
-                // senders stay in `send` (their states are unchanged too).
-                touched[a] += need;
-                send_total -= need;
-            }
-        }
-    }
-
-    /// Simulates the first colliding interaction exactly.
-    ///
-    /// Conditioned on the first repeated agent pick happening at interaction
-    /// `t+1` with `2t` agents touched, the repeat is at the receiver
-    /// position with probability `(n-1)/(2n-2t-1)`; the repeated agent is
-    /// uniform over the batch's `2t` agents — the `touched` multiset plus
-    /// the senders still sitting (state-unchanged) in `send` — and its
-    /// partner uniform over the appropriate complement.
-    fn collision_interaction(&mut self, t: u64, touched: &mut Vec<u64>, send: &mut [u64]) {
-        let n = self.n;
-        let untouched_total = n - 2 * t;
-        // P(collision at receiver | collision at interaction t+1).
-        let p_rec = (n - 1) as f64 / (2 * n - 2 * t - 1) as f64;
-        let u: f64 = self.rng.gen();
-        let (rec_id, sen_id) = if u < p_rec {
-            // Receiver is a batch agent; sender is uniform over the other
-            // n-1 agents (untouched or batch).
-            let rec = take_from_batch(touched, send, self.rng.gen_range(0..2 * t));
-            let z = self.rng.gen_range(0..n - 1);
-            let sen = if z < untouched_total {
-                let s = draw_one(&self.counts, z);
-                self.counts[s] -= 1;
-                s
-            } else {
-                take_from_batch(touched, send, z - untouched_total)
-            };
-            (rec, sen)
-        } else {
-            // Receiver is a fresh untouched agent; the colliding sender is a
-            // batch agent (distinct from the receiver automatically).
-            let rec = draw_one(&self.counts, self.rng.gen_range(0..untouched_total));
-            self.counts[rec] -= 1;
-            let sen = take_from_batch(touched, send, self.rng.gen_range(0..2 * t));
-            (rec, sen)
-        };
-        let (c, d) = self.apply_one(rec_id, sen_id);
-        grow_to(touched, self.states.len());
-        touched[c] += 1;
-        touched[d] += 1;
-    }
-
-    /// Samples the number of collision-free interactions before the next
-    /// repeated agent pick (capped at `⌊n/2⌋` where a repeat is certain).
-    fn sample_batch_len(&mut self) -> u64 {
-        let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-        // survival is decreasing with survival[0] = 1; T = max{t : P(T≥t) ≥ u}.
-        let idx = self.survival.partition_point(|&f| f >= u);
-        if idx < self.survival.len() || self.boundary_reached {
-            return (idx - 1) as u64;
-        }
-        // Tail beyond the precomputed cutoff (probability < SURVIVAL_CUTOFF):
-        // extend the recurrence on the fly.
-        let n = self.n;
-        let denom = (n as f64) * ((n - 1) as f64);
-        let mut t = (self.survival.len() - 1) as u64;
-        let mut f = *self.survival.last().expect("survival table is non-empty");
-        loop {
-            let remaining = n - 2 * t;
-            if remaining < 2 {
-                return t;
-            }
-            f *= (remaining as f64) * ((remaining - 1) as f64) / denom;
-            if f < u {
-                return t;
-            }
-            t += 1;
-        }
-    }
-
-    /// The outcome law of the ordered state-id pair `(a, b)` as an index
-    /// into `laws` (analyzed on first use).
-    #[inline]
-    fn law_index(&mut self, a: usize, b: usize) -> u32 {
-        let entry = self.table[a * self.cap + b];
-        if entry != UNCOMPUTED {
-            return entry;
-        }
-        self.analyze_entry(a, b)
-    }
-
-    /// The cold half of [`BatchedCountSim::law_index`]: analyzes the pair,
-    /// interning any newly discovered output states, stores its entry and
-    /// sets its bits.
-    #[cold]
-    #[inline(never)]
-    fn analyze_entry(&mut self, a: usize, b: usize) -> u32 {
-        let idx = self.analyze_pair(a, b);
-        assert!(idx != UNCOMPUTED, "law table overflow: {idx} laws");
-        let live = !self.law_is_null(idx, a, b);
-        // `analyze_pair` may have interned states and grown `cap`, so the
-        // offsets must be recomputed after it returns.
-        self.table[a * self.cap + b] = idx;
-        self.bits.set(a, b, live);
-        idx
-    }
-
-    /// Builds the [`PairLaw`] for `(a, b)` from the protocol's outcome
-    /// enumeration (or the shared sampled law).
-    fn analyze_pair(&mut self, a: usize, b: usize) -> u32 {
-        let (sa, sb) = (self.states[a], self.states[b]);
-        let law = match self.protocol.outcomes(sa, sb) {
-            Some(Outcomes::Deterministic(c, d)) => {
-                let ci = self.intern(c) as u32;
-                let di = self.intern(d) as u32;
-                PairLaw::Det(ci, di)
-            }
-            Some(Outcomes::Random(support)) => self.analyze_random(support),
-            None => return LAW_SAMPLED,
-        };
-        self.laws.push(law);
-        (self.laws.len() - 1) as u32
+        let id = self.states.len();
+        self.states.push(state);
+        let Self { index, states, .. } = self;
+        index.insert(
+            fnv_hash(&state),
+            u32::try_from(id).expect("more than u32::MAX states"),
+            |i| fnv_hash(&states[i as usize]),
+        );
+        id
     }
 
     /// Validates, renormalizes, and interns a finite outcome distribution.
@@ -912,57 +558,10 @@ impl<P: CountProtocol> BatchedCountSim<P> {
         PairLaw::Random { outs, probs }
     }
 
-    /// Whether every outcome of the pair's law maps `(a, b)` to itself —
-    /// i.e. the pair is certainly null and eligible for skipping. Sampled
-    /// pairs are conservatively treated as productive. Evaluated once per
-    /// pair, at analysis; the scans read the pair's live bit.
-    fn law_is_null(&self, idx: u32, a: usize, b: usize) -> bool {
-        let ab = (a as u32, b as u32);
-        match &self.laws[idx as usize] {
-            PairLaw::Det(c, d) => (*c, *d) == ab,
-            PairLaw::Random { outs, .. } => outs.iter().all(|&o| o == ab),
-            PairLaw::Sampled => false,
-        }
-    }
-
-    /// Applies `m` interactions of the input pair `(a, b)` in bulk, adding
-    /// the output states to `touched`. Deterministic laws apply one delta;
-    /// random laws split `m` over the outcomes with one exact multinomial
-    /// draw; sampled laws fall back to one `transition` call per
-    /// interaction (still exact — just not amortized).
-    fn apply_bulk(&mut self, idx: u32, a: usize, b: usize, m: u64, touched: &mut Vec<u64>) {
-        // Law analysis may have discovered states after `touched` was sized.
-        grow_to(touched, self.states.len());
-        match &self.laws[idx as usize] {
-            PairLaw::Det(c, d) => {
-                touched[*c as usize] += m;
-                touched[*d as usize] += m;
-            }
-            PairLaw::Random { outs, probs, .. } => {
-                let split = multinomial_conditional(m, probs, &mut self.rng);
-                for (&(c, d), x) in outs.iter().zip(split) {
-                    touched[c as usize] += x;
-                    touched[d as usize] += x;
-                }
-            }
-            PairLaw::Sampled => {
-                let (sa, sb) = (self.states[a], self.states[b]);
-                for _ in 0..m {
-                    let (sc, sd) = self.protocol.transition(sa, sb, &mut self.rng);
-                    let ci = self.sampled_output_id(sc, (sa, a), (sb, b));
-                    let di = self.sampled_output_id(sd, (sa, a), (sb, b));
-                    grow_to(touched, self.states.len());
-                    touched[ci] += 1;
-                    touched[di] += 1;
-                }
-            }
-        }
-    }
-
     /// The id of a sampled transition's output `state`, given the pair's
     /// input states with their ids. Sampled outputs often repeat an input
     /// state, whose id is already known, so only a different state pays
-    /// for a hash lookup in [`BatchedCountSim::intern`].
+    /// for a hash lookup in [`TypedLaws::intern`].
     #[inline]
     fn sampled_output_id(
         &mut self,
@@ -980,91 +579,639 @@ impl<P: CountProtocol> BatchedCountSim<P> {
         debug_assert_eq!(self.slot_lookup(&state), Some(id));
         id
     }
+}
 
-    /// Simulates a single interaction of the input pair `(a, b)`: one
-    /// sampled outcome of its law. Used for the collision interaction and
-    /// the null-skip mode's productive interaction.
-    fn apply_one(&mut self, a: usize, b: usize) -> (usize, usize) {
-        let idx = self.law_index(a, b);
-        match &self.laws[idx as usize] {
-            PairLaw::Det(c, d) => (*c as usize, *d as usize),
-            PairLaw::Random { outs, probs, .. } => {
-                let u: f64 = self.rng.gen();
-                let mut acc = 0.0;
-                for (&(c, d), &p) in outs.iter().zip(probs) {
-                    acc += p;
-                    if u < acc {
-                        return (c as usize, d as usize);
-                    }
-                }
-                // Floating-point leakage (acc ≈ 1 - 1e-16): last outcome.
-                let &(c, d) = outs.last().expect("random law has outcomes");
-                (c as usize, d as usize)
+impl<P: CountProtocol> Laws for TypedLaws<P> {
+    fn analyze(&mut self, a: usize, b: usize) -> (PairLaw, usize) {
+        let law = match self.protocol.outcomes(self.states[a], self.states[b]) {
+            Some(Outcomes::Deterministic(c, d)) => {
+                let ci = self.intern(c) as u32;
+                let di = self.intern(d) as u32;
+                PairLaw::Det(ci, di)
             }
-            PairLaw::Sampled => {
-                let (sc, sd) =
-                    self.protocol
-                        .transition(self.states[a], self.states[b], &mut self.rng);
-                (self.intern(sc), self.intern(sd))
-            }
-        }
+            Some(Outcomes::Random(support)) => self.analyze_random(support),
+            None => PairLaw::Sampled,
+        };
+        (law, self.states.len())
     }
 
-    /// Returns the id for `state`, discovering it (and growing the law
-    /// table's stride geometrically) if unseen.
-    fn intern(&mut self, state: P::State) -> usize {
-        if let Some(id) = self.slot_lookup(&state) {
-            return id;
+    fn sample(
+        &mut self,
+        a: usize,
+        b: usize,
+        m: u64,
+        rng: &mut SimRng,
+        out: &mut Vec<u64>,
+    ) -> usize {
+        let (sa, sb) = (self.states[a], self.states[b]);
+        for _ in 0..m {
+            let (sc, sd) = self.protocol.transition(sa, sb, rng);
+            let ci = self.sampled_output_id(sc, (sa, a), (sb, b));
+            let di = self.sampled_output_id(sd, (sa, a), (sb, b));
+            grow_to(out, self.states.len());
+            out[ci] += 1;
+            out[di] += 1;
         }
-        let id = self.states.len();
-        self.states.push(state);
-        {
-            let Self { index, states, .. } = self;
-            index.insert(
-                fnv_hash(&state),
-                u32::try_from(id).expect("more than u32::MAX states"),
-                |i| fnv_hash(&states[i as usize]),
-            );
-        }
-        self.counts.push(0);
-        if self.states.len() > self.cap {
-            let new_cap = (self.cap * 2).max(self.states.len());
-            let mut table = vec![UNCOMPUTED; new_cap * new_cap];
-            for a in 0..id {
-                for b in 0..id {
-                    table[a * new_cap + b] = self.table[a * self.cap + b];
-                }
-            }
-            self.table = table;
-            self.cap = new_cap;
-            self.bits.grow(new_cap);
-        }
-        id
-    }
-
-    /// Executes at least `k` interactions (to the nearest batch truncation,
-    /// which lands exactly on `k`).
-    pub fn steps(&mut self, k: u64) {
-        let target = self.interactions + k;
-        while self.interactions < target {
-            self.advance(target - self.interactions);
-        }
-    }
-
-    /// Runs for `t` units of parallel time.
-    pub fn run_for_time(&mut self, t: f64) {
-        self.steps((t * self.n as f64).ceil() as u64);
+        self.states.len()
     }
 }
 
-impl<P: CountProtocol> std::fmt::Debug for BatchedCountSim<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchedCountSim")
-            .field("n", &self.n)
-            .field("states", &self.states.len())
-            .field("interactions", &self.interactions)
-            .finish()
+/// The batch algorithm over state ids, free of the protocol: compiled
+/// once, whatever the number of protocols. It asks the protocol only
+/// through the [`Laws`] calls, which its methods take as `&mut dyn Laws`.
+struct BatchCore {
+    rng: SimRng,
+    n: u64,
+    interactions: u64,
+    /// Current configuration counts, id-indexed, one per discovered state.
+    counts: Vec<u64>,
+    /// Row stride (capacity) of `table`; grown geometrically so state
+    /// discovery costs `O(cap)` amortized per new state, not `O(cap²)`.
+    cap: usize,
+    /// Dense law-index table: entry `[a·cap + b]` points into `laws`, or is
+    /// [`UNCOMPUTED`].
+    table: Vec<u32>,
+    /// Which pairs of `table` are analyzed and which are not certainly
+    /// null, as bit rows with `cap` rows.
+    bits: PairBits,
+    /// Analyzed pair laws; `laws[0]` is the shared [`PairLaw::Sampled`].
+    laws: Vec<PairLaw>,
+    /// `survival[t] = P(T ≥ t)`: precomputed birthday-collision survival.
+    survival: Vec<f64>,
+    /// Whether `survival` ends because batches cannot exceed `⌊n/2⌋`
+    /// interactions (vs. the probability cutoff).
+    boundary_reached: bool,
+    /// `E[T]` (mean collision-free batch length), precomputed from
+    /// `survival`; drives the batch-vs-null-skip mode decision.
+    expected_batch_len: f64,
+    // Scratch buffers reused across batches (taken/restored to appease the
+    // borrow checker without per-batch allocation).
+    recv: Vec<u64>,
+    send: Vec<u64>,
+    touched: Vec<u64>,
+    /// Observability: attached counter registry, if any. Recording is
+    /// observation-only — no branch reads a counter back and no hook
+    /// touches the RNG — so attached and detached runs are byte-identical.
+    metrics: Option<Metrics>,
+}
+
+impl BatchCore {
+    /// A core over the id-indexed `counts`, continuing the RNG stream
+    /// `rng` at interaction `interactions`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the counts hold fewer than 2 or more than `u32::MAX`
+    /// agents.
+    fn new(counts: Vec<u64>, rng: SimRng, interactions: u64) -> Self {
+        let n: u64 = counts.iter().sum();
+        assert!(n >= 2, "population must have at least 2 agents, got {n}");
+        assert!(
+            n <= u32::MAX as u64,
+            "pair-weight arithmetic requires n² to fit in u64"
+        );
+        let (survival, boundary_reached) = collision_survival(n);
+        let expected_batch_len = survival.iter().skip(1).sum();
+        let mut core = Self {
+            rng,
+            n,
+            interactions,
+            counts: Vec::new(),
+            cap: 0,
+            table: Vec::new(),
+            bits: PairBits::new(0),
+            laws: Vec::new(),
+            survival,
+            boundary_reached,
+            expected_batch_len,
+            recv: Vec::new(),
+            send: Vec::new(),
+            touched: Vec::new(),
+            metrics: None,
+        };
+        core.set_counts(counts);
+        core
     }
+
+    /// Installs `counts` as the counts of ids `0..k`, resets the law table
+    /// and its bit rows to lazy analysis at capacity `max(k, 4)`, and sizes
+    /// the scratch buffers for `k` states.
+    fn set_counts(&mut self, counts: Vec<u64>) {
+        let k = counts.len();
+        self.counts = counts;
+        self.cap = k.max(4);
+        self.table = vec![UNCOMPUTED; self.cap * self.cap];
+        self.bits = PairBits::new(self.cap);
+        self.laws = vec![PairLaw::Sampled];
+        self.recv = vec![0; k];
+        self.send = vec![0; k];
+        self.touched = vec![0; k];
+    }
+
+    /// Grows the id-indexed tables to the `k` states the shell reports
+    /// after a [`Laws`] call: `counts` gains a zero per new state, and the
+    /// law table's stride doubles until it covers them.
+    #[inline]
+    fn discovered(&mut self, k: usize) {
+        grow_to(&mut self.counts, k);
+        debug_assert_eq!(self.counts.len(), k, "one count per discovered state");
+        if k > self.cap {
+            self.grow_table(k);
+        }
+    }
+
+    /// The cold half of [`BatchCore::discovered`].
+    #[cold]
+    #[inline(never)]
+    fn grow_table(&mut self, k: usize) {
+        let mut new_cap = self.cap;
+        while new_cap < k {
+            new_cap *= 2;
+        }
+        let mut table = vec![UNCOMPUTED; new_cap * new_cap];
+        for (new, old) in table.chunks_mut(new_cap).zip(self.table.chunks(self.cap)) {
+            new[..self.cap].copy_from_slice(old);
+        }
+        self.table = table;
+        self.cap = new_cap;
+        self.bits.grow(new_cap);
+    }
+
+    /// See [`BatchedCountSim::advance`].
+    fn advance(&mut self, budget: u64, laws: &mut dyn Laws) -> u64 {
+        debug_assert!(budget >= 1);
+        let w_prod = self.productive_weight(laws);
+        if w_prod == 0 {
+            // Silent configuration: every future interaction is a no-op.
+            self.interactions += budget;
+            if let Some(m) = &self.metrics {
+                m.incr(Counter::NullSkipRuns);
+                m.add(Counter::NullSkipped, budget);
+                m.record(Hist::NullSkipLen, budget);
+            }
+            return budget;
+        }
+        let p = w_prod as f64 / (self.n * (self.n - 1)) as f64;
+        if p * self.expected_batch_len < NULL_SKIP_FACTOR {
+            self.null_skip_step(budget, w_prod, p, laws)
+        } else {
+            self.run_batch(budget, laws)
+        }
+    }
+
+    /// Total weight `Σ c_a·(c_b - [a = b])` over *possibly-productive*
+    /// ordered state pairs — `n(n-1)` times the probability that the next
+    /// interaction lands on a pair whose law could change the configuration
+    /// (random laws with any non-identity outcome, and all sampled laws,
+    /// count as productive). Analyzes the occupied pairs not yet analyzed.
+    fn productive_weight(&mut self, laws: &mut dyn Laws) -> u64 {
+        if self.counts.len() <= 64 {
+            self.productive_weight_in::<[u64; 1]>(laws)
+        } else {
+            self.productive_weight_in::<Vec<u64>>(laws)
+        }
+    }
+
+    /// [`BatchCore::productive_weight`] over `M` masks.
+    fn productive_weight_in<M: Mask>(&mut self, laws: &mut dyn Laws) -> u64 {
+        let present = M::of(&self.counts);
+        let present = present.as_ref();
+        let mut w = 0;
+        for a in ones(present) {
+            self.analyze_row(a, present, laws);
+            w += self.bits.row_weight(a, present, &self.counts, self.n);
+        }
+        w
+    }
+
+    /// The possibly-productive pair `(a, b)` at offset `z` below the
+    /// productive weight, in ascending `(a, b)` order, each pair weighing
+    /// `c_a·(c_b − [a = b])`. Every occupied pair must be analyzed, as
+    /// [`BatchCore::productive_weight`] leaves them.
+    fn pick_productive(&self, z: u64) -> (usize, usize) {
+        if self.counts.len() <= 64 {
+            self.bits
+                .pick(&<[u64; 1]>::of(&self.counts), &self.counts, self.n, z)
+        } else {
+            self.bits
+                .pick(&Vec::of(&self.counts), &self.counts, self.n, z)
+        }
+    }
+
+    /// Gillespie-style step: samples the geometric run of certainly-null
+    /// interactions before the next possibly-productive one, skips it in
+    /// O(1), and simulates that single interaction (pair drawn ∝ its
+    /// weight, outcome sampled from its law — which may itself turn out to
+    /// be a no-op for random laws with identity outcomes; that is still
+    /// exact). If the run exceeds `budget`, exactly `budget` null
+    /// interactions elapse instead — valid because certainly-null
+    /// interactions cannot change the configuration and the underlying pair
+    /// sequence is i.i.d.
+    fn null_skip_step(&mut self, budget: u64, w_prod: u64, p: f64, laws: &mut dyn Laws) -> u64 {
+        let g = geometric(p, &mut self.rng);
+        if g > budget {
+            self.interactions += budget;
+            if let Some(m) = &self.metrics {
+                m.incr(Counter::NullSkipRuns);
+                m.add(Counter::NullSkipped, budget);
+                m.record(Hist::NullSkipLen, budget);
+            }
+            return budget;
+        }
+        let z = self.rng.gen_range(0..w_prod);
+        let (a, b) = self.pick_productive(z);
+        let law = self.law_index(a, b, laws) as usize;
+        self.counts[a] -= 1;
+        self.counts[b] -= 1;
+        let k = apply_one(
+            &self.laws[law],
+            (a, b),
+            &mut self.rng,
+            &mut self.counts,
+            laws,
+        );
+        self.discovered(k);
+        self.interactions += g;
+        if let Some(m) = &self.metrics {
+            m.incr(Counter::NullSkipRuns);
+            // `g - 1` of the run were skipped nulls; the last interaction
+            // was simulated individually above.
+            m.add(Counter::NullSkipped, g.saturating_sub(1));
+            m.record(Hist::NullSkipLen, g);
+        }
+        g
+    }
+
+    /// See [`BatchedCountSim::run_batch`].
+    // Kept out of line: inlined, the batch body is copied into every
+    // caller of `advance`, which only grows the binary.
+    #[inline(never)]
+    fn run_batch(&mut self, budget: u64, laws: &mut dyn Laws) -> u64 {
+        debug_assert!(budget >= 1);
+        let n = self.n;
+        let t_collision = self.sample_batch_len();
+        // Truncating a batch at a deterministic budget is exact: the
+        // collision-free prefix of a longer batch has the same law as a
+        // batch of the prefix length (without-replacement exchangeability).
+        let (t, with_collision) = if t_collision >= budget {
+            (budget, false)
+        } else {
+            (t_collision, true)
+        };
+        let k0 = self.counts.len();
+        let mut recv = std::mem::take(&mut self.recv);
+        let mut send = std::mem::take(&mut self.send);
+        let mut touched = std::mem::take(&mut self.touched);
+        recv.clear();
+        recv.resize(k0, 0);
+        send.clear();
+        send.resize(k0, 0);
+        touched.clear();
+        touched.resize(k0, 0);
+
+        // Batch fill: receiver multiset, then sender multiset, drawn without
+        // replacement from the configuration (counts become the untouched
+        // pool U as draws are subtracted).
+        draw_without_replacement(&mut self.counts, n, t, &mut recv, &mut self.rng);
+        draw_without_replacement(&mut self.counts, n - t, t, &mut send, &mut self.rng);
+
+        let (one_word, wide);
+        let reactive: (&[u64], &[u64]) = if k0 <= 64 {
+            one_word = self.classify::<[u64; 1]>(&recv, &send, laws);
+            (&one_word.0, &one_word.1)
+        } else {
+            wide = self.classify::<Vec<u64>>(&recv, &send, laws);
+            (&wide.0, &wide.1)
+        };
+        self.fill_serial(&recv, &mut send, t, &mut touched, reactive, laws);
+
+        let mut executed = t;
+        if with_collision {
+            self.collision_interaction(t, &mut touched, &mut send, laws);
+            executed += 1;
+        }
+
+        // Merge the touched (updated) agents and the undisturbed senders
+        // back into the configuration.
+        for (c, &d) in self.counts.iter_mut().zip(&touched) {
+            *c += d;
+        }
+        for (c, &s) in self.counts.iter_mut().zip(&send) {
+            *c += s;
+        }
+        self.interactions += executed;
+        if let Some(m) = &self.metrics {
+            m.incr(Counter::Batches);
+            m.record(Hist::BatchLen, executed);
+        }
+
+        self.recv = recv;
+        self.send = send;
+        self.touched = touched;
+        executed
+    }
+
+    /// Classifies a batch's rows and columns: returns the masks of the
+    /// reactive receiver rows and reactive sender columns among the
+    /// receiver states `recv` and sender states `send`, analyzing their
+    /// pairs not yet analyzed (see [`PairBits::reactive`]).
+    fn classify<M: Mask>(&mut self, recv: &[u64], send: &[u64], laws: &mut dyn Laws) -> (M, M) {
+        let (recv, send) = (M::of(recv), M::of(send));
+        for a in ones(recv.as_ref()) {
+            self.analyze_row(a, send.as_ref(), laws);
+        }
+        self.bits.reactive(&recv, &send)
+    }
+
+    /// Analyzes every not yet analyzed pair `(a, b)` with `b` in `cols`, in
+    /// ascending `b` order. Analysis interns the pairs' output states, so
+    /// the scans visit rows in ascending order and call this before
+    /// reading a row: the `(a, b)` order fixes the state ids, and with them
+    /// the trajectory.
+    #[inline]
+    fn analyze_row(&mut self, a: usize, cols: &[u64], laws: &mut dyn Laws) {
+        for (i, &col) in cols.iter().enumerate() {
+            // Rows are relaid when `cap` grows mid-pass, so each word is
+            // read afresh.
+            let todo = col & !self.bits.analyzed_word(a, i);
+            if todo != 0 {
+                self.analyze_word(a, i, todo, laws);
+            }
+        }
+    }
+
+    /// The cold half of [`BatchCore::analyze_row`]: analyzes the pairs
+    /// `(a, 64·i + b)` for the set bits `b` of `todo`, ascending.
+    #[cold]
+    #[inline(never)]
+    fn analyze_word(&mut self, a: usize, i: usize, todo: u64, laws: &mut dyn Laws) {
+        for b in bits(todo) {
+            self.analyze_entry(a, i * 64 + b, laws);
+        }
+    }
+
+    /// The classic serial pairing contingency of a batch of `t`
+    /// interactions with receiver states `recv` and sender states `send`:
+    /// the reactive receiver `rows` and sender `cols`
+    /// ([`BatchCore::classify`]): each reactive row draws its partner
+    /// splits over the reactive columns — an iterated
+    /// conditional hypergeometric realization of the uniform bipartite
+    /// matching. Whatever a row still needs after the reactive columns
+    /// comes from the pooled non-reactive columns: those pairings are
+    /// identity, so only the pool's total (tracked via `send_total`)
+    /// matters, never which non-reactive state each partner held.
+    /// Non-reactive rows draw nothing (the matching is exchangeable):
+    /// their receivers keep their states, added to `touched` up front, and
+    /// their partners — all of `send`'s leftovers — keep theirs, merged
+    /// back wholesale by [`BatchCore::run_batch`].
+    fn fill_serial(
+        &mut self,
+        recv: &[u64],
+        send: &mut [u64],
+        t: u64,
+        touched: &mut Vec<u64>,
+        (rows, cols): (&[u64], &[u64]),
+        laws: &mut dyn Laws,
+    ) {
+        let mut send_total = t;
+        for (a, &ra) in recv.iter().enumerate() {
+            if rows[a / 64] >> (a % 64) & 1 == 0 {
+                touched[a] += ra;
+            }
+        }
+        for a in ones(rows) {
+            let mut need = recv[a];
+            let mut pool = send_total;
+            for b in ones(cols) {
+                if need == 0 {
+                    break;
+                }
+                let sb = send[b];
+                if sb == 0 {
+                    continue;
+                }
+                let m = if pool == sb {
+                    need
+                } else {
+                    hypergeometric(pool, sb, need, &mut self.rng)
+                };
+                pool -= sb;
+                if m == 0 {
+                    continue;
+                }
+                let li = self.law_index(a, b, laws);
+                self.apply_bulk(li, a, b, m, touched, laws);
+                send[b] -= m;
+                send_total -= m;
+                need -= m;
+            }
+            if need > 0 {
+                // Partners from the non-reactive pool: receiver unchanged,
+                // senders stay in `send` (their states are unchanged too).
+                touched[a] += need;
+                send_total -= need;
+            }
+        }
+    }
+
+    /// Simulates the first colliding interaction exactly.
+    ///
+    /// Conditioned on the first repeated agent pick happening at interaction
+    /// `t+1` with `2t` agents touched, the repeat is at the receiver
+    /// position with probability `(n-1)/(2n-2t-1)`; the repeated agent is
+    /// uniform over the batch's `2t` agents — the `touched` multiset plus
+    /// the senders still sitting (state-unchanged) in `send` — and its
+    /// partner uniform over the appropriate complement.
+    fn collision_interaction(
+        &mut self,
+        t: u64,
+        touched: &mut Vec<u64>,
+        send: &mut [u64],
+        laws: &mut dyn Laws,
+    ) {
+        let n = self.n;
+        let untouched_total = n - 2 * t;
+        // P(collision at receiver | collision at interaction t+1).
+        let p_rec = (n - 1) as f64 / (2 * n - 2 * t - 1) as f64;
+        let u: f64 = self.rng.gen();
+        let (rec_id, sen_id) = if u < p_rec {
+            // Receiver is a batch agent; sender is uniform over the other
+            // n-1 agents (untouched or batch).
+            let rec = take_from_batch(touched, send, self.rng.gen_range(0..2 * t));
+            let z = self.rng.gen_range(0..n - 1);
+            let sen = if z < untouched_total {
+                let s = draw_one(&self.counts, z);
+                self.counts[s] -= 1;
+                s
+            } else {
+                take_from_batch(touched, send, z - untouched_total)
+            };
+            (rec, sen)
+        } else {
+            // Receiver is a fresh untouched agent; the colliding sender is a
+            // batch agent (distinct from the receiver automatically).
+            let rec = draw_one(&self.counts, self.rng.gen_range(0..untouched_total));
+            self.counts[rec] -= 1;
+            let sen = take_from_batch(touched, send, self.rng.gen_range(0..2 * t));
+            (rec, sen)
+        };
+        let law = self.law_index(rec_id, sen_id, laws) as usize;
+        grow_to(touched, self.counts.len());
+        let k = apply_one(
+            &self.laws[law],
+            (rec_id, sen_id),
+            &mut self.rng,
+            touched,
+            laws,
+        );
+        self.discovered(k);
+    }
+
+    /// Samples the number of collision-free interactions before the next
+    /// repeated agent pick (capped at `⌊n/2⌋` where a repeat is certain).
+    fn sample_batch_len(&mut self) -> u64 {
+        let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
+        // survival is decreasing with survival[0] = 1; T = max{t : P(T≥t) ≥ u}.
+        let idx = self.survival.partition_point(|&f| f >= u);
+        if idx < self.survival.len() || self.boundary_reached {
+            return (idx - 1) as u64;
+        }
+        // Tail beyond the precomputed cutoff (probability < SURVIVAL_CUTOFF):
+        // extend the recurrence on the fly.
+        let n = self.n;
+        let denom = (n as f64) * ((n - 1) as f64);
+        let mut t = (self.survival.len() - 1) as u64;
+        let mut f = *self.survival.last().expect("survival table is non-empty");
+        loop {
+            let remaining = n - 2 * t;
+            if remaining < 2 {
+                return t;
+            }
+            f *= (remaining as f64) * ((remaining - 1) as f64) / denom;
+            if f < u {
+                return t;
+            }
+            t += 1;
+        }
+    }
+
+    /// The outcome law of the ordered state-id pair `(a, b)` as an index
+    /// into `laws` (analyzed on first use).
+    #[inline]
+    fn law_index(&mut self, a: usize, b: usize, laws: &mut dyn Laws) -> u32 {
+        let entry = self.table[a * self.cap + b];
+        if entry != UNCOMPUTED {
+            return entry;
+        }
+        self.analyze_entry(a, b, laws)
+    }
+
+    /// The cold half of [`BatchCore::law_index`]: has the shell analyze
+    /// the pair, interning any newly discovered output states, stores its
+    /// entry and sets its bits.
+    #[cold]
+    #[inline(never)]
+    fn analyze_entry(&mut self, a: usize, b: usize, laws: &mut dyn Laws) -> u32 {
+        let (law, k) = laws.analyze(a, b);
+        self.discovered(k);
+        let idx = match law {
+            PairLaw::Sampled => LAW_SAMPLED,
+            law => {
+                self.laws.push(law);
+                (self.laws.len() - 1) as u32
+            }
+        };
+        assert!(idx != UNCOMPUTED, "law table overflow: {idx} laws");
+        let live = !self.law_is_null(idx, a, b);
+        self.table[a * self.cap + b] = idx;
+        self.bits.set(a, b, live);
+        idx
+    }
+
+    /// Whether every outcome of the pair's law maps `(a, b)` to itself —
+    /// i.e. the pair is certainly null and eligible for skipping. Sampled
+    /// pairs are conservatively treated as productive. Evaluated once per
+    /// pair, at analysis; the scans read the pair's live bit.
+    fn law_is_null(&self, idx: u32, a: usize, b: usize) -> bool {
+        let ab = (a as u32, b as u32);
+        match &self.laws[idx as usize] {
+            PairLaw::Det(c, d) => (*c, *d) == ab,
+            PairLaw::Random { outs, .. } => outs.iter().all(|&o| o == ab),
+            PairLaw::Sampled => false,
+        }
+    }
+
+    /// Applies `m` interactions of the input pair `(a, b)` in bulk, adding
+    /// the output states to `touched`. Deterministic laws apply one delta;
+    /// random laws split `m` over the outcomes with one exact multinomial
+    /// draw; sampled laws fall back to one `transition` call per
+    /// interaction, all of them in one [`Laws::sample`] call (still exact —
+    /// just not amortized).
+    fn apply_bulk(
+        &mut self,
+        idx: u32,
+        a: usize,
+        b: usize,
+        m: u64,
+        touched: &mut Vec<u64>,
+        laws: &mut dyn Laws,
+    ) {
+        // Law analysis may have discovered states after `touched` was sized.
+        grow_to(touched, self.counts.len());
+        match &self.laws[idx as usize] {
+            PairLaw::Det(c, d) => {
+                touched[*c as usize] += m;
+                touched[*d as usize] += m;
+            }
+            PairLaw::Random { outs, probs, .. } => {
+                let split = multinomial_conditional(m, probs, &mut self.rng);
+                for (&(c, d), x) in outs.iter().zip(split) {
+                    touched[c as usize] += x;
+                    touched[d as usize] += x;
+                }
+            }
+            PairLaw::Sampled => {
+                let k = laws.sample(a, b, m, &mut self.rng, touched);
+                self.discovered(k);
+            }
+        }
+    }
+}
+
+/// Simulates a single interaction of the input pair `(a, b)` under its
+/// `law`: adds one sampled outcome to `out`, which covers every discovered
+/// state, and returns the number of discovered states after it. Used for
+/// the collision interaction and the null-skip mode's productive
+/// interaction.
+fn apply_one(
+    law: &PairLaw,
+    (a, b): (usize, usize),
+    rng: &mut SimRng,
+    out: &mut Vec<u64>,
+    laws: &mut dyn Laws,
+) -> usize {
+    let (c, d) = match law {
+        PairLaw::Det(c, d) => (*c, *d),
+        PairLaw::Random { outs, probs } => {
+            let u: f64 = rng.gen();
+            let mut acc = 0.0;
+            // Floating-point leakage (acc ≈ 1 - 1e-16) keeps the last
+            // outcome.
+            let mut pick = *outs.last().expect("random law has outcomes");
+            for (&o, &p) in outs.iter().zip(probs) {
+                acc += p;
+                if u < acc {
+                    pick = o;
+                    break;
+                }
+            }
+            pick
+        }
+        PairLaw::Sampled => return laws.sample(a, b, 1, rng, out),
+    };
+    out[c as usize] += 1;
+    out[d as usize] += 1;
+    out.len()
 }
 
 /// Precomputes the birthday-collision survival function
@@ -1235,7 +1382,7 @@ impl PairBits {
         counts[a] * (n - null_mass - self_live)
     }
 
-    /// See [`BatchedCountSim::pick_productive`].
+    /// See [`BatchCore::pick_productive`].
     fn pick<M: Mask>(&self, present: &M, counts: &[u64], n: u64, mut z: u64) -> (usize, usize) {
         let present = present.as_ref();
         for a in ones(present) {
@@ -1477,11 +1624,11 @@ pub(crate) mod tests {
         let mut sim = BatchedCountSim::new(Infection, config, 11);
         let trials = 20_000;
         let mean: f64 = (0..trials)
-            .map(|_| sim.sample_batch_len() as f64)
+            .map(|_| sim.core.sample_batch_len() as f64)
             .sum::<f64>()
             / trials as f64;
         // E[T] = Σ_{t≥1} P(T ≥ t); compute from the table directly.
-        let expect: f64 = sim.survival.iter().skip(1).sum();
+        let expect: f64 = sim.core.survival.iter().skip(1).sum();
         let sd = (expect).sqrt(); // rough scale; T has σ ≈ 0.5 E[T]
         assert!(
             (mean - expect).abs() < 3.0 * sd * (trials as f64).sqrt().recip() * 60.0,
@@ -1495,7 +1642,7 @@ pub(crate) mod tests {
         let mut sim = BatchedCountSim::new(Infection, config, 3);
         for _ in 0..50 {
             sim.run_batch(u64::MAX);
-            let total: u64 = sim.counts.iter().sum();
+            let total: u64 = sim.core.counts.iter().sum();
             assert_eq!(total, 10_000);
         }
         assert!(sim.interactions() > 0);
@@ -1687,19 +1834,19 @@ pub(crate) mod tests {
 
     /// Asserts that every pair's analyzed bit says whether its law-table
     /// entry is computed, that its live bit equals the negated
-    /// [`BatchedCountSim::law_is_null`] of the law the entry indexes, and
-    /// that no bit is set past `cap`; returns the `[null diagonal, null
+    /// [`BatchCore::law_is_null`] of the law the entry indexes, and that
+    /// no bit is set past `cap`; returns the `[null diagonal, null
     /// off-diagonal, live]` entry counts.
-    fn assert_flags_match_laws<P: CountProtocol>(sim: &BatchedCountSim<P>) -> [usize; 3] {
-        let bits = &sim.bits;
+    fn assert_flags_match_laws(core: &BatchCore) -> [usize; 3] {
+        let bits = &core.bits;
         let bit =
             |rows: &[u64], a: usize, b: usize| rows[a * bits.words + b / 64] >> (b % 64) & 1 == 1;
         let mut tally = [0; 3];
-        for a in 0..sim.cap {
+        for a in 0..core.cap {
             for b in 0..bits.words * 64 {
                 let (analyzed, live) = (bit(&bits.analyzed, a, b), bit(&bits.live, a, b));
-                let entry = if b < sim.cap {
-                    sim.table[a * sim.cap + b]
+                let entry = if b < core.cap {
+                    core.table[a * core.cap + b]
                 } else {
                     UNCOMPUTED
                 };
@@ -1710,7 +1857,7 @@ pub(crate) mod tests {
                 }
                 assert_eq!(
                     live,
-                    !sim.law_is_null(entry, a, b),
+                    !core.law_is_null(entry, a, b),
                     "live bit of pair ({a}, {b}) disagrees with its law"
                 );
                 let slot = match (live, a == b) {
@@ -1756,38 +1903,39 @@ pub(crate) mod tests {
         let interned = crate::interned::Interned::new(EpochJump);
         let config = interned.uniform_config(4_096);
         let mut sim = BatchedCountSim::new(CertifiedEpochJump(interned), config, 5);
-        assert_eq!(sim.cap, 4);
+        assert_eq!(sim.core.cap, 4);
         sim.steps(200_000);
-        assert!(sim.cap > 4, "the run never grew the law table");
-        let tally = assert_flags_match_laws(&sim);
+        assert!(sim.core.cap > 4, "the run never grew the law table");
+        let tally = assert_flags_match_laws(&sim.core);
         assert!(tally.iter().all(|&t| t > 0), "entry tally {tally:?}");
 
-        let discovered = sim.states.len();
+        let discovered = sim.laws.states.len();
         assert!(sim.collect_table(), "the interned adapter must collect");
-        assert!(sim.states.len() < discovered, "GC evicted nothing");
-        assert!(sim.table.iter().all(|&e| e == UNCOMPUTED));
+        assert!(sim.laws.states.len() < discovered, "GC evicted nothing");
+        assert!(sim.core.table.iter().all(|&e| e == UNCOMPUTED));
         assert!(sim
+            .core
             .bits
             .analyzed
             .iter()
-            .chain(&sim.bits.live)
+            .chain(&sim.core.bits.live)
             .all(|&w| w == 0));
         sim.steps(200_000);
-        let tally = assert_flags_match_laws(&sim);
+        let tally = assert_flags_match_laws(&sim.core);
         assert!(tally.iter().all(|&t| t > 0), "entry tally {tally:?}");
-        assert_eq!(sim.counts.iter().sum::<u64>(), 4_096);
+        assert_eq!(sim.core.counts.iter().sum::<u64>(), 4_096);
     }
 
     /// The `O(k²)` pair scans the bit rows replaced, kept as references:
     /// one law-table probe per pair, with nullness decoded from the law.
-    impl<P: CountProtocol> BatchedCountSim<P> {
-        fn is_null_reference(&mut self, a: usize, b: usize) -> bool {
-            let idx = self.law_index(a, b);
+    impl BatchCore {
+        fn is_null_reference(&mut self, a: usize, b: usize, laws: &mut dyn Laws) -> bool {
+            let idx = self.law_index(a, b, laws);
             self.law_is_null(idx, a, b)
         }
 
-        fn productive_weight_reference(&mut self) -> u64 {
-            let k = self.states.len();
+        fn productive_weight_reference(&mut self, laws: &mut dyn Laws) -> u64 {
+            let k = self.counts.len();
             let mut w = 0u64;
             for a in 0..k {
                 let ca = self.counts[a];
@@ -1796,7 +1944,7 @@ pub(crate) mod tests {
                 }
                 for b in 0..k {
                     let cb = self.counts[b];
-                    if cb != 0 && !self.is_null_reference(a, b) {
+                    if cb != 0 && !self.is_null_reference(a, b, laws) {
                         w += ca * (cb - u64::from(a == b));
                     }
                 }
@@ -1804,8 +1952,8 @@ pub(crate) mod tests {
             w
         }
 
-        fn pick_reference(&mut self, mut z: u64) -> (usize, usize) {
-            let k = self.states.len();
+        fn pick_reference(&mut self, mut z: u64, laws: &mut dyn Laws) -> (usize, usize) {
+            let k = self.counts.len();
             for a in 0..k {
                 let ca = self.counts[a];
                 if ca == 0 {
@@ -1813,7 +1961,7 @@ pub(crate) mod tests {
                 }
                 for b in 0..k {
                     let cb = self.counts[b];
-                    if cb == 0 || self.is_null_reference(a, b) {
+                    if cb == 0 || self.is_null_reference(a, b, laws) {
                         continue;
                     }
                     let w = ca * (cb - u64::from(a == b));
@@ -1826,7 +1974,12 @@ pub(crate) mod tests {
             unreachable!("pick offset exceeded the productive weight");
         }
 
-        fn classify_reference(&mut self, recv: &[u64], send: &[u64]) -> (Vec<bool>, Vec<bool>) {
+        fn classify_reference(
+            &mut self,
+            recv: &[u64],
+            send: &[u64],
+            laws: &mut dyn Laws,
+        ) -> (Vec<bool>, Vec<bool>) {
             let k0 = recv.len();
             let (mut rows, mut cols) = (vec![false; k0], vec![false; k0]);
             for a in 0..k0 {
@@ -1834,7 +1987,7 @@ pub(crate) mod tests {
                     continue;
                 }
                 for b in 0..k0 {
-                    if send[b] != 0 && !self.is_null_reference(a, b) {
+                    if send[b] != 0 && !self.is_null_reference(a, b, laws) {
                         rows[a] = true;
                         cols[b] = true;
                     }
@@ -1860,53 +2013,66 @@ pub(crate) mod tests {
         fast: &mut BatchedCountSim<P>,
         slow: &mut BatchedCountSim<P>,
     ) {
-        assert_eq!(fast.states, slow.states);
-        assert_eq!(fast.counts, slow.counts);
-        let k = fast.counts.len();
+        let BatchedCountSim { core, laws } = fast;
+        let BatchedCountSim {
+            core: slow,
+            laws: slow_laws,
+        } = slow;
+        assert_eq!(laws.states, slow_laws.states);
+        assert_eq!(core.counts, slow.counts);
+        let k = core.counts.len();
         let recv: Vec<u64> = (0..k)
-            .map(|i| if i % 3 == 1 { 0 } else { fast.counts[i] })
+            .map(|i| if i % 3 == 1 { 0 } else { core.counts[i] })
             .collect();
         let send: Vec<u64> = (0..k)
-            .map(|i| if i % 3 == 0 { 0 } else { fast.counts[i] })
+            .map(|i| if i % 3 == 0 { 0 } else { core.counts[i] })
             .collect();
-        let reference = slow.classify_reference(&recv, &send);
+        let reference = slow.classify_reference(&recv, &send, slow_laws);
         // The one-word instantiation runs first when it applies, so it is
         // the one that analyzes; the vector one must agree either way.
         if k <= 64 {
-            assert_eq!(classify_as::<[u64; 1], P>(fast, &recv, &send), reference);
+            assert_eq!(classify_as::<[u64; 1]>(core, laws, &recv, &send), reference);
         }
-        assert_eq!(classify_as::<Vec<u64>, P>(fast, &recv, &send), reference);
+        assert_eq!(classify_as::<Vec<u64>>(core, laws, &recv, &send), reference);
         assert_eq!(
-            fast.states, slow.states,
+            laws.states, slow_laws.states,
             "classification interned out of order"
         );
 
-        let w = fast.productive_weight();
-        assert_eq!(w, slow.productive_weight_reference(), "productive weight");
-        assert_eq!(w, fast.productive_weight_in::<Vec<u64>>());
-        assert_eq!(fast.states, slow.states, "weighing interned out of order");
+        let w = core.productive_weight(laws);
+        assert_eq!(
+            w,
+            slow.productive_weight_reference(slow_laws),
+            "productive weight"
+        );
+        assert_eq!(w, core.productive_weight_in::<Vec<u64>>(laws));
+        assert_eq!(
+            laws.states, slow_laws.states,
+            "weighing interned out of order"
+        );
         if w > 0 {
             for z in [0, w / 3, w / 2, w - 1] {
-                let pick = slow.pick_reference(z);
-                assert_eq!(fast.pick_productive(z), pick, "pick {z} of {w}");
+                let pick = slow.pick_reference(z, slow_laws);
+                assert_eq!(core.pick_productive(z), pick, "pick {z} of {w}");
                 assert_eq!(
-                    fast.bits
-                        .pick(&Vec::of(&fast.counts), &fast.counts, fast.n, z),
+                    core.bits
+                        .pick(&Vec::of(&core.counts), &core.counts, core.n, z),
                     pick
                 );
             }
         }
-        assert_flags_match_laws(fast);
+        assert_flags_match_laws(core);
     }
 
-    /// The reactive rows and columns [`BatchedCountSim::classify`] finds
-    /// over `M` masks, unpacked to one flag per state.
-    fn classify_as<M: Mask, P: CountProtocol>(
-        sim: &mut BatchedCountSim<P>,
+    /// The reactive rows and columns [`BatchCore::classify`] finds over
+    /// `M` masks, unpacked to one flag per state.
+    fn classify_as<M: Mask>(
+        core: &mut BatchCore,
+        laws: &mut dyn Laws,
         recv: &[u64],
         send: &[u64],
     ) -> (Vec<bool>, Vec<bool>) {
-        let (rows, cols) = sim.classify::<M>(recv, send);
+        let (rows, cols) = core.classify::<M>(recv, send, laws);
         (
             unpack(rows.as_ref(), recv.len()),
             unpack(cols.as_ref(), recv.len()),
@@ -1943,10 +2109,14 @@ pub(crate) mod tests {
     #[test]
     fn bit_row_scans_match_references_across_words_and_growth() {
         let (mut fast, mut slow) = (leapfrog_sim(3), leapfrog_sim(3));
-        assert_eq!((fast.cap, fast.bits.words), (100, 2));
+        assert_eq!((fast.core.cap, fast.core.bits.words), (100, 2));
         assert_scans_match_references(&mut fast, &mut slow);
-        assert_eq!(fast.states.len(), 199, "every leap target interned");
-        assert_eq!((fast.cap, fast.bits.words), (200, 4), "cap grew mid-scan");
+        assert_eq!(fast.laws.states.len(), 199, "every leap target interned");
+        assert_eq!(
+            (fast.core.cap, fast.core.bits.words),
+            (200, 4),
+            "cap grew mid-scan"
+        );
         // Warm tables: the same scans again after some batches.
         for sim in [&mut fast, &mut slow] {
             sim.steps(2_000);
@@ -1965,7 +2135,7 @@ pub(crate) mod tests {
             sim
         };
         let (mut fast, mut slow) = (collected(), collected());
-        assert!(fast.states.len() <= 64, "one-word masks apply");
+        assert!(fast.laws.states.len() <= 64, "one-word masks apply");
         assert_scans_match_references(&mut fast, &mut slow);
         for sim in [&mut fast, &mut slow] {
             sim.steps(50_000);
@@ -1982,7 +2152,7 @@ pub(crate) mod tests {
             BatchedCountSim::from_snapshot_parts(
                 Leapfrog,
                 states.to_vec(),
-                counts,
+                counts.to_vec(),
                 rng.clone(),
                 sim.interactions(),
             )
@@ -1990,5 +2160,72 @@ pub(crate) mod tests {
         let (mut fast, mut slow) = (restored(), restored());
         assert!(fast.occupied_support() > 64, "rows must span words");
         assert_scans_match_references(&mut fast, &mut slow);
+    }
+
+    /// Approximate majority as a ppsim-style transition array on ids
+    /// (`0` = X, `1` = Y, `2` = blank), indexed `[receiver][sender]`.
+    const MAJORITY: [[(u8, u8); 3]; 3] = [
+        [(0, 0), (0, 2), (0, 0)],
+        [(1, 2), (1, 1), (1, 1)],
+        [(0, 0), (1, 1), (2, 2)],
+    ];
+
+    /// A [`Laws`] that knows only the transition array: every pair is
+    /// deterministic, and every state has an id from the start.
+    struct ArrayLaws;
+
+    impl Laws for ArrayLaws {
+        fn analyze(&mut self, a: usize, b: usize) -> (PairLaw, usize) {
+            let (c, d) = MAJORITY[a][b];
+            (PairLaw::Det(c.into(), d.into()), MAJORITY.len())
+        }
+
+        fn sample(
+            &mut self,
+            _: usize,
+            _: usize,
+            _: u64,
+            _: &mut SimRng,
+            _: &mut Vec<u64>,
+        ) -> usize {
+            unreachable!("a transition array has no sampled pairs")
+        }
+    }
+
+    /// The same array as a typed protocol on `u8` states.
+    struct ArrayMajority;
+
+    impl DeterministicCountProtocol for ArrayMajority {
+        type State = u8;
+
+        fn transition_det(&self, rec: u8, sen: u8) -> (u8, u8) {
+            MAJORITY[usize::from(rec)][usize::from(sen)]
+        }
+    }
+
+    #[test]
+    fn core_over_a_transition_array_matches_the_typed_shell() {
+        let counts = [5_200, 4_700, 100];
+        let mut core = BatchCore::new(counts.to_vec(), rng_from_seed(31), 0);
+        let config = CountConfiguration::from_pairs((0u8..).zip(counts));
+        let mut sim = BatchedCountSim::new(ArrayMajority, config, 31);
+        let same = |core: &BatchCore, sim: &BatchedCountSim<ArrayMajority>| {
+            assert_eq!(core.counts, sim.core.counts);
+            assert_eq!(core.interactions, sim.interactions());
+            assert_eq!(core.rng.state(), sim.core.rng.state());
+        };
+        for _ in 0..300 {
+            core.run_batch(u64::MAX, &mut ArrayLaws);
+            sim.run_batch(u64::MAX);
+        }
+        same(&core, &sim);
+        // Then on to consensus, through null-skip steps near the end.
+        for _ in 0..3_000 {
+            core.advance(10_000, &mut ArrayLaws);
+            sim.advance(10_000);
+        }
+        same(&core, &sim);
+        assert_eq!(core.counts, [10_000, 0, 0], "X won");
+        assert_eq!(sim.laws.states, [0, 1, 2]);
     }
 }

@@ -1620,8 +1620,8 @@ mod tests {
                 states
                     .iter()
                     .zip(counts)
-                    .filter(|&(_, c)| c > 0)
-                    .map(|(&s, c)| (s, c))
+                    .filter(|&(_, &c)| c > 0)
+                    .map(|(&s, &c)| (s, c))
                     .collect()
             }
             None => sim.inner_sequential().unwrap().config().clone(),

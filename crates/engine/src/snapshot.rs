@@ -426,6 +426,10 @@ fn decode_count_config<S: SnapshotState + Copy + Ord + std::hash::Hash + std::fm
             states.len()
         )));
     }
+    let freed: std::collections::BTreeSet<usize> = free.iter().copied().collect();
+    let live = (0..states.len()).filter(|slot| !freed.contains(slot));
+    check_distinct(live.map(|slot| states[slot]).collect())?;
+    population(&counts)?;
     Ok(CountConfiguration::from_snapshot_parts(
         states, counts, free,
     ))
@@ -499,7 +503,7 @@ where
         let (states, counts, rng) = b.snapshot_parts();
         encode_rng(rng, out);
         encode_seq(states, out);
-        encode_seq(&counts, out);
+        encode_seq(counts, out);
     } else {
         let s = sim.inner_sequential().expect("engine is sequential");
         KIND_SEQ.encode(out);
@@ -549,12 +553,14 @@ where
                     counts.len()
                 )));
             }
-            let mut sorted = states.clone();
-            sorted.sort_unstable();
-            if let Some(pair) = sorted.windows(2).find(|pair| pair[0] == pair[1]) {
-                return Err(corrupt(format!("duplicate discovered state {:?}", pair[0])));
+            check_distinct(states.clone())?;
+            let n = population(&counts)?;
+            check_population(n)?;
+            if n > u64::from(u32::MAX) {
+                return Err(corrupt(format!(
+                    "batched population of {n} agents exceeds u32::MAX"
+                )));
             }
-            check_population(counts.iter().sum())?;
             Engine::Batched(BatchedCountSim::from_snapshot_parts(
                 protocol,
                 states,
@@ -584,6 +590,24 @@ where
         switches,
         collections,
     ))
+}
+
+/// Refuses a slot table that lists one state twice.
+fn check_distinct<S: Ord + std::fmt::Debug>(mut states: Vec<S>) -> Result<(), SnapshotError> {
+    states.sort_unstable();
+    match states.windows(2).find(|pair| pair[0] == pair[1]) {
+        Some(pair) => Err(corrupt(format!("duplicate live state {:?}", pair[0]))),
+        None => Ok(()),
+    }
+}
+
+/// The population a slot table's counts add up to, refusing a sum past
+/// `u64::MAX`.
+fn population(counts: &[u64]) -> Result<u64, SnapshotError> {
+    counts
+        .iter()
+        .try_fold(0u64, |n, &c| n.checked_add(c))
+        .ok_or_else(|| corrupt("count sum overflows u64"))
 }
 
 /// Refuses a restored count engine of fewer than 2 agents.
@@ -676,24 +700,62 @@ mod tests {
         }
     }
 
-    #[test]
-    fn duplicate_batched_slots_are_refused() {
-        // A checksum-valid batched body whose slot table lists one state
-        // twice: the decoder must refuse it, not build an engine on it.
+    /// A checksum-valid pinned [`ConfigSim`] body over `bool` states with
+    /// the given slot tables: batched, or sequential with the free list
+    /// `free`.
+    fn count_body(batched: bool, states: &[bool], counts: &[u64], free: &[usize]) -> Vec<u8> {
         let mut body = Vec::new();
-        1u8.encode(&mut body); // batched, pinned, no GC
+        u8::from(batched).encode(&mut body); // pinned, no GC
         0u32.encode(&mut body);
         0u32.encode(&mut body);
-        KIND_BATCHED.encode(&mut body);
+        (if batched { KIND_BATCHED } else { KIND_SEQ }).encode(&mut body);
         0u64.encode(&mut body);
         encode_rng(&crate::rng::rng_from_seed(1), &mut body);
-        encode_seq(&[true, true], &mut body);
-        encode_seq(&[5u64, 5], &mut body);
-        match decode_config_sim(crate::epidemic::InfectionEpidemic, &body) {
-            Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains("duplicate"), "{msg}"),
-            Err(e) => panic!("wrong error for duplicate slots: {e}"),
-            Ok(_) => panic!("duplicate slots were accepted"),
+        encode_seq(states, &mut body);
+        encode_seq(counts, &mut body);
+        if !batched {
+            encode_seq(free, &mut body);
         }
+        body
+    }
+
+    /// Asserts that decoding `body` is refused as corrupt with a message
+    /// containing `needle`, not accepted and not a panic.
+    fn assert_refused(body: &[u8], needle: &str) {
+        match decode_config_sim(crate::epidemic::InfectionEpidemic, body) {
+            Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains(needle), "{msg}"),
+            Err(e) => panic!("wrong error, expected {needle:?}: {e}"),
+            Ok(_) => panic!("a body with {needle:?} was accepted"),
+        }
+    }
+
+    #[test]
+    fn duplicate_batched_slots_are_refused() {
+        // A batched slot table that lists one state twice: the decoder
+        // must refuse it, not build an engine on it.
+        assert_refused(&count_body(true, &[true, true], &[5, 5], &[]), "duplicate");
+    }
+
+    #[test]
+    fn duplicate_sequential_live_slots_are_refused() {
+        let body = count_body(false, &[true, true], &[5, 5], &[]);
+        assert_refused(&body, "duplicate");
+        // A freed slot may repeat a live state: it is not indexed.
+        let freed = count_body(false, &[true, true], &[5, 0], &[1]);
+        assert!(decode_config_sim(crate::epidemic::InfectionEpidemic, &freed).is_ok());
+    }
+
+    #[test]
+    fn overflowing_count_sums_are_refused() {
+        let huge = [u64::MAX, 5];
+        assert_refused(&count_body(true, &[false, true], &huge, &[]), "overflow");
+        assert_refused(&count_body(false, &[false, true], &huge, &[]), "overflow");
+    }
+
+    #[test]
+    fn batched_populations_past_u32_are_refused() {
+        let counts = [3_000_000_000, 3_000_000_000];
+        assert_refused(&count_body(true, &[false, true], &counts, &[]), "u32::MAX");
     }
 
     #[test]
