@@ -13,8 +13,9 @@
 //!   protocols now reach batched speed.
 //!
 //! Two further rows cover the *interned* count engine on the paper's
-//! counter-churning record protocols, the path interner GC unlocked as
-//! the default:
+//! counter-churning record protocols, the path `estimate_in_mode` /
+//! `terminating_in_mode` reach when pinned to a count mode (the default
+//! runs on the per-agent engine):
 //!
 //! * **`logsize_estimation`** / **`leader_terminating`** — fixed parallel
 //!   time on `Log-Size-Estimation` and the Theorem 3.13 terminating
@@ -42,13 +43,17 @@
 //!   compares the lane against an agent engine that skips the per-`n`
 //!   checkpoint cost every real run pays.
 //! * **`logsize_estimation` / `converged`** — the paper's estimate at
-//!   `n = 2000` as every experiment runs it: `estimate_in_mode`, that is
-//!   `Simulation::run` with the paper's `FieldMaxima` observer and
-//!   convergence predicate, checked every `n` interactions, until the
-//!   population agrees. `SimMode::Agent` fills the "sequential" column and
-//!   Auto the "batched" one, so both sides pay for their checkpoint views
-//!   and the ratio is the one that decides which engine the estimate
-//!   should run on.
+//!   `n = 2000` run through `estimate_in_mode`, that is `Simulation::run`
+//!   with the paper's `FieldMaxima` observer and convergence predicate,
+//!   checked every `n` interactions, until the population agrees.
+//!   `SimMode::Agent` (what `estimate_log_size` and every registry
+//!   experiment run) fills the "sequential" column and Auto the "batched"
+//!   one, so both sides pay for their checkpoint views and the ratio is
+//!   the one that decides which engine the estimate runs on. The engines
+//!   draw different trajectories, so each pair of trials converges after
+//!   a different number of interactions; the row times enough pairs that
+//!   the spread of their per-pair ratios, printed beside the pooled
+//!   ratio, sits well inside the gate's band.
 //!
 //! Two workloads per protocol:
 //!
@@ -67,12 +72,14 @@
 //! per workload so future changes have a perf trajectory. Results land in
 //! `BENCH_batch.json` in the current directory. After the rows, a samplers
 //! block prints ns/draw for six fixed-seed `hypergeometric` draws; it is
-//! neither gated nor written to the JSON. In `--gate` mode each gated row
-//! prints its per-side single-trial rates (min–max) beside its ratio.
+//! neither gated nor written to the JSON. Each agent-vs-counted row prints
+//! the min–max of its per-pair ratios beside its pooled ratio, and in
+//! `--gate` mode each gated row prints its per-side single-trial rates
+//! (min–max) beside its ratio.
 //!
 //! Usage: `cargo run --release --bin bench_batch [-- --quick] [--gate BASELINE.json]`
 //! (`--quick` drops `n = 10⁷`, whose sequential fixed-time runs take ~10 s
-//! each, and runs the `converged` row for one trial instead of three).
+//! each, and runs the `converged` row for fewer trials).
 //!
 //! `--gate BASELINE.json` turns the run into a **regression gate**: every
 //! measured row whose `(protocol, n, workload)` appears in the baseline
@@ -105,8 +112,8 @@ struct Measurement {
     trials: u64,
     interactions: u64,
     seconds: f64,
-    /// Slowest and fastest single-trial rate (interactions/s).
-    trial_rates: (f64, f64),
+    /// Each trial's rate (interactions/s), in trial order.
+    trial_rates: Vec<f64>,
 }
 
 impl Measurement {
@@ -117,8 +124,15 @@ impl Measurement {
     /// The single-trial rates' min–max, printed beside a gated ratio so a
     /// reader can tell a regression from the row's own noise.
     fn spread(&self) -> String {
-        format!("{:.3e}–{:.3e}", self.trial_rates.0, self.trial_rates.1)
+        let (lo, hi) = min_max(self.trial_rates.iter().copied());
+        format!("{lo:.3e}–{hi:.3e}")
     }
+}
+
+fn min_max(values: impl Iterator<Item = f64>) -> (f64, f64) {
+    values.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
+        (lo.min(v), hi.max(v))
+    })
 }
 
 /// One benchmarkable protocol: initial configuration plus completion
@@ -237,10 +251,10 @@ fn bench_protocol<P: Workload + Default>(name: &'static str, sizes: &[Size], row
 
 /// Agent-engine vs interned-count-engine throughput for one of the
 /// paper's counter-churning record protocols, at a fixed parallel time.
-/// The agent engine fills the row's "sequential" slot as the machine
-/// normalizer; the interned `ConfigSim` (`EngineMode::Auto`, interner GC
-/// on — the default every `estimate_log_size` / `run_terminating` call
-/// takes) fills "batched". See the module docs for why the gate watches
+/// The agent engine (what `estimate_log_size` / `run_terminating` run)
+/// fills the row's "sequential" slot as the machine normalizer; the
+/// interned `ConfigSim` (`EngineMode::Auto`, interner GC on) fills
+/// "batched". See the module docs for why the gate watches
 /// this ratio. `checkpointed` advances both engines `n` interactions at a
 /// time (the `checkpointed` workload) instead of in one call
 /// (`fixed_time`).
@@ -342,7 +356,7 @@ fn interleave(
         trials,
         interactions: 0,
         seconds: 0.0,
-        trial_rates: (f64::INFINITY, 0.0),
+        trial_rates: Vec::new(),
     };
     let (mut a, mut b) = (zero(first), zero(second));
     let mut timed = |side: &mut Measurement, is_first: bool, t: u64| {
@@ -351,8 +365,7 @@ fn interleave(
         let seconds = start.elapsed().as_secs_f64();
         side.interactions += interactions;
         side.seconds += seconds;
-        let rate = interactions as f64 / seconds;
-        side.trial_rates = (side.trial_rates.0.min(rate), side.trial_rates.1.max(rate));
+        side.trial_rates.push(interactions as f64 / seconds);
     };
     for i in 0..first {
         timed(&mut a, true, i);
@@ -363,7 +376,9 @@ fn interleave(
     (a, b)
 }
 
-/// Prints and records one agent-vs-counted row.
+/// Prints and records one agent-vs-counted row. Its two sides ran the
+/// same number of trials, alternating, so trial `t` of each forms a pair;
+/// the min–max of the pairs' ratios prints beside the pooled ratio.
 fn push_agent_row(
     name: &'static str,
     n: u64,
@@ -373,8 +388,10 @@ fn push_agent_row(
     metrics: &Metrics,
     rows: &mut Vec<Row>,
 ) {
+    let pairs = seq.trial_rates.iter().zip(&bat.trial_rates);
+    let (lo, hi) = min_max(pairs.map(|(agent, counted)| counted / agent));
     eprintln!(
-        "{name:>18} n = {n:>9} {workload:>12}: agent {:>12.0} int/s ({:.3}s) | counted {:>13.0} int/s ({:.3}s) | ratio {:.2}x",
+        "{name:>18} n = {n:>9} {workload:>12}: agent {:>12.0} int/s ({:.3}s) | counted {:>13.0} int/s ({:.3}s) | ratio {:.2}x (pairs {lo:.2}–{hi:.2}x)",
         seq.rate(),
         seq.seconds,
         bat.rate(),
@@ -632,8 +649,9 @@ fn main() {
     );
     // The same protocol and size to convergence, views and observer
     // included: the workload the `checkpointed` row stands in for. One
-    // trial runs ~5 s a side.
-    bench_estimate(2_000, if quick { 1 } else { 3 }, &mut rows);
+    // trial runs ~5 s a side; a single pair cannot tell a 15% move from
+    // noise, so even `--quick` times four pairs.
+    bench_estimate(2_000, if quick { 4 } else { 6 }, &mut rows);
 
     let mut json = String::from(
         "{\n  \"benchmark\": \"sequential_vs_batched\",\n  \"unit\": \"interactions_per_second\",\n  \

@@ -8,12 +8,12 @@
 //! derived seed, engine policy — to a fixed vector of named metrics
 //! (NaN = the trial did not produce that metric).
 //!
-//! The engine policy reaches the experiments that expose an
-//! engine-selection hook (the epidemics and, since interner GC made the
-//! count engine the default for counter-churning protocols, the
-//! `logsize_estimate` / `leader_termination` paper measurements); the
-//! others run on the engine their protocol helper picks (documented per
-//! entry below).
+//! The engine policy reaches only the experiments that expose an
+//! engine-selection hook (the two epidemics); the others run on the
+//! engine their protocol helper picks (documented per entry below), and a
+//! spec that pins `sequential` or `batched` refuses them. The paper's
+//! record protocols (`Log-Size-Estimation`, `Leader-Terminating`) run on
+//! the per-agent engine.
 
 use pp_analysis::balls_bins::{simulate_balls_bins, simulate_worst_case_consumption};
 use pp_analysis::geometric::{logsize2_band, max_geometric_sample};
@@ -25,8 +25,8 @@ use pp_baselines::intro_functions::{double_time, halve_time};
 use pp_baselines::leader_election::run_uniform_election;
 use pp_baselines::majority::{run_nonuniform_majority, run_uniform_majority};
 use pp_baselines::naive_terminating::{fixed_signal_time, geometric_signal_time};
-use pp_core::leader::terminating_in_mode;
-use pp_core::log_size::{estimate_in_mode, estimate_log_size, estimate_with, LogSizeEstimation};
+use pp_core::leader::run_terminating;
+use pp_core::log_size::{estimate_log_size, estimate_with, LogSizeEstimation};
 use pp_core::partition::run_partition;
 use pp_core::synthetic::estimate_log_size_synthetic;
 use pp_core::upper_bound::estimate_upper_bound;
@@ -111,26 +111,16 @@ pub fn experiment(name: &str) -> Option<SweepExperiment> {
         .with_engine_hook(),
         // The paper's Log-Size-Estimation protocol (Theorem 3.1): signed
         // additive error (NaN if the run did not converge to an output)
-        // and convergence time. Runs on the count engine by default
-        // (interner GC keeps the table at live-support size despite the
-        // per-interaction counters); a spec's engine policy reaches it
-        // through `estimate_in_mode`.
+        // and convergence time. Per-agent engine (`estimate_log_size`).
         "logsize_estimate" => {
             SweepExperiment::new("logsize_estimate", &["err", "time", "converged"], |ctx| {
-                let out = estimate_in_mode(
-                    LogSizeEstimation::paper(),
-                    ctx.n as usize,
-                    ctx.seed,
-                    None,
-                    ctx.engine.into(),
-                );
+                let out = estimate_log_size(ctx.n as usize, ctx.seed, None);
                 vec![
                     out.error(ctx.n).unwrap_or(f64::NAN),
                     out.time,
                     f64::from(out.converged),
                 ]
             })
-            .with_engine_hook()
         }
         // Alistarh et al.'s max-geometric weak estimator: signed error of
         // the settled maximum vs log₂ n, and agreement time. Runs on the
@@ -170,14 +160,13 @@ pub fn experiment(name: &str) -> Option<SweepExperiment> {
         // Theorem 3.13 leader-driven terminating estimation: whether the
         // signal fired, when (NaN if never), the majority output (NaN if
         // none), whether it was within the accuracy band, and the
-        // agreement fraction at the freeze. Count engine by default, like
-        // `logsize_estimate`; the spec's engine policy reaches it through
-        // `terminating_in_mode`.
+        // agreement fraction at the freeze. Per-agent engine, like
+        // `logsize_estimate` (`run_terminating`).
         "leader_termination" => SweepExperiment::new(
             "leader_termination",
             &["terminated", "term_time", "output", "correct", "agreement"],
             |ctx| {
-                let out = terminating_in_mode(ctx.n as usize, ctx.seed, 1e8, ctx.engine.into());
+                let out = run_terminating(ctx.n as usize, ctx.seed, 1e8);
                 let correct = out
                     .output
                     .map(|k| (k as f64 - (ctx.n as f64).log2()).abs() <= ACCURACY_BAND)
@@ -194,8 +183,7 @@ pub fn experiment(name: &str) -> Option<SweepExperiment> {
                     out.agreement,
                 ]
             },
-        )
-        .with_engine_hook(),
+        ),
         // Theorem 4.1: signal time of the threshold-8 Figure-1 counter
         // started dense — flat in n for any uniform protocol.
         "counter_signal" => SweepExperiment::new("counter_signal", &["time"], |ctx| {
@@ -239,7 +227,7 @@ pub fn experiment(name: &str) -> Option<SweepExperiment> {
         // full protocol settles on and whether it landed inside
         // `[log n − log ln n, 2 log n + 1]` (the fast Monte-Carlo half of
         // the lemma's table stays in its harness binary — it samples raw
-        // geometrics, not a population).
+        // geometrics, not a population). Per-agent engine.
         "logsize2_band" => SweepExperiment::new("logsize2_band", &["logsize2", "in_band"], |ctx| {
             let v = estimate_log_size(ctx.n as usize, ctx.seed, None)
                 .maxima
@@ -250,7 +238,7 @@ pub fn experiment(name: &str) -> Option<SweepExperiment> {
         // Lemma 3.9 field ranges: the per-trial maxima of every
         // `Log-Size-Estimation` field plus the implied state-count
         // estimate. The harness binary folds the across-trial maxima back
-        // into a `FieldMaxima` for the `O(log⁴ n)` table.
+        // into a `FieldMaxima` for the `O(log⁴ n)` table. Per-agent engine.
         "state_bounds" => SweepExperiment::new(
             "state_bounds",
             &["log_size2", "gr", "time", "epoch", "sum", "states"],
@@ -308,7 +296,8 @@ pub fn experiment(name: &str) -> Option<SweepExperiment> {
         // population of [`ABLATION_N`]: the grid axis carries the
         // `(clock multiplier, epoch multiplier)` pair via
         // [`ablation_code`]. Signed error (NaN if the run produced no
-        // output), convergence time, and the converged flag.
+        // output), convergence time, and the converged flag. Per-agent
+        // engine.
         "ablation" => SweepExperiment::new("ablation", &["err", "time", "converged"], |ctx| {
             let (clock, epochs) = ablation_decode(ctx.n);
             let protocol = LogSizeEstimation::with_constants(clock, epochs, 2);
@@ -339,7 +328,8 @@ pub fn experiment(name: &str) -> Option<SweepExperiment> {
         // output range beside the main protocol's time. Outputs are
         // per-agent, so `min_output`/`max_output` bound the spread;
         // coin harvesting costs an extra epidemic per geometric, so
-        // callers keep the size axis modest.
+        // callers keep the size axis modest. Both halves run on the
+        // per-agent engine.
         "synthetic_coin" => SweepExperiment::new(
             "synthetic_coin",
             &["synth_time", "main_time", "min_output", "max_output"],

@@ -23,7 +23,7 @@
 
 use pp_engine::rng::SimRng;
 use pp_engine::simulation::SimMode;
-use pp_engine::{EngineMode, Protocol, Simulation};
+use pp_engine::{Protocol, Simulation};
 
 use crate::log_size::LogSizeEstimation;
 use crate::phase_clock::LeaderClock;
@@ -146,31 +146,19 @@ pub struct TerminatingOutcome {
 
 /// Runs the terminating protocol: population of `n` with one planted leader.
 ///
-/// Runs on the unified count engine ([`EngineMode::Auto`]): the planted
-/// leader becomes a *non-uniform initial configuration* (one
-/// [`LeaderState::leader`] agent among `n - 1` followers), and the
-/// interner GC keeps the state table at live-support size even though the
-/// per-interaction counters inside the states churn out fresh records
-/// constantly — the frozen termination epidemic additionally rides the
-/// interner's null fast path. Use [`run_terminating_agentwise`] to pin
-/// the per-agent engine for cross-engine validation.
+/// Runs on the per-agent engine ([`SimMode::Agent`]): one record per
+/// agent, the leader at index 0. The counters inside the states churn on
+/// nearly every interaction, so the count engines would handle the run
+/// agent by agent anyway; [`terminating_in_mode`] pins them instead.
 pub fn run_terminating(n: usize, seed: u64, max_time: f64) -> TerminatingOutcome {
-    terminating_in_mode(n, seed, max_time, EngineMode::Auto.into())
-}
-
-/// [`run_terminating`] pinned to the per-agent engine: one record per
-/// agent, no interning. The statistical-equivalence suite holds this and
-/// the count-engine default to the same law; protocol-property tests that
-/// don't care about engine selection also use it, as the per-agent array
-/// is faster at the small populations they run.
-pub fn run_terminating_agentwise(n: usize, seed: u64, max_time: f64) -> TerminatingOutcome {
     terminating_in_mode(n, seed, max_time, SimMode::Agent)
 }
 
 /// The one builder invocation behind every terminating run: two predicate
 /// phases ("the signal fired" → "everyone froze") over one absolute time
-/// budget, differing only in engine mode. Public as the registry's
-/// engine-selection hook.
+/// budget, in the given engine mode. The only way onto the count engines:
+/// the planted leader becomes a non-uniform initial configuration, and
+/// interner GC keeps the state table at live-support size.
 pub fn terminating_in_mode(
     n: usize,
     seed: u64,
@@ -231,7 +219,6 @@ mod tests {
 
     #[test]
     fn leader_terminates_after_convergence() {
-        // The default engine (count + interner GC) end to end.
         let n = 100;
         let out = run_terminating(n, 31, 5_000_000.0);
         assert!(out.terminated, "leader never fired");
@@ -254,18 +241,10 @@ mod tests {
         // The whole point: the signal must not fire before the estimate has
         // converged. Compare with the non-terminating protocol's convergence
         // time on the same n.
-        // Agent engine: a protocol-property check, and the faster engine
-        // at this population size (cross-engine equivalence is covered by
-        // `tests/unified_equivalence.rs`).
         let n = 120;
-        let conv = crate::log_size::estimate_agentwise(
-            crate::log_size::LogSizeEstimation::paper(),
-            n,
-            77,
-            None,
-        );
+        let conv = crate::log_size::estimate_log_size(n, 77, None);
         assert!(conv.converged);
-        let term = run_terminating_agentwise(n, 78, 5_000_000.0);
+        let term = run_terminating(n, 78, 5_000_000.0);
         assert!(term.terminated);
         assert!(
             term.termination_time > conv.time,
@@ -290,8 +269,7 @@ mod tests {
 
     #[test]
     fn termination_epidemic_freezes_everyone() {
-        // Agent engine (protocol property; see above).
-        let out = run_terminating_agentwise(100, 41, 5_000_000.0);
+        let out = run_terminating(100, 41, 5_000_000.0);
         assert!(out.terminated);
         // Freeze should complete within ~O(log n) time of the signal.
         let spread = out.all_frozen_time - out.termination_time;

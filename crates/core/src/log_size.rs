@@ -25,7 +25,7 @@
 //!    Lemma 3.11.
 
 use pp_engine::rng::{geometric_half, SimRng};
-use pp_engine::{EngineMode, Observer, Protocol, Simulation};
+use pp_engine::{Observer, Protocol, SimMode, Simulation};
 
 use crate::state::{MainState, Role};
 
@@ -366,14 +366,10 @@ pub fn default_time_budget(n: u64) -> f64 {
 /// Runs `Log-Size-Estimation` on `n` agents with the given seed and time
 /// budget, returning the converged estimate (Theorem 3.1's `k`).
 ///
-/// Runs on the unified count engine ([`EngineMode::Auto`]): the protocol
-/// is interned onto the configuration-vector simulators, which store one
-/// count per *occupied* state instead of one record per agent, check
-/// convergence in `O(k)` instead of `O(n)`, and garbage-collect the
-/// interned table as the per-interaction counters inside the states churn
-/// — so memory stays bounded by the live support (`O(log⁴ n)` by
-/// Lemma 3.9) on arbitrarily long runs. Use [`estimate_agentwise`] to pin
-/// the per-agent engine for cross-engine validation.
+/// Runs on the per-agent engine ([`SimMode::Agent`]): one record per
+/// agent, so memory is `O(n)` records. The protocol updates a counter on
+/// nearly every interaction, so the count engines would handle it
+/// agent by agent anyway; [`estimate_in_mode`] pins them instead.
 ///
 /// A budget of `None` uses [`default_time_budget`].
 ///
@@ -390,43 +386,28 @@ pub fn estimate_log_size(n: usize, seed: u64, max_time: Option<f64>) -> Estimate
     estimate_with(LogSizeEstimation::paper(), n, seed, max_time)
 }
 
-/// [`estimate_log_size`] with explicit protocol constants (count engine,
-/// like every default run).
+/// [`estimate_log_size`] with explicit protocol constants (per-agent
+/// engine, like every default run).
 pub fn estimate_with(
     protocol: LogSizeEstimation,
     n: usize,
     seed: u64,
     max_time: Option<f64>,
 ) -> EstimateOutcome {
-    estimate_in_mode(protocol, n, seed, max_time, EngineMode::Auto.into())
+    estimate_in_mode(protocol, n, seed, max_time, SimMode::Agent)
 }
 
-/// [`estimate_with`] pinned to the per-agent engine
-/// ([`pp_engine::SimMode::Agent`]): one record per agent, no interning.
-/// The statistical-equivalence suite (`tests/unified_equivalence.rs`)
-/// holds this and the count-engine default to the same output and time
-/// distributions; protocol-property tests that don't care about engine
-/// selection also use it, as the per-agent array is faster at the small
-/// populations they run.
-pub fn estimate_agentwise(
-    protocol: LogSizeEstimation,
-    n: usize,
-    seed: u64,
-    max_time: Option<f64>,
-) -> EstimateOutcome {
-    estimate_in_mode(protocol, n, seed, max_time, pp_engine::SimMode::Agent)
-}
-
-/// The one builder invocation behind every `Log-Size-Estimation` run:
-/// engine choice is the only thing the `estimate_*` conveniences differ
-/// in. Public as the registry's engine-selection hook
-/// (`.mode(ctx.engine)` shaped).
+/// The one builder invocation behind every `Log-Size-Estimation` run, in
+/// the given engine mode. The only way onto the count engines
+/// (`EngineMode::Auto.into()` and friends): one count per occupied
+/// state, with interner GC keeping the table at live-support size
+/// (`O(log⁴ n)` by Lemma 3.9).
 pub fn estimate_in_mode(
     protocol: LogSizeEstimation,
     n: usize,
     seed: u64,
     max_time: Option<f64>,
-    mode: pp_engine::SimMode,
+    mode: SimMode,
 ) -> EstimateOutcome {
     let budget = max_time.unwrap_or_else(|| default_time_budget(n as u64));
     let mut maxima = FieldMaxima::default();
@@ -587,15 +568,12 @@ mod tests {
     fn several_seeds_stay_in_band() {
         // Figure 2's companion claim: "in practice the estimate is always
         // within 2". Use the theorem band as the hard assertion and track
-        // the tight band loosely. Pinned to the agent engine — the claim
-        // is a protocol property, engine equivalence is covered by
-        // `tests/unified_equivalence.rs`, and the per-agent array is the
-        // faster engine at this population size.
+        // the tight band loosely.
         let n = 300;
         let mut within_2 = 0;
         let trials = 5;
         for seed in 0..trials {
-            let out = estimate_agentwise(LogSizeEstimation::paper(), n, 1000 + seed, None);
+            let out = estimate_log_size(n, 1000 + seed, None);
             assert!(out.converged);
             let err = out.error(n as u64).unwrap().abs();
             assert!(err <= 5.7, "seed {seed}: error {err} breaks Theorem 3.1");
@@ -619,10 +597,8 @@ mod tests {
 
     #[test]
     fn field_maxima_respect_lemma_3_9_ranges() {
-        // Agent engine: a protocol-property check (see
-        // `several_seeds_stay_in_band` for the pinning rationale).
         let n = 400u64;
-        let out = estimate_agentwise(LogSizeEstimation::paper(), n as usize, 11, None);
+        let out = estimate_log_size(n as usize, 11, None);
         assert!(out.converged);
         let logn = (n as f64).log2();
         let m = out.maxima;
@@ -655,8 +631,8 @@ mod tests {
 
     #[test]
     fn gc_bounds_interned_table_to_live_support() {
-        // The acceptance check behind running `estimate_log_size` on the
-        // count engine by default: the protocol's per-interaction counters
+        // The acceptance check behind running `Log-Size-Estimation` on the
+        // count engine (`estimate_in_mode`): the protocol's per-interaction counters
         // mint fresh record states constantly (A agents bump `time` every
         // interaction, even after convergence), so without GC the interned
         // table grows without bound. With GC it must stay within a small

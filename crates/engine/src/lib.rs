@@ -69,11 +69,9 @@
 //! interaction clock, decode the occupied-state multiset), so
 //! [`Simulation::run`] is the one checkpoint loop for all of them:
 //!
-//! * [`sim::AgentSim`] — one state struct per agent. Retained for
-//!   cross-engine validation (the `*_agentwise` helpers), trace tooling,
-//!   and the small-population regimes where its per-interaction constant
-//!   wins; since the interner GC landed it is no longer the *required*
-//!   engine for any protocol.
+//! * [`sim::AgentSim`] — one state struct per agent: the default engine
+//!   for the paper's record protocols, whose counters churn on nearly
+//!   every interaction, and for trace tooling.
 //! * [`count_sim::CountSim`] — a configuration vector (a multiset of
 //!   states): `O(log k)` per interaction, `O(k)` memory, for protocols
 //!   with small occupied support.
@@ -98,12 +96,11 @@
 //! and compacts the table, so even counter-churning protocols — the
 //! paper's `Log-Size-Estimation` and `Leader-Terminating` record states,
 //! which mint a fresh state on nearly every interaction — stay at
-//! live-support memory on arbitrarily long runs. That closed the last
-//! engine-selection carve-out: `EngineMode::Auto` on the count engines is
-//! the default for **every** protocol, and collection is
+//! live-support memory on arbitrarily long runs when pinned to a count
+//! mode (their helpers default to [`SimMode::Agent`]), and collection is
 //! trajectory-neutral (`tests/gc_equivalence.rs` holds sweeps with GC on
-//! and off to byte-identical output). Three hot-path layers make that
-//! default *free*: state → id lookups probe an open-addressed
+//! and off to byte-identical output). Three hot-path layers keep that
+//! path cheap: state → id lookups probe an open-addressed
 //! [`slot_index::SlotIndex`] instead of a `BTreeMap`; zero-randomness
 //! transitions replay from a generation-stamped pair-outcome cache; and
 //! when a record protocol churns at scale, the adapter's **dense

@@ -25,17 +25,18 @@ use uniform_sizeest::baselines::exact_leader::{
 };
 use uniform_sizeest::baselines::majority::{run_nonuniform_majority, MajorityOutcome};
 use uniform_sizeest::engine::epidemic::epidemic_completion_time;
-use uniform_sizeest::engine::{AgentSim, Simulation};
+use uniform_sizeest::engine::{AgentSim, EngineMode, Simulation};
 use uniform_sizeest::protocols::leader::{
-    run_terminating, run_terminating_agentwise, LeaderState, LeaderTerminating, TerminatingOutcome,
+    run_terminating, terminating_in_mode, LeaderState, LeaderTerminating, TerminatingOutcome,
 };
 use uniform_sizeest::protocols::log_size::{
-    estimate_agentwise, is_converged, EstimateOutcome, FieldMaxima, LogSizeEstimation,
+    estimate_in_mode, estimate_log_size, is_converged, EstimateOutcome, FieldMaxima,
+    LogSizeEstimation,
 };
 use uniform_sizeest::protocols::partition::{run_partition, PartitionOutcome};
 
-/// The pre-builder body of `estimate_log_size` (then agent-engine), verbatim;
-/// `estimate_agentwise` is its builder-backed successor.
+/// The pre-builder body of `estimate_log_size` (agent engine), verbatim;
+/// the current `estimate_log_size` is its builder-backed successor.
 fn legacy_estimate_log_size(n: usize, seed: u64, budget: f64) -> EstimateOutcome {
     let mut sim = AgentSim::new(LogSizeEstimation::paper(), n, seed);
     let mut maxima = FieldMaxima::default();
@@ -66,7 +67,7 @@ fn estimate_agentwise_matches_legacy_agent_sim_byte_for_byte() {
     for (n, seed) in [(100usize, 7u64), (150, 8), (200, 9)] {
         let budget = 1e7;
         let legacy = legacy_estimate_log_size(n, seed, budget);
-        let built = estimate_agentwise(LogSizeEstimation::paper(), n, seed, Some(budget));
+        let built = estimate_log_size(n, seed, Some(budget));
         assert!(legacy.converged);
         assert_eq!(legacy, built, "n={n} seed={seed}");
     }
@@ -74,7 +75,6 @@ fn estimate_agentwise_matches_legacy_agent_sim_byte_for_byte() {
 
 #[test]
 fn estimate_log_size_counted_matches_legacy_config_sim_byte_for_byte() {
-    use uniform_sizeest::protocols::log_size::estimate_log_size;
     let pinned = [
         (100usize, 17u64, 8u64, 10807.0, [7u64, 11, 669, 35, 243]),
         (150, 18, 9, 17871.0, [9, 12, 862, 45, 342]),
@@ -92,7 +92,13 @@ fn estimate_log_size_counted_matches_legacy_config_sim_byte_for_byte() {
                 sum,
             },
         };
-        let built = estimate_log_size(n, seed, Some(1e7));
+        let built = estimate_in_mode(
+            LogSizeEstimation::paper(),
+            n,
+            seed,
+            Some(1e7),
+            EngineMode::Auto.into(),
+        );
         assert_eq!(expect, built, "n={n} seed={seed}");
     }
 }
@@ -117,7 +123,7 @@ fn finish_terminating(
     }
 }
 
-/// The pre-builder body of `run_terminating` (then agent-engine, planted
+/// The pre-builder body of `run_terminating` (agent engine, planted
 /// leader via `set_state`), verbatim.
 fn legacy_run_terminating(n: usize, seed: u64, max_time: f64) -> TerminatingOutcome {
     let mut sim = AgentSim::new(LeaderTerminating::paper(), n, seed);
@@ -139,7 +145,7 @@ fn legacy_run_terminating(n: usize, seed: u64, max_time: f64) -> TerminatingOutc
 fn run_terminating_agentwise_matches_legacy_agent_sim_byte_for_byte() {
     let (n, seed) = (100usize, 31u64);
     let legacy = legacy_run_terminating(n, seed, 5e6);
-    let built = run_terminating_agentwise(n, seed, 5e6);
+    let built = run_terminating(n, seed, 5e6);
     assert_eq!(legacy, built);
 }
 
@@ -152,7 +158,8 @@ fn run_terminating_counted_matches_legacy_config_sim_byte_for_byte() {
         agreement: 1.0,
         terminated: true,
     };
-    assert_eq!(expect, run_terminating(80, 41, 5e6));
+    let built = terminating_in_mode(80, 41, 5e6, EngineMode::Auto.into());
+    assert_eq!(expect, built);
 }
 
 #[test]

@@ -4,10 +4,10 @@
 //! Two layers of checks:
 //!
 //! 1. **Sweep-output byte identity.** The paper's headline measurements
-//!    (`Log-Size-Estimation`, `Leader-Terminating`) run through the sweep
-//!    orchestrator twice — once with interner GC forced off (`PP_GC=off`)
+//!    (`Log-Size-Estimation`, `Leader-Terminating`) run on the count
+//!    engine through the sweep orchestrator twice — once with interner GC forced off (`PP_GC=off`)
 //!    and once with it on — and the emitted summary/per-trial CSV bytes
-//!    must match exactly. GC preserves the engine's slot layout and
+//!    must match exactly, and the GC-on sweep must have collected. GC preserves the engine's slot layout and
 //!    relative id order and consumes no randomness, so the trajectories
 //!    (not just the laws) coincide.
 //! 2. **Eviction invariance under random configurations.** A property
@@ -24,7 +24,7 @@ use uniform_sizeest::engine::rng::SimRng;
 use uniform_sizeest::engine::simulation::view_population;
 use uniform_sizeest::engine::{ConfigSim, EngineMode, Protocol, Simulation};
 use uniform_sizeest::protocols::leader::{LeaderState, LeaderTerminating};
-use uniform_sizeest::protocols::log_size::{estimate_with, LogSizeEstimation};
+use uniform_sizeest::protocols::log_size::{estimate_in_mode, LogSizeEstimation};
 use uniform_sizeest::sweep::{emit, run_sweep, SweepExperiment, SweepSpec};
 
 /// Reduced-constants variants of the paper protocols: the byte-identity
@@ -41,12 +41,18 @@ fn short_leader() -> LeaderTerminating {
     }
 }
 
-/// The headline protocols as inline sweep experiments, both on the
-/// count-engine default the GC unlocked.
+/// The headline protocols as inline sweep experiments, both pinned to the
+/// count engine (`EngineMode::Auto`), the only path that interns.
 fn experiments() -> Vec<SweepExperiment> {
     vec![
         SweepExperiment::new("logsize", &["time", "interactions", "output"], |ctx| {
-            let out = estimate_with(short_logsize(), ctx.n as usize, ctx.seed, None);
+            let out = estimate_in_mode(
+                short_logsize(),
+                ctx.n as usize,
+                ctx.seed,
+                None,
+                EngineMode::Auto.into(),
+            );
             assert!(out.converged);
             vec![
                 out.time,
@@ -91,19 +97,30 @@ fn sweep_output_is_byte_identical_with_gc_on_and_off() {
         spec.master_seed = 0x6C01;
         spec.threads = 1;
         let report = run_sweep(&spec, &experiments()).expect("sweep runs");
-        (emit::summary_csv(&report), emit::per_trial_csv(&report))
+        let bytes = (emit::summary_csv(&report), emit::per_trial_csv(&report));
+        (bytes, emit::counters_csv(&report))
     };
     // Forced off, then forced on: the `PP_GC` knob is read at simulator
     // construction, so it must be set before each sweep starts.
     std::env::set_var("PP_GC", "off");
-    let off = run();
+    let (off, _) = run();
     std::env::set_var("PP_GC", "on");
-    let on = run();
+    let (on, counters) = run();
     std::env::remove_var("PP_GC");
     assert_eq!(
         off, on,
         "interner GC changed the emitted sweep bytes — collection is not trajectory-neutral"
     );
+    // Identity is vacuous unless the GC-on sweep actually collected.
+    for experiment in ["logsize", "leader"] {
+        let passes: u64 = counters
+            .lines()
+            .map(|line| line.split(',').collect::<Vec<_>>())
+            .filter(|row| row[0] == experiment && row[2] == "gc_passes")
+            .map(|row| row[5].parse::<u64>().expect("gc_passes total"))
+            .sum();
+        assert!(passes >= 1, "{experiment}: the GC-on sweep ran no GC pass");
+    }
 }
 
 /// Record state with enough structure to exercise hashing and ordering.

@@ -1,15 +1,13 @@
 //! Cross-crate integration tests: the full protocol stack end to end.
 //!
-//! The Log-Size-Estimation runs here pin the agent engine
-//! (`estimate_agentwise`): these tests check paper-level protocol
-//! properties, which are engine-independent — `tests/unified_equivalence.rs`
-//! holds the engines to the same law and `tests/gc_equivalence.rs` holds
-//! the default count engine's GC to trajectory neutrality — and the
-//! per-agent array is the faster engine at these population sizes.
+//! The Log-Size-Estimation runs here use the default per-agent engine:
+//! these tests check paper-level protocol properties, which are
+//! engine-independent — `tests/unified_equivalence.rs` holds the count
+//! engine to the same law.
 
 use uniform_sizeest::analysis;
 use uniform_sizeest::baselines::alistarh::weak_estimate;
-use uniform_sizeest::protocols::log_size::{estimate_agentwise, LogSizeEstimation};
+use uniform_sizeest::protocols::log_size::{estimate_log_size, estimate_with, LogSizeEstimation};
 use uniform_sizeest::protocols::synthetic::estimate_log_size_synthetic;
 use uniform_sizeest::protocols::upper_bound::estimate_upper_bound;
 
@@ -20,7 +18,7 @@ fn theorem_3_1_band_across_sizes() {
         let mut in_band = 0;
         let trials = 5;
         for seed in 0..trials {
-            let out = estimate_agentwise(LogSizeEstimation::paper(), n as usize, 9000 + seed, None);
+            let out = estimate_log_size(n as usize, 9000 + seed, None);
             assert!(out.converged, "n={n} seed={seed} did not converge");
             let k = out.output.unwrap() as f64;
             if (k - logn).abs() <= 5.7 {
@@ -36,11 +34,11 @@ fn convergence_time_grows_subpolynomially() {
     // O(log^2 n): a 16x larger population should take well under 4x the
     // time (log^2 ratio for 100 -> 1600 is (10.6/6.6)^2 ≈ 2.6).
     let t_small: f64 = (0..3)
-        .map(|s| estimate_agentwise(LogSizeEstimation::paper(), 100, 100 + s, None).time)
+        .map(|s| estimate_log_size(100, 100 + s, None).time)
         .sum::<f64>()
         / 3.0;
     let t_large: f64 = (0..3)
-        .map(|s| estimate_agentwise(LogSizeEstimation::paper(), 1600, 200 + s, None).time)
+        .map(|s| estimate_log_size(1600, 200 + s, None).time)
         .sum::<f64>()
         / 3.0;
     let ratio = t_large / t_small;
@@ -61,7 +59,7 @@ fn additive_beats_multiplicative_at_scale() {
         / trials as f64;
     let main_mean_err: f64 = (0..trials)
         .map(|s| {
-            estimate_agentwise(LogSizeEstimation::paper(), n, 400 + s, None)
+            estimate_log_size(n, 400 + s, None)
                 .error(n as u64)
                 .unwrap()
                 .abs()
@@ -109,7 +107,7 @@ fn synthetic_variant_matches_randomized_band() {
 fn custom_constants_still_converge() {
     // Double the clock: slower but still correct.
     let protocol = LogSizeEstimation::with_constants(190, 5, 2);
-    let out = estimate_agentwise(protocol, 150, 700, Some(1e7));
+    let out = estimate_with(protocol, 150, 700, Some(1e7));
     assert!(out.converged);
     let err = out.error(150).unwrap().abs();
     assert!(err <= 5.7, "doubled clock broke the band: {err}");
@@ -124,7 +122,7 @@ fn analysis_predictions_match_protocol_scale() {
     // so measured times can exceed it at small n; see EXPERIMENTS.md.)
     for n in [100u64, 1000] {
         let budget = uniform_sizeest::protocols::log_size::default_time_budget(n);
-        let t = estimate_agentwise(LogSizeEstimation::paper(), n as usize, 800 ^ n, None).time;
+        let t = estimate_log_size(n as usize, 800 ^ n, None).time;
         assert!(
             t < budget,
             "n={n}: measured {t} exceeded the clock budget {budget}"

@@ -2,7 +2,7 @@
 //! doomed terminators, and the leader escape hatch.
 
 use uniform_sizeest::baselines::naive_terminating::{fixed_signal_time, geometric_signal_time};
-use uniform_sizeest::protocols::leader::run_terminating_agentwise;
+use uniform_sizeest::protocols::leader::run_terminating;
 use uniform_sizeest::termination::density::{density, even_dense_config, leader_config};
 use uniform_sizeest::termination::experiment::{
     counter_dense_config, counter_protocol, signal_time, verify_density_lemma, COUNTER_T, COUNTER_X,
@@ -100,9 +100,7 @@ fn leader_termination_waits_while_dense_signals_cannot() {
     // the threshold is 2000·logSize2² and logSize2 is a random draw whose
     // bands for nearby n overlap.)
     let n = 400u64;
-    // Agent engine: protocol property, engine-independent (and the
-    // faster engine at this size).
-    let out = run_terminating_agentwise(n as usize, 900, 1e8);
+    let out = run_terminating(n as usize, 900, 1e8);
     assert!(out.terminated);
     // Minimum possible threshold: logSize2 ≥ log n − log ln n (+2 offset
     // means ≥ that even without slack); leader needs threshold

@@ -32,7 +32,7 @@ use uniform_sizeest::engine::interned::Interned;
 use uniform_sizeest::engine::rng::derive_seed;
 use uniform_sizeest::engine::simulation::view_population;
 use uniform_sizeest::engine::{ConfigSim, EngineMode};
-use uniform_sizeest::protocols::log_size::{estimate_agentwise, estimate_with, LogSizeEstimation};
+use uniform_sizeest::protocols::log_size::{estimate_in_mode, estimate_with, LogSizeEstimation};
 
 mod common;
 use common::{eq_trials, ks_statistic, ks_threshold};
@@ -58,9 +58,9 @@ fn log_size_estimation_agentwise_and_counted_agree() {
         for t in 0..trials {
             let seed = derive_seed(stream, t);
             let out = if counted {
-                estimate_with(protocol, n, seed, None)
+                estimate_in_mode(protocol, n, seed, None, EngineMode::Auto.into())
             } else {
-                estimate_agentwise(protocol, n, seed, None)
+                estimate_with(protocol, n, seed, None)
             };
             assert!(out.converged, "run failed to converge");
             times.push(out.time);
