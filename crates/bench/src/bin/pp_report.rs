@@ -22,6 +22,7 @@ use std::collections::BTreeMap;
 
 use pp_bench::print_table;
 use pp_sweep::json::{self, Value};
+use pp_sweep::{emit, PointResult, SweepReport, TrialRecord};
 
 fn main() {
     let files: Vec<String> = std::env::args().skip(1).collect();
@@ -134,50 +135,49 @@ fn render_journal(path: &str, docs: &[Value]) {
         docs.len() - 1
     );
 
-    // Per (exp, n): trial/failure census and summed counters.
-    #[derive(Default)]
-    struct Acc {
-        trials: u64,
-        failed: u64,
-        instrumented: u64,
-        counters: BTreeMap<String, u64>,
-    }
-    let mut points: BTreeMap<(String, u64), Acc> = BTreeMap::new();
+    // Per (exp, n): the failed-trial count and the completed trials as
+    // the sweep's own point records, so the counter table is the one a
+    // sweep report carries (`emit::counter_rows`, hit rate included).
+    let mut points: BTreeMap<(String, u64), (u64, PointResult)> = BTreeMap::new();
     for doc in &docs[1..] {
-        let exp = doc
-            .get("exp")
-            .and_then(Value::as_str)
-            .unwrap_or("?")
-            .to_string();
+        let exp = doc.get("exp").and_then(Value::as_str).unwrap_or("?");
         let n = doc.get("n").and_then(Value::as_u64).unwrap_or(0);
-        let acc = points.entry((exp, n)).or_default();
-        acc.trials += 1;
+        let (failed, point) = points.entry((exp.to_string(), n)).or_insert_with(|| {
+            let point = PointResult {
+                experiment: exp.to_string(),
+                n,
+                metrics: Vec::new(),
+                trials: Vec::new(),
+            };
+            (0, point)
+        });
         if doc.get("failed").is_some() {
-            acc.failed += 1;
+            *failed += 1;
             continue;
         }
-        let counters = obj_fields(doc.get("counters"));
-        if counters.is_empty() {
-            continue;
-        }
-        acc.instrumented += 1;
-        for (name, v) in counters {
-            if let Some(v) = v.as_u64() {
-                *acc.counters.entry(name).or_default() += v;
-            }
-        }
+        let counters = obj_fields(doc.get("counters"))
+            .into_iter()
+            .filter_map(|(name, v)| Some((name, v.as_u64()?)))
+            .collect();
+        let trial = point.trials.len();
+        point.trials.push(TrialRecord {
+            trial,
+            seed: 0,
+            values: Vec::new(),
+            counters,
+        });
     }
 
     println!("== trials");
     let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|((exp, n), acc)| {
+        .values()
+        .map(|(failed, point)| {
             vec![
-                exp.clone(),
-                n.to_string(),
-                acc.trials.to_string(),
-                acc.failed.to_string(),
-                acc.instrumented.to_string(),
+                point.experiment.clone(),
+                point.n.to_string(),
+                (failed + point.trials.len() as u64).to_string(),
+                failed.to_string(),
+                point.instrumented_trials().to_string(),
             ]
         })
         .collect();
@@ -186,38 +186,20 @@ fn render_journal(path: &str, docs: &[Value]) {
         &rows,
     );
 
-    if points.values().all(|acc| acc.instrumented == 0) {
+    let report = SweepReport {
+        name: sweep.to_string(),
+        master_seed: 0,
+        points: points.into_values().map(|(_, point)| point).collect(),
+        resumed_trials: 0,
+        failed_trials: 0,
+    };
+    let rows = emit::counter_rows(&report);
+    if rows.is_empty() {
         println!("(no per-trial counters — pre-telemetry journal)");
         return;
     }
     println!("== counters");
-    let mut rows = Vec::new();
-    for ((exp, n), acc) in &points {
-        if acc.instrumented == 0 {
-            continue;
-        }
-        for (name, total) in &acc.counters {
-            rows.push(vec![
-                exp.clone(),
-                n.to_string(),
-                name.clone(),
-                format!("{:.1}", *total as f64 / acc.instrumented as f64),
-                total.to_string(),
-            ]);
-        }
-        let hits = acc.counters.get("pair_cache_hits").copied().unwrap_or(0);
-        let misses = acc.counters.get("pair_cache_misses").copied().unwrap_or(0);
-        if hits + misses > 0 {
-            rows.push(vec![
-                exp.clone(),
-                n.to_string(),
-                "pair_cache_hit_rate".into(),
-                format!("{:.3}", hits as f64 / (hits + misses) as f64),
-                "-".into(),
-            ]);
-        }
-    }
-    print_table(&["experiment", "n", "counter", "mean", "total"], &rows);
+    print_table(&emit::COUNTER_HEADER, &rows);
 }
 
 /// The fields of a JSON object value (empty for anything else).

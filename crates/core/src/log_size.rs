@@ -411,22 +411,19 @@ pub fn estimate_in_mode(
 ) -> EstimateOutcome {
     let budget = max_time.unwrap_or_else(|| default_time_budget(n as u64));
     let mut maxima = FieldMaxima::default();
-    let (out, output) = {
-        let (out, sim) = Simulation::builder(protocol)
-            .size(n as u64)
-            .seed(seed)
-            .mode(mode)
-            .max_time(budget)
-            .observe(&mut maxima)
-            .until(|view: &[(MainState, u64)]| is_converged_counts(view))
-            .run();
-        let output = if out.converged {
-            sim.view().first().and_then(|(s, _)| s.output)
-        } else {
-            None
-        };
-        (out, output)
-    };
+    let (out, sim) = Simulation::builder(protocol)
+        .size(n as u64)
+        .seed(seed)
+        .mode(mode)
+        .max_time(budget)
+        .observe(&mut maxima)
+        .until(|view: &[(MainState, u64)]| is_converged_counts(view))
+        .run();
+    let output = out
+        .converged
+        .then(|| sim.view().first()?.0.output)
+        .flatten();
+    drop(sim); // releases `maxima`
     EstimateOutcome {
         output,
         time: out.time,
@@ -691,8 +688,10 @@ mod tests {
     #[test]
     fn two_agents_still_make_progress() {
         // Degenerate n = 2: one A, one S. The protocol should still converge
-        // (the estimate will be poor, but nothing deadlocks).
-        let out = estimate_log_size(2, 5, Some(500_000.0));
-        assert!(out.converged, "n=2 deadlocked");
+        // (the estimate will be poor, but nothing deadlocks) on either engine.
+        for mode in [SimMode::Agent, pp_engine::EngineMode::Auto.into()] {
+            let out = estimate_in_mode(LogSizeEstimation::paper(), 2, 5, Some(500_000.0), mode);
+            assert!(out.converged, "n=2 deadlocked on {mode:?}");
+        }
     }
 }

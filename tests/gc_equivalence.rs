@@ -111,15 +111,22 @@ fn sweep_output_is_byte_identical_with_gc_on_and_off() {
         off, on,
         "interner GC changed the emitted sweep bytes — collection is not trajectory-neutral"
     );
-    // Identity is vacuous unless the GC-on sweep actually collected.
+    // Identity is vacuous unless the GC-on sweep actually collected, and
+    // the interned paths' counters must reach the report: the pair cache,
+    // and the dense lane (n = 200 runs in it).
     for experiment in ["logsize", "leader"] {
-        let passes: u64 = counters
-            .lines()
-            .map(|line| line.split(',').collect::<Vec<_>>())
-            .filter(|row| row[0] == experiment && row[2] == "gc_passes")
-            .map(|row| row[5].parse::<u64>().expect("gc_passes total"))
-            .sum();
-        assert!(passes >= 1, "{experiment}: the GC-on sweep ran no GC pass");
+        for counter in ["gc_passes", "pair_cache_hits", "dense_lane_episodes"] {
+            let total: u64 = counters
+                .lines()
+                .map(|line| line.split(',').collect::<Vec<_>>())
+                .filter(|row| row[0] == experiment && row[2] == counter)
+                .map(|row| row[5].parse::<u64>().expect("counter total"))
+                .sum();
+            assert!(
+                total >= 1,
+                "{experiment}: the GC-on sweep recorded no {counter}"
+            );
+        }
     }
 }
 
